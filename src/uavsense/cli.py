@@ -42,7 +42,7 @@ def _cmd_simulate(args) -> int:
     if patch:
         config = replace(config, **patch)
     scenario = bench.generate_scenario(config)
-    itsso_cfg = ItssoConfig(rng_seed=config.seed + 1_000_003)
+    itsso_cfg = ItssoConfig(rng_seed=config.seed + bench._ITSSO_SEED_OFFSET)
     solution = bench.run_scheme(scenario, itsso_cfg, record_trace=True)
     print(f"scheme={config.scheme} seed={config.seed} "
           f"M={config.m} N={config.n} K={config.k} q={config.q}")

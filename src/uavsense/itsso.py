@@ -22,8 +22,10 @@ from .sensing import SensingParams, Task, sensing_success_coop
 from .simulator import SimOutcome, UavPlan, run
 from .trajectory import (
     KinematicParams,
+    LegCache,
     LegInfeasible,
     drain_leg,
+    grant_from_mask,
     initial_leg,
     optimize_leg,
 )
@@ -102,6 +104,7 @@ def _build_plans(
     masks: Mapping[int, Sequence[bool]] | None,
     speed: float | None,
     initial: bool,
+    cache: LegCache | None = None,
 ) -> list[UavPlan]:
     cp: ChannelParams = scenario.channel
     kin: KinematicParams = scenario.kinematics
@@ -109,12 +112,7 @@ def _build_plans(
     for uav in sorted(scenario.routes):
         route = scenario.routes[uav]
         start = scenario.uav_starts[uav]
-        mask = None if masks is None else masks.get(uav)
-        if mask is not None:
-            n = len(mask)
-            grant = lambda slot, _m=mask, _n=n: slot > _n or slot < 1 or _m[slot - 1]
-        else:
-            grant = None
+        grant = grant_from_mask(None if masks is None else masks.get(uav))
         legs = []
         locs = []
         prev = start
@@ -126,18 +124,20 @@ def _build_plans(
                 leg = initial_leg(prev, loc, residual, speed, cp, kin)
             else:
                 try:
-                    leg = optimize_leg(prev, loc, residual, cp, kin, grant, t + 1)
+                    leg = optimize_leg(prev, loc, residual, cp, kin, grant, t + 1,
+                                       cache=cache)
                 except LegInfeasible:
                     # the observed mask can deny long stretches that the new
                     # plan will never see; plan optimistically and let the
                     # simulator resolve the contention
-                    leg = optimize_leg(prev, loc, residual, cp, kin)
+                    leg = optimize_leg(prev, loc, residual, cp, kin, cache=cache)
             legs.append(leg)
             locs.append(loc)
             t += leg.slots + 1
             prev = loc
         if route:
-            dr = drain_leg(prev, scenario.tasks[route[-1]].data_size, cp, kin, grant, t + 1)
+            dr = drain_leg(prev, scenario.tasks[route[-1]].data_size, cp, kin, grant, t + 1,
+                           cache=cache)
         else:
             dr = drain_leg(start, 0.0, cp, kin)
         plans.append(UavPlan(uav, start, list(route), locs, legs, dr))
@@ -198,9 +198,11 @@ def run_itsso(
     """Full optimization loop; see the module docstring.
 
     ``placement=False`` with ``fixed_locations`` realizes schemes that pin
-    sensing locations (the locations are then never moved).
+    sensing locations (the locations are then never moved).  One
+    ``LegCache`` serves every leg planned in this call and is dropped with it.
     """
     cfg = cfg or ItssoConfig()
+    cache = LegCache(scenario.channel, scenario.kinematics)
     best = initial_solution(
         scenario, cfg, locations=fixed_locations,
         sensing_check=sensing_check, record_trace=record_trace,
@@ -217,12 +219,12 @@ def run_itsso(
             (p.uav, idx): p.sensing_locations[idx]
             for p in best.plans for idx in range(p.n_tasks)
         }
-        plans = _build_plans(scenario, locations, masks, None, initial=False)
+        plans = _build_plans(scenario, locations, masks, None, initial=False, cache=cache)
         cand_assignment = None
         if placement:
             cand_assignment = optimize_sensing_locations(
                 plans, scenario.tasks, scenario.channel, scenario.kinematics,
-                scenario.sensing, masks,
+                scenario.sensing, masks, cache=cache,
             )
             plans = cand_assignment.plans
             passes += cand_assignment.passes

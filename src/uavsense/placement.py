@@ -30,9 +30,10 @@ from .simulator import UavPlan
 from .trajectory import (
     GrantFn,
     KinematicParams,
-    Leg,
+    LegCache,
     LegInfeasible,
     drain_leg,
+    grant_from_mask,
     optimize_leg,
 )
 
@@ -107,12 +108,14 @@ def delta_bounds(
 class _Search:
     """Mutable state for one local-search run."""
 
-    def __init__(self, plans, tasks, cp, kin, sp, masks):
+    def __init__(self, plans, tasks, cp, kin, sp, masks, cache):
         self.cp = cp
         self.kin = kin
         self.sp = sp
         self.tasks = tasks
-        self.masks: Mapping[int, Sequence[bool]] = masks or {}
+        self.cache: LegCache = cache or LegCache(cp, kin)
+        self.grants: dict[int, GrantFn] = {
+            uav: grant_from_mask(mask) for uav, mask in (masks or {}).items()}
         # Per-worker distance budget: the hemispheroid radius around a task
         # within which a worker's sensing location may wander.  The symmetric
         # radius of the group exactly meets the threshold when everyone sits
@@ -134,13 +137,6 @@ class _Search:
         self.t = {u: p.planned_completion() for u, p in self.plans.items()}
 
     # -- mask helpers ------------------------------------------------------
-    def _grant_fn(self, uav: int) -> GrantFn:
-        mask = self.masks.get(uav)
-        if mask is None:
-            return None
-        n = len(mask)
-        return lambda slot: slot > n or slot < 1 or mask[slot - 1]
-
     def _first_slot(self, plan: UavPlan, idx: int) -> int:
         # absolute slot of the leg's first waypoint: after idx sensing slots
         # and the preceding legs
@@ -157,12 +153,13 @@ class _Search:
         try:
             p.legs[idx] = optimize_leg(
                 start, p.sensing_locations[idx], residual, self.cp, self.kin,
-                self._grant_fn(uav), self._first_slot(p, idx),
+                self.grants.get(uav), self._first_slot(p, idx), cache=self.cache,
             )
         except LegInfeasible:
             # stale observed mask; plan optimistically (see the outer loop)
             p.legs[idx] = optimize_leg(
-                start, p.sensing_locations[idx], residual, self.cp, self.kin)
+                start, p.sensing_locations[idx], residual, self.cp, self.kin,
+                cache=self.cache)
 
     def _replan_outgoing(self, uav: int, idx: int) -> None:
         p = self.plans[uav]
@@ -172,7 +169,8 @@ class _Search:
             residual = self.tasks[p.task_ids[idx]].data_size
             p.drain = drain_leg(
                 p.sensing_locations[idx], residual, self.cp, self.kin,
-                self._grant_fn(uav), self._first_slot(p, idx) + p.legs[idx].slots + 1,
+                self.grants.get(uav), self._first_slot(p, idx) + p.legs[idx].slots + 1,
+                cache=self.cache,
             )
 
     def move(self, uav: int, idx: int, loc: Position3) -> None:
@@ -211,7 +209,7 @@ class _Search:
         residual = 0.0 if idx == 0 else self.tasks[p.task_ids[idx - 1]].data_size
         return drain_leg(
             start, residual, self.cp, self.kin,
-            self._grant_fn(uav), self._first_slot(p, idx),
+            self.grants.get(uav), self._first_slot(p, idx), cache=self.cache,
         ).slots
 
     def upper_bound(self, uav: int, idx: int, task: Task) -> int:
@@ -222,10 +220,11 @@ class _Search:
         try:
             return optimize_leg(
                 start, overhead, residual, self.cp, self.kin,
-                self._grant_fn(uav), self._first_slot(p, idx),
+                self.grants.get(uav), self._first_slot(p, idx), cache=self.cache,
             ).slots
         except LegInfeasible:
-            return optimize_leg(start, overhead, residual, self.cp, self.kin).slots
+            return optimize_leg(start, overhead, residual, self.cp, self.kin,
+                                cache=self.cache).slots
 
     # -- moves -------------------------------------------------------------
     def _shrink_location(self, uav: int, idx: int, task: Task) -> Optional[Position3]:
@@ -350,10 +349,15 @@ def optimize_sensing_locations(
     sp: SensingParams,
     masks: Mapping[int, Sequence[bool]] | None = None,
     max_passes: int = 200,
+    cache: LegCache | None = None,
 ) -> SensingAssignment:
     """Run the local search until a full pass leaves every task's group
-    completion time unchanged.  The input plans are not modified."""
-    search = _Search(plans, tasks, cp, kin, sp, masks)
+    completion time unchanged.  The input plans are not modified.
+
+    ``cache`` shares gradient walks and line rates with the caller's other
+    plans; without one the search makes its own for the length of the call.
+    """
+    search = _Search(plans, tasks, cp, kin, sp, masks, cache)
     ordered_tasks = [tasks[j] for j in sorted(tasks)]
     history = [max(search.t.values(), default=0)]
     passes = 0

@@ -10,21 +10,39 @@ upload fit wins.
 Masks: planners accept ``is_granted(abs_slot) -> bool`` describing which
 slots the caller expects to hold a subcarrier (slot of waypoint k is
 ``first_slot + k - 1``).  ``None`` means every slot is granted.
+``grant_from_mask`` turns an observed per-slot mask into such a function.
+
+What is cached, and for how long.  Every channel evaluation depends only
+on geometry; the mask and the residual only decide which rates are summed.
+- Within one ``optimize_leg`` call the grant window is read once into a
+  list of bools, and the route from each detour split to the end point is
+  built and rated once, whatever the budget.
+- A ``LegCache`` keeps the rate-gradient walk (positions and rates) from
+  each leg start, which ``optimize_leg`` and ``drain_leg`` extend and
+  share, and the rates (not the waypoints) of every straight line
+  ``optimize_leg`` has rated.  ``run_itsso`` makes one per call and drops
+  it on return; a call without one starts cold.  There is no module-level
+  cache.
+Capacities are summed left to right over granted slots, exactly as a
+plain loop would, so a cached plan is bit-identical to a cold one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from array import array
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from .channel import ChannelParams, Position3, rate_at
 
 __all__ = [
     "KinematicParams",
     "Leg",
+    "LegCache",
     "LegInfeasible",
     "delta_lower_bound",
+    "grant_from_mask",
     "rate_gradient",
     "optimize_leg",
     "drain_leg",
@@ -69,22 +87,22 @@ class Leg:
     turning_point: Position3
     detour_slots: int
     route_slots: int
-    _suffix: list[float] = field(default_factory=list, repr=False)
 
     @property
     def slots(self) -> int:
         return len(self.waypoints)
 
-    def suffix_capacity(self) -> list[float]:
-        """suffix_capacity()[k] = sum of rates from waypoint k on (all granted)."""
-        if len(self._suffix) != len(self.rates) + 1:
-            acc = 0.0
-            out = [0.0] * (len(self.rates) + 1)
-            for k in range(len(self.rates) - 1, -1, -1):
-                acc += self.rates[k]
-                out[k] = acc
-            self._suffix = out
-        return self._suffix
+
+def grant_from_mask(mask: Optional[Sequence[bool]]) -> GrantFn:
+    """``is_granted`` for a mask over absolute slots: slot s is ``mask[s - 1]``.
+
+    Slots outside ``1..len(mask)`` are granted: nothing was observed there,
+    so the planner stays optimistic.  A ``None`` mask grants every slot.
+    """
+    if mask is None:
+        return None
+    n = len(mask)
+    return lambda slot: slot > n or slot < 1 or mask[slot - 1]
 
 
 def delta_lower_bound(start: Position3, end: Position3, kin: KinematicParams) -> int:
@@ -203,6 +221,85 @@ def _masked_capacity(rates: list[float], is_granted: GrantFn, first_slot: int) -
     return total
 
 
+class _Walk:
+    """Rate-gradient walk from one start at full speed.
+
+    ``pts[k]`` is the position after k+1 steps and ``rates[k]`` its rate.
+    The walk is a pure function of the start, the channel and the
+    kinematics, so it only ever grows; legs copy the prefix they use.
+    """
+
+    __slots__ = ("start", "cp", "kin", "pts", "rates")
+
+    def __init__(self, start: Position3, cp: ChannelParams, kin: KinematicParams):
+        self.start = start
+        self.cp = cp
+        self.kin = kin
+        self.pts: list[Position3] = []
+        self.rates: list[float] = []
+
+    def extend(self, n: int) -> None:
+        """Walk on until at least n steps are known."""
+        cp, kin, pts, rates = self.cp, self.kin, self.pts, self.rates
+        pos = pts[-1] if pts else self.start
+        while len(pts) < n:
+            pos = _gradient_step(pos, kin.v_max, cp, kin)
+            pts.append(pos)
+            rates.append(rate_at(pos.x, pos.y, pos.z, cp))
+
+
+class LegCache:
+    """Gradient walks by leg start and line rates by geometry, shared by the
+    planners of one run.
+
+    Bound to one channel and kinematics; ``optimize_leg`` and ``drain_leg``
+    refuse a cache made for other parameters.  It grows with every distinct
+    start and line it sees and is meant to be dropped with the run that
+    made it.  Line rates are kept as ``array('d')``, without waypoints, to
+    keep it small.
+    """
+
+    def __init__(self, cp: ChannelParams, kin: KinematicParams):
+        self.cp = cp
+        self.kin = kin
+        self._walks: dict[Position3, _Walk] = {}
+        # (a, b, slots, evenly paced) -> rates of that line's waypoints
+        self.lines: dict[tuple[Position3, Position3, int, bool], array] = {}
+
+    def check(self, cp: ChannelParams, kin: KinematicParams) -> None:
+        if (cp is not self.cp and cp != self.cp) or (kin is not self.kin and kin != self.kin):
+            raise ValueError("LegCache was made for other channel or kinematic parameters")
+
+    def walk(self, start: Position3) -> _Walk:
+        w = self._walks.get(start)
+        if w is None:
+            w = self._walks[start] = _Walk(start, self.cp, self.kin)
+        return w
+
+
+def _grant_window(is_granted: GrantFn, first_slot: int, n: int) -> list[bool]:
+    """Grants of leg slots 0..n-1 (absolute slots from ``first_slot``)."""
+    if is_granted is None:
+        return [True] * n
+    return [is_granted(slot) for slot in range(first_slot, first_slot + n)]
+
+
+def _covers(rates: list[float], granted: list[bool], k: int, total: float,
+            residual: float) -> bool:
+    """Whether ``total`` plus the granted ``rates`` (leg slots from k) reaches
+    the residual.  Rates are non-negative, so the partial sum never falls
+    and stopping once it reaches the residual gives the full sum's answer."""
+    if total >= residual:
+        return True
+    for r in rates:
+        if granted[k]:
+            total += r
+            if total >= residual:
+                return True
+        k += 1
+    return False
+
+
 def optimize_leg(
     start: Position3,
     end: Position3,
@@ -211,8 +308,8 @@ def optimize_leg(
     kin: KinematicParams,
     is_granted: GrantFn = None,
     first_slot: int = 0,
-    speed: float | None = None,
     max_detour_factor: int = 10,
+    cache: Optional[LegCache] = None,
 ) -> Leg:
     """Shortest leg from start to end whose capacity covers the residual data.
 
@@ -224,66 +321,99 @@ def optimize_leg(
     wins, with the smallest detour preferred inside a budget, so detours
     are minimal and, by the stretched-line family, a leg built at full
     speed never takes more slots than one built slower.
+
+    ``cache`` shares the gradient walk from ``start`` and the rated lines
+    with other calls of the same run; the leg returned is the same with or
+    without it.
     """
     if residual_data < 0:
         raise ValueError("residual_data must be non-negative")
-    v = speed if speed is not None else kin.v_max
+    v = kin.v_max
     d = start.dist(end)
     dlb = 0 if d <= 0 else max(1, math.ceil(d / v - _CEIL_EPS))
 
-    def feasible(rates: list[float]) -> bool:
-        return _masked_capacity(rates, is_granted, first_slot) >= residual_data
+    # a cold call still rates each line once, whatever the budget
+    lines = {}
+    if cache is not None:
+        cache.check(cp, kin)
+        lines = cache.lines
 
-    def rated(pts: list[Position3]) -> list[float]:
-        return [rate_at(p.x, p.y, p.z, cp) for p in pts]
+    def line_pts(a: Position3, b: Position3, n: int, even: bool) -> list[Position3]:
+        return _even_waypoints(a, b, n) if even else _frontload_waypoints(a, b, v, n)
+
+    def line_rates(a: Position3, b: Position3, n: int, even: bool) -> array:
+        key = (a, b, n, even)
+        got = lines.get(key)
+        if got is None:
+            got = lines[key] = array(
+                "d", [rate_at(p.x, p.y, p.z, cp) for p in line_pts(a, b, n, even)])
+        return got
 
     line = _frontload_waypoints(start, end, v, dlb)
-    rates = rated(line)
-    if residual_data <= 0 or feasible(rates):
+    rates = line_rates(start, end, dlb, False).tolist()
+    if residual_data <= 0:
         return Leg(start, end, residual_data, line, rates, start, 0, dlb)
-    base_line, base_rates = line, rates
-
     cap = max(max_detour_factor * max(dlb, 1), 20)
-    detour: list[Position3] = []
-    detour_rates: list[float] = []
-    pos = start
+    granted = _grant_window(is_granted, first_slot, dlb + cap)
+    line_total = 0.0  # the full sum: the hover-at-end family continues it
+    for r, g in zip(rates, granted):
+        if g:
+            line_total += r
+    if line_total >= residual_data:
+        return Leg(start, end, residual_data, line, rates, start, 0, dlb)
+
+    walk = _Walk(start, cp, kin) if cache is None else cache.walk(start)
+    detour, detour_rates = walk.pts, walk.rates
+    # per detour split d1 (index d1 - 1): the route length d2 to the end,
+    # the hover pauses counted so far and the capacity of the first d1 walk
+    # steps plus those pauses
+    d2s: list[int] = []
+    paused: list[int] = []
+    held: list[float] = []
+    walk_total = 0.0
     for n in range(dlb, dlb + cap + 1):
         if d > 0 and n > dlb:
             # arrive at full speed and keep transmitting at the destination
-            hover_end = n - dlb
-            pts = base_line + [end] * hover_end
-            pr = base_rates + [base_rates[-1]] * hover_end
-            if feasible(pr):
-                return Leg(start, end, residual_data, pts, pr, start, 0, n)
+            if granted[n - 1]:
+                line_total += rates[-1]
+            if line_total >= residual_data:
+                hover_end = n - dlb
+                return Leg(start, end, residual_data, line + [end] * hover_end,
+                           rates + [rates[-1]] * hover_end, start, 0, n)
         if d > 0 and n >= max(dlb, 1):
             # or spread the slots evenly along the segment
-            pts = _even_waypoints(start, end, n)
-            pr = rated(pts)
-            if feasible(pr):
-                return Leg(start, end, residual_data, pts, pr, start, 0, n)
-        while len(detour) < n:
-            pos = _gradient_step(pos, v, cp, kin)
-            detour.append(pos)
-            detour_rates.append(rate_at(pos.x, pos.y, pos.z, cp))
+            pr = line_rates(start, end, n, True)
+            if _covers(pr, granted, 0, 0.0, residual_data):
+                return Leg(start, end, residual_data, _even_waypoints(start, end, n),
+                           pr.tolist(), start, 0, n)
+        if len(detour) < n:
+            walk.extend(n)
+        while len(d2s) < n:
+            k = len(d2s)
+            if granted[k]:
+                walk_total += detour_rates[k]
+            span = detour[k].dist(end)
+            d2s.append(0 if span <= 0 else max(1, math.ceil(span / v - _CEIL_EPS)))
+            paused.append(0)
+            held.append(walk_total)
         for d1 in range(1, n + 1):
-            tp = detour[d1 - 1]
-            span = tp.dist(end)
-            d2 = 0 if span <= 0 else max(1, math.ceil(span / v - _CEIL_EPS))
+            d2 = d2s[d1 - 1]
             hover = n - d1 - d2  # pause at the detour's endpoint before routing
             if hover < 0:
                 continue
-            head = detour[:d1] + [tp] * hover
-            head_rates = detour_rates[:d1] + [detour_rates[d1 - 1]] * hover
-            for route in (_frontload_waypoints(tp, end, v, d2),
-                          _even_waypoints(tp, end, d2) if d2 else []):
-                if d2 and not route:
-                    continue
-                pr = head_rates + rated(route)
-                if feasible(pr):
-                    return Leg(start, end, residual_data, head + route, pr,
+            tp = detour[d1 - 1]
+            r_tp = detour_rates[d1 - 1]
+            while paused[d1 - 1] < hover:
+                if granted[d1 + paused[d1 - 1]]:
+                    held[d1 - 1] += r_tp
+                paused[d1 - 1] += 1
+            for even in ((False, True) if d2 else (False,)):
+                pr = line_rates(tp, end, d2, even)
+                if _covers(pr, granted, d1 + hover, held[d1 - 1], residual_data):
+                    return Leg(start, end, residual_data,
+                               detour[:d1] + [tp] * hover + line_pts(tp, end, d2, even),
+                               detour_rates[:d1] + [r_tp] * hover + pr.tolist(),
                                tp, d1 + hover, d2)
-                if not d2:
-                    break
     raise LegInfeasible(
         f"no feasible leg from {start} to {end} within {cap} extra slots "
         f"(residual {residual_data:.3g} bits)"
@@ -345,31 +475,31 @@ def drain_leg(
     kin: KinematicParams,
     is_granted: GrantFn = None,
     first_slot: int = 0,
-    speed: float | None = None,
     max_slots: int = 10000,
+    cache: Optional[LegCache] = None,
 ) -> Leg:
     """Pure sending-priority detour: walk the rate gradient until drained.
 
     Used after a UAV's final sensing slot, when there is no next sensing
     location to reach.  The turning point is the walk's endpoint and the
-    route part is empty.
+    route part is empty.  The leg is a prefix of the gradient walk from
+    ``start``, which ``cache`` shares with ``optimize_leg``.
     """
+    if cache is not None:
+        cache.check(cp, kin)
     if residual_data <= 0:
         return Leg(start, start, 0.0, [], [], start, 0, 0)
-    v = speed if speed is not None else kin.v_max
-    pts: list[Position3] = []
-    rates: list[float] = []
-    pos = start
+    walk = _Walk(start, cp, kin) if cache is None else cache.walk(start)
+    rates = walk.rates
     total = 0.0
     for k in range(1, max_slots + 1):
-        pos = _gradient_step(pos, v, cp, kin)
-        pts.append(pos)
-        r = rate_at(pos.x, pos.y, pos.z, cp)
-        rates.append(r)
+        if len(rates) < k:
+            walk.extend(k)
         if is_granted is None or is_granted(first_slot + k - 1):
-            total += r
+            total += rates[k - 1]
         if total >= residual_data:
-            return Leg(start, pos, residual_data, pts, rates, pos, k, 0)
+            pos = walk.pts[k - 1]
+            return Leg(start, pos, residual_data, walk.pts[:k], rates[:k], pos, k, 0)
     raise LegInfeasible(
         f"drain from {start} cannot deliver {residual_data:.3g} bits in {max_slots} slots"
     )

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Instance counts follow
+Run with ``pytest tests/test_acceptance.py -v -s``; ``-m "not acceptance"``
+leaves the suite out of a quick unit run.  Instance counts follow
 the stated criteria; UAVSENSE_ACCEPT_INSTANCES caps them for quick
 development runs (a capped run is not a conformance run).
 """
@@ -40,6 +41,8 @@ from uavsense.trajectory import (
     drain_leg,
     optimize_leg,
 )
+
+pytestmark = pytest.mark.acceptance
 
 CP = ChannelParams()
 KIN = KinematicParams()

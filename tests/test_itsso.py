@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uavsense.bench import ScenarioConfig, generate_scenario
+from uavsense.bench import _ITSSO_SEED_OFFSET, ScenarioConfig, generate_scenario, run_scheme
 from uavsense.channel import Position3
 from uavsense.itsso import (
     InfeasibleScenario,
@@ -113,6 +113,23 @@ class TestRunItsso:
                     denied += 1
                     assert masks[uav][t] is False
         assert denied > 0  # K=2 with 20 UAVs must contend
+
+
+class TestCrowdedPins:
+    """Crowded geometry (M=10, N=10, K=2): objective histories recorded before
+    the leg planners shared gradient walks and line rates.  Cached planning
+    is bit-identical to cold planning, so these must not move."""
+
+    @pytest.mark.parametrize("seed,history", [
+        (1, [273, 75, 63]),
+        (2, [229, 72, 59, 58, 57]),
+        (3, [265, 72, 60]),
+    ])
+    def test_t_max(self, seed, history):
+        sc = generate_scenario(ScenarioConfig(m=10, n=10, k=2, seed=seed))
+        sol = run_scheme(sc, ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET))
+        assert sol.t_max == history[-1]
+        assert sol.history == history
 
 
 class TestExportReplay:
