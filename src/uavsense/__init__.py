@@ -40,7 +40,7 @@ from .sensing import (
     sensing_success_coop,
     sensing_success_single,
 )
-from .simulator import SignalingParams, SimOutcome, UavPlan, run, signaling_cost
+from .simulator import SimOutcome, UavPlan, run
 from .trajectory import KinematicParams, Leg, delta_lower_bound, optimize_leg, rate_gradient
 
 __version__ = "0.1.0"

@@ -147,16 +147,14 @@ def _build_plans(
 def masks_from_outcome(outcome: SimOutcome) -> dict[int, list[bool]]:
     """Per-UAV slot mask from an observed run: False only where a request
     was denied (unknown slots stay optimistic)."""
-    uavs = set()
-    for req in outcome.requests:
-        uavs |= req
     horizon = len(outcome.requests)
-    masks = {}
-    for uav in uavs:
-        masks[uav] = [
-            not (uav in outcome.requests[t] and uav not in outcome.grants[t])
-            for t in range(horizon)
-        ]
+    masks: dict[int, list[bool]] = {}
+    for t, (req, got) in enumerate(zip(outcome.requests, outcome.grants)):
+        for uav in req:
+            if uav not in masks:
+                masks[uav] = [True] * horizon
+        for uav in req - got:
+            masks[uav][t] = False
     return masks
 
 

@@ -49,10 +49,9 @@ _EPS = 1e-9
 
 @dataclass
 class SensingAssignment:
-    """Result of the local search: final locations, leg bounds, updated plans."""
+    """Result of the local search: final locations and updated plans."""
 
     locations: dict[tuple[int, int], Position3]  # (uav, route index) -> location
-    bounds: dict[tuple[int, int], tuple[int, int]]  # (uav, route index) -> (lb, ub)
     plans: list[UavPlan]
     passes: int
     t_max_history: list[int]  # network completion estimate after each pass
@@ -373,19 +372,12 @@ def optimize_sensing_locations(
         history.append(t_max)
         if after == before:
             break
-    locations = {}
-    bounds = {}
-    for p in search.plans.values():
-        for idx in range(p.n_tasks):
-            locations[(p.uav, idx)] = p.sensing_locations[idx]
-            task = tasks[p.task_ids[idx]]
-            bounds[(p.uav, idx)] = (
-                search.lower_bound(p.uav, idx),
-                search.upper_bound(p.uav, idx, task),
-            )
+    locations = {
+        (p.uav, idx): loc
+        for p in search.plans.values() for idx, loc in enumerate(p.sensing_locations)
+    }
     return SensingAssignment(
         locations=locations,
-        bounds=bounds,
         plans=[search.plans[u] for u in sorted(search.plans)],
         passes=passes,
         t_max_history=history,

@@ -7,11 +7,12 @@ larger residual data, then lower UAV id, so schedules are reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol
 
 import numpy as np
 
 __all__ = [
+    "OnDemand",
     "schedule_slot",
     "update_completion_estimates",
     "GreedyScheduler",
@@ -43,18 +44,43 @@ def schedule_slot(
 
 
 class _ProjectsCompletion(Protocol):
-    uav: int
-
-    def projected_completion(self) -> float: ...
+    def projected_completion(self, slot: int) -> float: ...
 
 
-def update_completion_estimates(states: Iterable[_ProjectsCompletion]) -> dict[int, float]:
-    """Re-project every UAV's completion slot under all-future-slots-granted.
+class OnDemand(dict):
+    """``uav -> value`` mapping whose values are computed on first read.
 
-    The projection is the priority used for the next slot's contention; a
-    denied slot can only push it later, never earlier.
+    ``fill(uav)`` makes a value, which is then kept.  ``get`` reads through
+    as well (a plain ``dict.get`` never calls ``__missing__``) and returns
+    the default only for a UAV that ``fill`` rejects with ``KeyError``.
+    Only values read so far are stored, so the mapping is meant to be read
+    by key, not iterated.
     """
-    return {s.uav: s.projected_completion() for s in states}
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill: Callable[[int], float]):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, uav):
+        value = self[uav] = self._fill(uav)
+        return value
+
+    def get(self, uav, default=None):
+        try:
+            return self[uav]
+        except KeyError:
+            return default
+
+
+def update_completion_estimates(states: Mapping[int, _ProjectsCompletion], slot: int) -> OnDemand:
+    """Completion-slot projections for ``slot``'s contention, made on demand.
+
+    A UAV is projected, as if every future transmission slot were granted,
+    the first time a scheduler reads it; uncontended slots read nobody.
+    """
+    return OnDemand(lambda uav: states[uav].projected_completion(slot))
 
 
 class GreedyScheduler:

@@ -8,27 +8,29 @@ granted) or an empty slot (moving with nothing left to send).  A UAV that
 reaches a sensing location while still holding data hovers there in
 transmission slots until drained, then senses; the outer optimizer absorbs
 that slack on the next pass by re-planning against the observed grants.
+
+Completion projections, the greedy scheduler's priority, are made on
+demand: only when a scheduler reads a UAV's estimate in a slot, which in
+practice means only for the requesters of a contended slot.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .channel import ChannelParams, Position3, rate_at
-from .scheduler import update_completion_estimates
+from .scheduler import OnDemand, update_completion_estimates
 from .sensing import Task
 from .trajectory import KinematicParams, Leg
 
 __all__ = [
-    "SignalingParams",
     "UavPlan",
     "SimOutcome",
     "TraceRow",
     "run",
-    "signaling_cost",
     "write_trace",
     "read_trace",
 ]
@@ -36,23 +38,6 @@ __all__ = [
 SENSING = "sensing"
 TRANSMISSION = "transmission"
 EMPTY = "empty"
-
-
-@dataclass(frozen=True)
-class SignalingParams:
-    """Control-channel message counts per slot and per UAV."""
-
-    beacon_msgs: int = 0  # uplink beacon, at most this many messages
-    response_msgs: int = 0  # downlink trajectory/scheduling response
-
-    def __post_init__(self):
-        if self.beacon_msgs < 0 or self.response_msgs < 0:
-            raise ValueError("message counts must be non-negative")
-
-
-def signaling_cost(m: int, sig: SignalingParams) -> int:
-    """Worst-case control messages exchanged per slot for m UAVs."""
-    return m * (sig.beacon_msgs + sig.response_msgs)
 
 
 @dataclass
@@ -117,66 +102,71 @@ class SimOutcome:
     grants: list[frozenset[int]]
     requests: list[frozenset[int]]
     tran_durations: dict[tuple[int, int], int]  # (uav, task index) -> slots to drain
-    total_signaling: int
     trace: list[TraceRow] | None
 
 
 class _Runtime:
-    """Mutable per-UAV execution state (one leg pointer plus residual)."""
+    """Mutable per-UAV execution state (one leg pointer plus residual).
+
+    The waypoints, rates and length of the leg being walked are bound when
+    the UAV enters it, so the slot loop reads them without a plan lookup.
+    """
 
     __slots__ = (
-        "uav", "plan", "cur", "w", "residual", "position", "rate_now",
-        "pending_sense", "done", "t_done", "taus", "chain", "tran_start",
-        "_now",
+        "uav", "plan", "n_tasks", "cur", "wps", "rates", "leg_slots", "w",
+        "residual", "position", "rate_now", "stype", "pending_sense", "done",
+        "t_done", "taus", "chain", "tran_start",
     )
 
     def __init__(self, plan: UavPlan, cp: ChannelParams):
         self.uav = plan.uav
         self.plan = plan
+        self.n_tasks = plan.n_tasks
         self.cur = 0  # leg being walked; n_tasks means the drain leg
-        self.w = 0  # waypoints consumed on the current leg
+        self.enter_leg()
         self.residual = 0.0
         self.position = plan.start
         self.rate_now = rate_at(plan.start.x, plan.start.y, plan.start.z, cp)
+        self.stype = EMPTY
         self.pending_sense = False
-        self.done = plan.n_tasks == 0
+        self.done = self.n_tasks == 0
         self.t_done = 0
         self.taus: list[int] = []
         self.tran_start: int = 0
-        self._now = 0
         # chain[j]: all-granted slots from "about to walk leg j" to completion
         self.chain = _completion_chain(plan)
-        if not self.done and plan.legs[0].slots == 0:
+        if not self.done and self.leg_slots == 0:
             self.pending_sense = True
 
-    def _current_leg(self) -> Leg:
+    def enter_leg(self) -> None:
+        """Start walking leg ``cur`` (the drain leg once every task is sensed)."""
         p = self.plan
-        return p.drain if self.cur >= p.n_tasks else p.legs[self.cur]
+        leg = p.drain if self.cur >= self.n_tasks else p.legs[self.cur]
+        self.wps = leg.waypoints
+        self.rates = leg.rates
+        self.leg_slots = len(leg.waypoints)
+        self.w = 0  # waypoints consumed on the current leg
 
-    def projected_completion(self) -> float:
-        """Completion slot if every future transmission slot were granted."""
+    def projected_completion(self, slot: int) -> float:
+        """Completion slot if every transmission slot after ``slot`` were granted."""
         if self.done:
             return float(self.t_done)
-        t = self._now
-        p = self.plan
         if self.pending_sense:
-            return t + 1 + self.chain[self.cur + 1]
-        leg = self._current_leg()
-        drain_slots = _slots_to_drain(leg, self.residual, self.w)
-        if self.cur >= p.n_tasks:
-            return t + drain_slots
-        rem = max(leg.slots - self.w, drain_slots)
-        return t + rem + 1 + self.chain[self.cur + 1]
+            return slot + 1 + self.chain[self.cur + 1]
+        drain_slots = _slots_to_drain(self.rates, self.residual, self.w)
+        if self.cur >= self.n_tasks:
+            return slot + drain_slots
+        rem = max(self.leg_slots - self.w, drain_slots)
+        return slot + rem + 1 + self.chain[self.cur + 1]
 
 
-def _slots_to_drain(leg: Leg, residual: float, w: int) -> int:
+def _slots_to_drain(rates: Sequence[float], residual: float, w: int) -> int:
     """Additional all-granted slots until ``residual`` bits are delivered,
-    starting just after waypoint ``w`` of ``leg`` (hovering at the leg end
-    once waypoints run out)."""
+    starting just after waypoint ``w`` of a leg with per-waypoint ``rates``
+    (hovering at the leg end once waypoints run out)."""
     if residual <= 0:
         return 0
     total = 0.0
-    rates = leg.rates
     for j in range(w, len(rates)):
         total += rates[j]
         if total >= residual:
@@ -193,10 +183,10 @@ def _completion_chain(plan: UavPlan) -> list[float]:
     chain = [0.0] * (n + 1)
     if n == 0:
         return chain
-    chain[n] = _slots_to_drain(plan.drain, plan.drain.residual_data, 0)
+    chain[n] = _slots_to_drain(plan.drain.rates, plan.drain.residual_data, 0)
     for j in range(n - 1, -1, -1):
         leg = plan.legs[j]
-        walk = max(leg.slots, _slots_to_drain(leg, leg.residual_data, 0))
+        walk = max(leg.slots, _slots_to_drain(leg.rates, leg.residual_data, 0))
         chain[j] = walk + 1 + chain[j + 1]
     return chain
 
@@ -207,23 +197,25 @@ def run(
     tasks: Mapping[int, Task],
     cp: ChannelParams,
     kin: KinematicParams,
-    sig: SignalingParams | None = None,
-    tx_in_sensing_slot: bool = False,
     max_slots: int = 100000,
     record_trace: bool = True,
 ) -> SimOutcome:
     """Run the protocol until every UAV finishes all its tasks.
 
-    ``sched`` provides ``grant(slot, requests, estimates, residuals)``; the
-    simulator feeds it optimistic completion projections each slot.
-    ``tx_in_sensing_slot`` lets a UAV also request a subcarrier in its own
-    sensing slot (off by default: uploads count from the following slot).
+    ``sched`` provides ``grant(slot, requests, estimates, residuals)``.  Both
+    mappings are keyed by UAV id and filled on first read: a UAV's
+    completion projection (all future transmission slots granted) and its
+    residual bits, both as they stand after the slot's moves.  A scheduler
+    that ranks nobody, as in every uncontended slot, projects nobody.
     """
     states = [_Runtime(p, cp) for p in plans]
     by_id = {s.uav: s for s in states}
     if len(by_id) != len(states):
         raise ValueError("duplicate UAV ids in plans")
     order = sorted(by_id)
+
+    def residual_of(uav: int) -> float:
+        return by_id[uav].residual
 
     grants_log: list[frozenset[int]] = []
     requests_log: list[frozenset[int]] = []
@@ -240,10 +232,8 @@ def run(
                 f"simulation exceeded {max_slots} slots; UAV {worst.uav} still "
                 f"holds {worst.residual:.3g} bits on leg {worst.cur}"
             )
-        slot_types: dict[int, str] = {}
         requests: list[int] = []
         for st in active:
-            st._now = t
             if st.pending_sense:
                 # hover and collect: the position stays, data arrives in full
                 st.taus.append(t)
@@ -252,65 +242,67 @@ def run(
                 st.tran_start = t
                 st.pending_sense = False
                 st.cur += 1
-                st.w = 0
-                slot_types[st.uav] = SENSING
-                if tx_in_sensing_slot:
-                    requests.append(st.uav)
+                st.enter_leg()
+                st.stype = SENSING
                 continue
-            leg = st._current_leg()
-            if st.w < leg.slots:
-                st.position = leg.waypoints[st.w]
-                st.rate_now = leg.rates[st.w]
-                st.w += 1
+            w = st.w
+            if w < st.leg_slots:
+                st.position = st.wps[w]
+                st.rate_now = st.rates[w]
+                st.w = w + 1
             # else: waypoints exhausted; hover in place at the leg end
             if st.residual > 0:
-                slot_types[st.uav] = TRANSMISSION
+                st.stype = TRANSMISSION
                 requests.append(st.uav)
             else:
-                slot_types[st.uav] = EMPTY
+                st.stype = EMPTY
 
-        estimates = update_completion_estimates(active)
-        residuals = {st.uav: st.residual for st in active}
-        granted = sched.grant(t, requests, estimates, residuals) if requests else frozenset()
+        if requests:
+            granted = sched.grant(t, requests, update_completion_estimates(by_id, t),
+                                  OnDemand(residual_of))
+        else:
+            granted = frozenset()
         requests_log.append(frozenset(requests))
         grants_log.append(frozenset(granted))
 
+        finished = False
         for st in active:
-            stype = slot_types[st.uav]
+            uav = st.uav
+            stype = st.stype
+            got = uav in granted
             applied = 0.0
-            if st.uav in granted and st.residual > 0:
+            if got and st.residual > 0:
                 applied = min(st.rate_now, st.residual)
                 st.residual -= applied
                 if st.residual <= 1e-9:
                     st.residual = 0.0
             if trace is not None:
+                pos = st.position
                 trace.append(TraceRow(
-                    t, st.uav, stype,
-                    st.position.x, st.position.y, st.position.z,
-                    1 if st.uav in granted else 0, applied, st.residual,
+                    t, uav, stype, pos.x, pos.y, pos.z,
+                    1 if got else 0, applied, st.residual,
                 ))
             if st.residual == 0.0:
                 if applied > 0.0 and st.cur >= 1:
-                    tran_durations[(st.uav, st.cur - 1)] = t - st.tran_start
-                if st.cur >= st.plan.n_tasks:
+                    tran_durations[(uav, st.cur - 1)] = t - st.tran_start
+                if st.cur >= st.n_tasks:
                     if stype != SENSING or applied > 0.0:
                         st.done = True
                         st.t_done = t
-                elif stype != SENSING and st.w >= st._current_leg().slots:
+                        finished = True
+                elif stype != SENSING and st.w >= st.leg_slots:
                     st.pending_sense = True
-        active = [s for s in active if not s.done]
+        if finished:
+            active = [s for s in active if not s.done]
 
     completion = {i: by_id[i].t_done for i in order}
-    t_max = max(completion.values(), default=0)
-    sig = sig or SignalingParams()
     return SimOutcome(
         completion_times=completion,
-        t_max=t_max,
+        t_max=max(completion.values(), default=0),
         tau={i: list(by_id[i].taus) for i in order},
         grants=grants_log,
         requests=requests_log,
         tran_durations=tran_durations,
-        total_signaling=signaling_cost(len(order), sig) * t_max,
         trace=trace,
     )
 

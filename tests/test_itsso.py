@@ -132,6 +132,26 @@ class TestCrowdedPins:
         assert sol.history == history
 
 
+class TestTablePins:
+    """Table point (M=20, N=20, K=10), ITSSO and FSL: objective histories
+    recorded before projections became on-demand and placement stopped
+    computing unread leg bounds.  Neither may move a schedule."""
+
+    @pytest.mark.parametrize("scheme,seed,history", [
+        ("itsso", 1, [292, 33, 30]),
+        ("itsso", 2, [278, 31, 30, 29]),
+        ("itsso", 3, [313, 34, 32, 31]),
+        ("fsl", 1, [291, 37]),
+        ("fsl", 2, [278, 36]),
+        ("fsl", 3, [312, 38]),
+    ])
+    def test_t_max(self, scheme, seed, history):
+        sc = generate_scenario(ScenarioConfig(seed=seed, scheme=scheme))
+        sol = run_scheme(sc, ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET))
+        assert sol.t_max == history[-1]
+        assert sol.history == history
+
+
 class TestExportReplay:
     def test_round_trip(self):
         sc = generate_scenario(ScenarioConfig(seed=6))

@@ -5,17 +5,15 @@ import math
 import pytest
 
 from uavsense.channel import ChannelParams, Position3, rate_at
-from uavsense.scheduler import GreedyScheduler
+from uavsense.scheduler import GreedyScheduler, OnDemand
 from uavsense.sensing import Task
 from uavsense.simulator import (
     EMPTY,
     SENSING,
     TRANSMISSION,
-    SignalingParams,
     UavPlan,
     read_trace,
     run,
-    signaling_cost,
     write_trace,
 )
 from uavsense.trajectory import KinematicParams, drain_leg, optimize_leg
@@ -200,23 +198,81 @@ class TestStarvation:
             run([plan], NeverScheduler(), tasks, CP, KIN, max_slots=200)
 
 
-class TestSignaling:
-    def test_zero(self):
-        assert signaling_cost(20, SignalingParams(0, 0)) == 0
+class _EagerReads(GreedyScheduler):
+    """Reads every requester's estimate and residual before ranking."""
 
-    def test_product(self):
-        assert signaling_cost(20, SignalingParams(4, 3)) == 140
+    def grant(self, slot, requests, estimates, residuals):
+        for uav in requests:
+            estimates[uav]
+            residuals.get(uav, 0.0)
+        return super().grant(slot, requests, estimates, residuals)
 
-    def test_linearity(self):
-        sig = SignalingParams(2, 5)
-        assert signaling_cost(40, sig) == 2 * signaling_cost(20, sig)
 
-    def test_accumulated_in_outcome(self):
-        tasks = {0: Task(0, Position3(100, 0, 0), 20e6, (0,))}
-        plan = make_plan(0, Position3(0, 0, 40), [Position3(100, 0, 15)], [0], tasks)
-        out = run([plan], GreedyScheduler(5), tasks, CP, KIN,
-                  sig=SignalingParams(4, 3))
-        assert out.total_signaling == 7 * out.t_max
+class _UncontendedReadsNothing(GreedyScheduler):
+    """Fails when a slot whose demand fits in K projects anybody."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.contended = 0
+
+    def grant(self, slot, requests, estimates, residuals):
+        granted = super().grant(slot, requests, estimates, residuals)
+        if len(requests) <= self.k:
+            assert len(estimates) == 0 and len(residuals) == 0
+        else:
+            self.contended += 1
+            assert set(estimates) == set(requests)
+        return granted
+
+
+def _final_plans(cfg):
+    from uavsense.bench import _ITSSO_SEED_OFFSET, generate_scenario, run_scheme
+    from uavsense.itsso import ItssoConfig
+
+    sc = generate_scenario(cfg)
+    sol = run_scheme(sc, ItssoConfig(rng_seed=cfg.seed + _ITSSO_SEED_OFFSET))
+    return sc, sol.plans
+
+
+class TestOnDemandProjections:
+    @pytest.mark.parametrize("overrides", [
+        dict(m=10, n=10, k=2, seed=4),  # crowded: most slots contended
+        dict(seed=4),  # table point, K=10
+    ])
+    def test_reading_everything_changes_nothing(self, overrides):
+        from uavsense.bench import ScenarioConfig
+
+        sc, plans = _final_plans(ScenarioConfig(**overrides))
+        lazy = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
+        eager = run(plans, _EagerReads(sc.k), sc.tasks, sc.channel, sc.kinematics)
+        assert any(len(r) > sc.k for r in lazy.requests)
+        assert eager.grants == lazy.grants
+        assert eager.trace == lazy.trace
+        assert eager.completion_times == lazy.completion_times
+
+    def test_only_contended_slots_project(self):
+        from uavsense.bench import ScenarioConfig
+
+        sc, plans = _final_plans(ScenarioConfig(m=10, n=10, k=2, seed=4))
+        sched = _UncontendedReadsNothing(sc.k)
+        out = run(plans, sched, sc.tasks, sc.channel, sc.kinematics)
+        assert sched.contended == sum(len(r) > sc.k for r in out.requests) > 0
+
+    def test_mapping_fills_once_and_get_reads_through(self):
+        calls = []
+
+        def fill(uav):
+            calls.append(uav)
+            if uav > 2:
+                raise KeyError(uav)
+            return 10.0 * uav
+
+        values = OnDemand(fill)
+        assert values.get(1, 0.0) == 10.0
+        assert values[1] == 10.0
+        assert values.get(7, -1.0) == -1.0
+        assert calls == [1, 7]
+        assert dict(values) == {1: 10.0}
 
 
 class TestTraceIo:
