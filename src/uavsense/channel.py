@@ -2,9 +2,10 @@
 
 Pure evaluation of the UAV-to-BS link on one subcarrier: 3D/horizontal
 distances, LoS probability, average pathloss, SNR and the per-slot
-achievable rate.  All dBm-to-linear conversions happen once when the
-parameter set is constructed; everything on the hot path is plain float
-math in linear milliwatts.
+achievable rate, plus an upper bound of that rate over a straight segment
+(which lets the leg planner skip candidates).  All dBm-to-linear
+conversions happen once when the parameter set is constructed; everything
+on the hot path is plain float math in linear milliwatts.
 
 Small-scale fading is deliberately absent: the rate is a deterministic
 function of geometry.
@@ -26,10 +27,13 @@ __all__ = [
     "snr",
     "link_rate",
     "link_budget",
+    "segment_rate_ceiling",
 ]
 
 _LOG10 = math.log10
 _EXP = math.exp
+_CEILING_SLACK_M = 1e-6  # m; waypoints may sit this far off their segment by rounding
+_CEILING_MARGIN = 1e-6  # relative headroom of a rate ceiling over float rounding
 
 
 class ChannelDomainError(ValueError):
@@ -216,3 +220,39 @@ def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
             pl = p_los * pl_los + (1.0 - p_los) * pl_nlos
     gamma = params.tx_mw / (10.0 ** (pl / 10.0)) / params.noise_mw
     return params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
+
+
+def segment_rate_ceiling(a: Position3, b: Position3, params: ChannelParams) -> float:
+    """Upper bound on ``rate_at`` at every point of the segment a-b.
+
+    The average pathloss mixes the LoS and NLoS pathlosses with a weight in
+    [0, 1], so it is at least the smaller of the two.  Both grow with the
+    distance to the BS, so both are bounded below at the segment's least
+    distance d_min; the NLoS slope ``46 - 7 log10 z`` is taken at the
+    segment's highest altitude when log10 d_min >= 0 and at its lowest
+    otherwise.  The rate falls with the pathloss.  Waypoints computed in
+    floating point may sit a few ulps off the segment, so d_min is shrunk by
+    ``_CEILING_SLACK_M`` and the bound raised by ``_CEILING_MARGIN``.
+    Returns inf where no finite bound follows: d_min not positive, an
+    altitude not positive, or an NLoS pathloss that falls with distance.
+    """
+    ux, uy, uz = b.x - a.x, b.y - a.y, b.z - a.z
+    wx, wy, wz = -a.x, -a.y, params.bs_height - a.z
+    span2 = ux * ux + uy * uy + uz * uz
+    t = 0.0 if span2 <= 0.0 else min(1.0, max(0.0, (wx * ux + wy * uy + wz * uz) / span2))
+    dx, dy, dz = t * ux - wx, t * uy - wy, t * uz - wz
+    d_min = math.sqrt(dx * dx + dy * dy + dz * dz) - _CEILING_SLACK_M
+    z_lo, z_hi = min(a.z, b.z), max(a.z, b.z)
+    if not (d_min > 0.0 and z_lo > 0.0):
+        return math.inf
+    slope_lo = 46.0 - 7.0 * math.log10(z_hi)  # the least NLoS slope on the segment
+    if slope_lo < 0.0:
+        return math.inf
+    log_d = math.log10(d_min)
+    slope = slope_lo if log_d >= 0.0 else 46.0 - 7.0 * math.log10(z_lo)
+    pl = min(28.0 + 22.0 * log_d + params._fc_db, -17.5 + slope * log_d + params._nlos_db)
+    if pl < -3000.0:  # 10 ** (-pl / 10) would overflow
+        return math.inf
+    gamma = params.tx_mw * 10.0 ** (-pl / 10.0) / params.noise_mw
+    rate = params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
+    return rate * (1.0 + _CEILING_MARGIN)

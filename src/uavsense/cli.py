@@ -32,15 +32,19 @@ def _overrides_from_pairs(pairs: list[str]) -> dict:
     return out
 
 
-def _cmd_simulate(args) -> int:
+def _config_from_args(args) -> bench.ScenarioConfig:
+    """The ``--config`` file (or the defaults) with ``--seed``/``--scheme`` applied."""
     config = bench.load_config(args.config) if args.config else bench.ScenarioConfig()
     patch = {}
     if args.seed is not None:
         patch["seed"] = args.seed
     if args.scheme is not None:
         patch["scheme"] = args.scheme
-    if patch:
-        config = replace(config, **patch)
+    return replace(config, **patch) if patch else config
+
+
+def _cmd_simulate(args) -> int:
+    config = _config_from_args(args)
     scenario = bench.generate_scenario(config)
     itsso_cfg = ItssoConfig(rng_seed=config.seed + bench._ITSSO_SEED_OFFSET)
     solution = bench.run_scheme(scenario, itsso_cfg, record_trace=True)
@@ -94,14 +98,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = bench.load_config(args.config) if args.config else bench.ScenarioConfig()
-    patch = {}
-    if args.seed is not None:
-        patch["seed"] = args.seed
-    if args.scheme is not None:
-        patch["scheme"] = args.scheme
-    if patch:
-        config = replace(config, **patch)
+    config = _config_from_args(args)
     scenario = bench.generate_scenario(config)
     rows = read_trace(args.trace)
     problems = audit_trace(

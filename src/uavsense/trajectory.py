@@ -11,20 +11,32 @@ Masks: planners accept ``is_granted(abs_slot) -> bool`` describing which
 slots the caller expects to hold a subcarrier (slot of waypoint k is
 ``first_slot + k - 1``).  ``None`` means every slot is granted.
 ``grant_from_mask`` turns an observed per-slot mask into such a function.
+Only granted slots add capacity, so ``optimize_leg`` sums a line over its
+granted slots alone, and skips a candidate outright when its granted
+slots, each at the segment's rate ceiling (``channel.segment_rate_ceiling``,
+a proven upper bound on the rate anywhere on the segment), cannot make up
+the residual.
 
 What is cached, and for how long.  Every channel evaluation depends only
 on geometry; the mask and the residual only decide which rates are summed.
-- Within one ``optimize_leg`` call the grant window is read once into a
-  list of bools, and the route from each detour split to the end point is
-  built and rated once, whatever the budget.
+- Within one ``optimize_leg`` call the grant window is read once: the
+  first ``delta_lower_bound`` slots for the straight line, the rest only
+  when the straight line falls short, into a list of bools, a next-granted
+  index and a prefix count.  Each detour split's route and rate ceiling
+  are worked out once, whatever the budget.
+- A line's rates are one ``array('d')`` per line, NaN until rated.  A
+  capacity check rates only the granted points it sums, and stops at the
+  residual; the winning leg and the straight line at the kinematic
+  minimum rate the rest.
 - A ``LegCache`` keeps the rate-gradient walk (positions and rates) from
   each leg start, which ``optimize_leg`` and ``drain_leg`` extend and
-  share, and the rates (not the waypoints) of every straight line
-  ``optimize_leg`` has rated.  ``run_itsso`` makes one per call and drops
-  it on return; a call without one starts cold.  There is no module-level
-  cache.
+  share, and those line rate arrays (not the waypoints), so a line partly
+  rated by one call is completed by the next that needs it.
+  ``run_itsso`` makes one per call and drops it on return; a call without
+  one starts cold.  There is no module-level cache.
 Capacities are summed left to right over granted slots, exactly as a
-plain loop would, so a cached plan is bit-identical to a cold one.
+plain loop over every slot would, so a plan is bit-identical to the one a
+dense scan of every point gives, with or without a cache.
 """
 
 from __future__ import annotations
@@ -32,9 +44,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
-from .channel import ChannelParams, Position3, rate_at
+from .channel import ChannelParams, Position3, rate_at, segment_rate_ceiling
 
 __all__ = [
     "KinematicParams",
@@ -53,6 +66,7 @@ GrantFn = Optional[Callable[[int], bool]]
 
 _CEIL_EPS = 1e-9  # guards exact-division distances against float noise
 _BS_STANDOFF = 1.0  # m; gradient steps never land closer to the BS than this
+_NAN = array("d", [math.nan])  # an unrated line point
 
 
 class LegInfeasible(RuntimeError):
@@ -209,18 +223,6 @@ def _frontload_waypoints(start: Position3, end: Position3, speed: float,
     return pts
 
 
-def _masked_capacity(rates: list[float], is_granted: GrantFn, first_slot: int) -> float:
-    if is_granted is None:
-        return sum(rates)
-    total = 0.0
-    slot = first_slot
-    for r in rates:
-        if is_granted(slot):
-            total += r
-        slot += 1
-    return total
-
-
 class _Walk:
     """Rate-gradient walk from one start at full speed.
 
@@ -255,8 +257,8 @@ class LegCache:
     Bound to one channel and kinematics; ``optimize_leg`` and ``drain_leg``
     refuse a cache made for other parameters.  It grows with every distinct
     start and line it sees and is meant to be dropped with the run that
-    made it.  Line rates are kept as ``array('d')``, without waypoints, to
-    keep it small.
+    made it.  Line rates are kept as ``array('d')``, NaN where not yet
+    rated, without waypoints, to keep it small.
     """
 
     def __init__(self, cp: ChannelParams, kin: KinematicParams):
@@ -284,20 +286,42 @@ def _grant_window(is_granted: GrantFn, first_slot: int, n: int) -> list[bool]:
     return [is_granted(slot) for slot in range(first_slot, first_slot + n)]
 
 
-def _covers(rates: list[float], granted: list[bool], k: int, total: float,
-            residual: float) -> bool:
-    """Whether ``total`` plus the granted ``rates`` (leg slots from k) reaches
-    the residual.  Rates are non-negative, so the partial sum never falls
-    and stopping once it reaches the residual gives the full sum's answer."""
-    if total >= residual:
-        return True
-    for r in rates:
-        if granted[k]:
+def _granted_total(rates: Sequence[float], granted: Sequence[bool]) -> float:
+    """Sum of the granted rates, left to right."""
+    total = 0.0
+    for r, g in zip(rates, granted):
+        if g:
             total += r
-            if total >= residual:
-                return True
-        k += 1
-    return False
+    return total
+
+
+def _line_rate(a: Position3, b: Position3, n: int, even: bool, j: int,
+               speed: float, cp: ChannelParams) -> float:
+    """Rate at waypoint j (0-based) of the n-slot line a -> b, evenly paced or
+    at full speed: the point ``_even_waypoints``/``_frontload_waypoints`` put
+    there, by the same float expressions, computed on its own."""
+    k = j + 1
+    if k == n:
+        x, y, z = b
+    elif even:
+        f = k / n
+        x, y, z = a.x + f * (b.x - a.x), a.y + f * (b.y - a.y), a.z + f * (b.z - a.z)
+    else:
+        d = a.dist(b)
+        t = min(k * speed, d)
+        x = a.x + t * ((b.x - a.x) / d)
+        y = a.y + t * ((b.y - a.y) / d)
+        z = a.z + t * ((b.z - a.z) / d)
+    return rate_at(x, y, z, cp)
+
+
+def _filled(rates: array, pts: Sequence[Position3], cp: ChannelParams) -> list[float]:
+    """Rate the points of ``rates`` still NaN (at ``pts``) and return them all."""
+    for j, r in enumerate(rates):
+        if r != r:
+            p = pts[j]
+            rates[j] = rate_at(p.x, p.y, p.z, cp)
+    return rates.tolist()
 
 
 def optimize_leg(
@@ -329,50 +353,70 @@ def optimize_leg(
     if residual_data < 0:
         raise ValueError("residual_data must be non-negative")
     v = kin.v_max
-    d = start.dist(end)
-    dlb = 0 if d <= 0 else max(1, math.ceil(d / v - _CEIL_EPS))
+    dlb = delta_lower_bound(start, end, kin)  # 0 only for a line of no length
 
-    # a cold call still rates each line once, whatever the budget
+    # line key -> rates, NaN until rated; a cold call still rates each point once
     lines = {}
     if cache is not None:
         cache.check(cp, kin)
         lines = cache.lines
 
-    def line_pts(a: Position3, b: Position3, n: int, even: bool) -> list[Position3]:
-        return _even_waypoints(a, b, n) if even else _frontload_waypoints(a, b, v, n)
-
     def line_rates(a: Position3, b: Position3, n: int, even: bool) -> array:
         key = (a, b, n, even)
         got = lines.get(key)
         if got is None:
-            got = lines[key] = array(
-                "d", [rate_at(p.x, p.y, p.z, cp) for p in line_pts(a, b, n, even)])
+            got = lines[key] = _NAN * n
         return got
 
     line = _frontload_waypoints(start, end, v, dlb)
-    rates = line_rates(start, end, dlb, False).tolist()
+    rates = _filled(line_rates(start, end, dlb, False), line, cp)
     if residual_data <= 0:
         return Leg(start, end, residual_data, line, rates, start, 0, dlb)
-    cap = max(max_detour_factor * max(dlb, 1), 20)
-    granted = _grant_window(is_granted, first_slot, dlb + cap)
-    line_total = 0.0  # the full sum: the hover-at-end family continues it
-    for r, g in zip(rates, granted):
-        if g:
-            line_total += r
+    granted = _grant_window(is_granted, first_slot, dlb)
+    line_total = _granted_total(rates, granted)  # the hover-at-end family continues it
     if line_total >= residual_data:
         return Leg(start, end, residual_data, line, rates, start, 0, dlb)
+
+    cap = max(max_detour_factor * max(dlb, 1), 20)
+    granted += _grant_window(is_granted, first_slot + dlb, cap)
+    w = len(granted)
+    count = list(accumulate(granted, initial=0))  # granted leg slots before slot k
+    nxt = [w] * (w + 1)  # first granted leg slot at or after k, w if none
+    for k in range(w - 1, -1, -1):
+        nxt[k] = k if granted[k] else nxt[k + 1]
+
+    def covers(a: Position3, b: Position3, n: int, even: bool, k0: int,
+               total: float) -> bool:
+        """Whether ``total`` plus the granted rates of a line whose point j
+        flies leg slot k0 + j reaches the residual.  Only granted points
+        are rated, left to right; rates are non-negative, so stopping once
+        the sum reaches the residual gives the full sum's answer."""
+        rates = line_rates(a, b, n, even)
+        j = nxt[k0] - k0
+        while j < n:
+            r = rates[j]
+            if r != r:
+                r = rates[j] = _line_rate(a, b, n, even, j, v, cp)
+            total += r
+            if total >= residual_data:
+                return True
+            j = nxt[k0 + j + 1] - k0
+        return False
 
     walk = _Walk(start, cp, kin) if cache is None else cache.walk(start)
     detour, detour_rates = walk.pts, walk.rates
     # per detour split d1 (index d1 - 1): the route length d2 to the end,
-    # the hover pauses counted so far and the capacity of the first d1 walk
-    # steps plus those pauses
+    # the hover pauses counted so far, the capacity of the first d1 walk
+    # steps plus those pauses, and the route segment's rate ceiling (NaN
+    # until a check needs it)
     d2s: list[int] = []
     paused: list[int] = []
     held: list[float] = []
+    ceilings: list[float] = []
+    line_ceiling = math.nan
     walk_total = 0.0
     for n in range(dlb, dlb + cap + 1):
-        if d > 0 and n > dlb:
+        if dlb and n > dlb:
             # arrive at full speed and keep transmitting at the destination
             if granted[n - 1]:
                 line_total += rates[-1]
@@ -380,12 +424,16 @@ def optimize_leg(
                 hover_end = n - dlb
                 return Leg(start, end, residual_data, line + [end] * hover_end,
                            rates + [rates[-1]] * hover_end, start, 0, n)
-        if d > 0 and n >= max(dlb, 1):
-            # or spread the slots evenly along the segment
-            pr = line_rates(start, end, n, True)
-            if _covers(pr, granted, 0, 0.0, residual_data):
-                return Leg(start, end, residual_data, _even_waypoints(start, end, n),
-                           pr.tolist(), start, 0, n)
+        if dlb and count[n]:
+            # or spread the slots evenly along the segment, unless even the
+            # segment's rate ceiling in every granted slot falls short
+            if line_ceiling != line_ceiling:
+                line_ceiling = segment_rate_ceiling(start, end, cp)
+            if (not count[n] * line_ceiling < residual_data
+                    and covers(start, end, n, True, 0, 0.0)):
+                pts = _even_waypoints(start, end, n)
+                return Leg(start, end, residual_data, pts,
+                           _filled(line_rates(start, end, n, True), pts, cp), start, 0, n)
         if len(detour) < n:
             walk.extend(n)
         while len(d2s) < n:
@@ -396,23 +444,40 @@ def optimize_leg(
             d2s.append(0 if span <= 0 else max(1, math.ceil(span / v - _CEIL_EPS)))
             paused.append(0)
             held.append(walk_total)
+            ceilings.append(math.nan)
         for d1 in range(1, n + 1):
-            d2 = d2s[d1 - 1]
+            i = d1 - 1
+            d2 = d2s[i]
             hover = n - d1 - d2  # pause at the detour's endpoint before routing
             if hover < 0:
                 continue
-            tp = detour[d1 - 1]
-            r_tp = detour_rates[d1 - 1]
-            while paused[d1 - 1] < hover:
-                if granted[d1 + paused[d1 - 1]]:
-                    held[d1 - 1] += r_tp
-                paused[d1 - 1] += 1
+            tp = detour[i]
+            r_tp = detour_rates[i]
+            while paused[i] < hover:
+                if granted[d1 + paused[i]]:
+                    held[i] += r_tp
+                paused[i] += 1
+            h = held[i]
+            k0 = d1 + hover  # the route flies leg slots k0..n-1
+            if h < residual_data:
+                # skip the split when the route's granted slots, each at the
+                # segment's rate ceiling, cannot make up the rest
+                g = count[n] - count[k0]
+                if not g:
+                    continue
+                c = ceilings[i]
+                if c != c:
+                    c = ceilings[i] = segment_rate_ceiling(tp, end, cp)
+                if h + g * c < residual_data:
+                    continue
             for even in ((False, True) if d2 else (False,)):
-                pr = line_rates(tp, end, d2, even)
-                if _covers(pr, granted, d1 + hover, held[d1 - 1], residual_data):
+                if h >= residual_data or covers(tp, end, d2, even, k0, h):
+                    pts = _even_waypoints(tp, end, d2) if even else \
+                        _frontload_waypoints(tp, end, v, d2)
                     return Leg(start, end, residual_data,
-                               detour[:d1] + [tp] * hover + line_pts(tp, end, d2, even),
-                               detour_rates[:d1] + [r_tp] * hover + pr.tolist(),
+                               detour[:d1] + [tp] * hover + pts,
+                               detour_rates[:d1] + [r_tp] * hover
+                               + _filled(line_rates(tp, end, d2, even), pts, cp),
                                tp, d1 + hover, d2)
     raise LegInfeasible(
         f"no feasible leg from {start} to {end} within {cap} extra slots "
@@ -446,7 +511,8 @@ def constant_speed_leg(
     dlb = 0 if d <= 0 else max(1, math.ceil(d / v - _CEIL_EPS))
     line = _frontload_waypoints(start, end, v, dlb)
     rates = [rate_at(p.x, p.y, p.z, cp) for p in line]
-    if residual_data <= 0 or _masked_capacity(rates, is_granted, first_slot) >= residual_data:
+    granted = _grant_window(is_granted, first_slot, dlb)
+    if residual_data <= 0 or _granted_total(rates, granted) >= residual_data:
         return Leg(start, end, residual_data, line, rates, start, 0, dlb)
     cap = max(max_detour_factor * max(dlb, 1), 20)
     detour: list[Position3] = []
@@ -460,8 +526,9 @@ def constant_speed_leg(
         d2 = 0 if span <= 0 else max(1, math.ceil(span / v - _CEIL_EPS))
         route = _frontload_waypoints(pos, end, v, d2)
         route_rates = [rate_at(p.x, p.y, p.z, cp) for p in route]
-        if _masked_capacity(detour_rates + route_rates, is_granted,
-                            first_slot) >= residual_data:
+        leg_rates = detour_rates + route_rates
+        granted = _grant_window(is_granted, first_slot, len(leg_rates))
+        if _granted_total(leg_rates, granted) >= residual_data:
             return Leg(start, end, residual_data, detour + route,
                        detour_rates + route_rates, pos, d1, d2)
     raise LegInfeasible(

@@ -1,13 +1,14 @@
 """Leg-planner tests: bounds, gradient direction, detour search, speed optimality."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavsense.channel import ChannelParams, Position3, rate_at
+from uavsense.channel import ChannelParams, Position3, rate_at, segment_rate_ceiling
 from uavsense.trajectory import (
     KinematicParams,
     LegCache,
@@ -20,6 +21,7 @@ from uavsense.trajectory import (
     optimize_leg,
     rate_gradient,
 )
+from uavsense.trajectory import _even_waypoints, _frontload_waypoints, _line_rate
 
 CP = ChannelParams()
 KIN = KinematicParams()  # v_max=50, h_min=10
@@ -110,6 +112,71 @@ class TestRateGradient:
             checked += 1
 
 
+_cp = st.builds(ChannelParams, tx_power=st.sampled_from([23.0, 0.0, 10.0, 30.0]),
+                bs_height=st.sampled_from([25.0, 10.0, 45.0, 80.0]))
+
+
+@st.composite
+def _segment(draw):
+    """A segment (a, b) and a channel: free, passing within 1 m of the BS,
+    with endpoints on the altitude floor, or of zero length."""
+    cp = draw(_cp)
+    kind = draw(st.sampled_from(["free", "near_bs", "floor", "coincident"]))
+    coord = st.floats(-400, 400)
+    alt = st.floats(KIN.h_min, 120)
+    if kind == "near_bs":
+        off = st.floats(-0.57, 0.57)
+        c = (draw(off), draw(off), cp.bs_height + draw(off))
+        u = [draw(st.floats(-1, 1)) for _ in range(3)]
+        norm = math.sqrt(sum(x * x for x in u))
+        assume(norm > 1e-3)
+        s, t = draw(st.floats(0, 300)), draw(st.floats(0, 300))
+        a = Position3(*(ci - s * ui / norm for ci, ui in zip(c, u)))
+        b = Position3(*(ci + t * ui / norm for ci, ui in zip(c, u)))
+        assume(min(a.z, b.z) > 1.0)
+    elif kind == "floor":
+        a = Position3(draw(coord), draw(coord), KIN.h_min)
+        b = Position3(draw(coord), draw(coord), draw(st.sampled_from([KIN.h_min, 60.0])))
+    else:
+        a = Position3(draw(coord), draw(coord), draw(alt))
+        b = a if kind == "coincident" else Position3(draw(coord), draw(coord), draw(alt))
+    return cp, a, b
+
+
+class TestSegmentRateCeiling:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seg=_segment(), stretch=st.integers(0, 12))
+    def test_bounds_every_waypoint(self, seg, stretch):
+        # the ceiling holds at every full-speed and evenly paced waypoint,
+        # and a line point rated on its own equals the built waypoint's rate
+        cp, a, b = seg
+        ceiling = segment_rate_ceiling(a, b, cp)
+        assert ceiling > 0.0 and not math.isnan(ceiling)
+        n = max(delta_lower_bound(a, b, KIN), 1)
+        lines = [(n + stretch, True, _even_waypoints(a, b, n + stretch))]
+        if a.dist(b) > 0.0:  # as the planner, which routes no zero-length line
+            lines.append((n, False, _frontload_waypoints(a, b, KIN.v_max, n)))
+        for slots, even, pts in lines:
+            for j, p in enumerate(pts):
+                dz = p.z - cp.bs_height
+                if p.x * p.x + p.y * p.y + dz * dz == 0.0:
+                    continue  # at the BS: outside the channel model's domain
+                r = rate_at(p.x, p.y, p.z, cp)
+                assert r <= ceiling
+                assert _line_rate(a, b, slots, even, j, KIN.v_max, cp) == r
+
+    def test_is_tight_far_from_the_bs(self):
+        a = b = Position3(300.0, -200.0, 60.0)
+        r = rate_at(a.x, a.y, a.z, CP)
+        assert r <= segment_rate_ceiling(a, b, CP) <= 1.01 * r
+
+    def test_infinite_through_the_bs(self):
+        bs = CP.bs_position
+        a = Position3(-50.0, 0.0, bs.z)
+        assert segment_rate_ceiling(a, Position3(50.0, 0.0, bs.z), CP) == math.inf
+        assert segment_rate_ceiling(bs, bs, CP) == math.inf
+
+
 class TestOptimizeLeg:
     def test_no_data_gives_straight_line(self):
         start, end = Position3(200, 0, 40), Position3(50, 100, 30)
@@ -171,7 +238,6 @@ class TestOptimizeLeg:
             n = leg.slots
             if n <= straight.slots:
                 continue
-            from uavsense.trajectory import _even_waypoints
             shorter = _even_waypoints(start, end, n - 1)
             assert sum(rate_at(p.x, p.y, p.z, CP) for p in shorter) < residual
 
@@ -327,6 +393,70 @@ class TestLegCache:
             optimize_leg(start, end, 0.0, CP, slow, cache=cache)
         with pytest.raises(ValueError):
             drain_leg(start, 1e6, ChannelParams(tx_power=20.0), KIN, cache=cache)
+
+
+def _masked_corpus():
+    """Masked optimize_leg calls at 75-97% denial, five from each start."""
+    rng = np.random.default_rng(606)
+    calls = []
+    for _ in range(40):
+        start = random_position(rng)
+        for _ in range(5):
+            end = Position3(start.x + rng.uniform(-150, 150), start.y + rng.uniform(-150, 150),
+                            float(np.clip(start.z + rng.uniform(-60, 60), 10, 120)))
+            denial = rng.uniform(0.75, 0.97)
+            mask = [bool(g) for g in rng.random(int(rng.integers(20, 120))) >= denial]
+            calls.append((start, end, rng.uniform(2e6, 40e6), mask, int(rng.integers(1, 12))))
+    return calls
+
+
+class TestGrantedSlotScan:
+    """The scan rates only summed points and skips checks a rate ceiling
+    rules out; these pin the legs it returns to those of a dense scan."""
+
+    def test_hover_pauses_reach_the_residual_before_a_denied_route(self):
+        # the held capacity reaches the residual only through the pauses at
+        # the turning point, and every slot of the route is denied
+        start, end = Position3(-106.0, 179.0, 84.0), Position3(-208.0, 205.0, 120.0)
+        mask = mask_of("100100000001001000000000010000")
+        residual = 25.1e6
+        leg = optimize_leg(start, end, residual, CP, KIN, grant_from_mask(mask), 1)
+        tp = Position3(-56.97948623399388, 96.22006324830403, 56.71499859809383)
+        assert (leg.slots, leg.detour_slots, leg.route_slots, leg.turning_point) == (8, 4, 4, tp)
+        d1 = leg.waypoints.index(tp) + 1
+        assert d1 == 2
+        assert not any(mask[leg.detour_slots:leg.slots])
+        assert masked_capacity(leg.waypoints[:d1], mask, 1) < residual
+        assert masked_capacity(leg.waypoints[:leg.detour_slots], mask, 1) >= residual
+
+    def test_half_rated_route_line_comes_back_whole_as_a_straight_line(self):
+        start, end = Position3(400, 400, 40), Position3(350, 420, 30)
+        cache = LegCache(CP, KIN)
+        optimize_leg(start, end, 40e6, CP, KIN, grant_from_mask(mask_of("0001" * 15)), 1,
+                     cache=cache)
+        half = [key for key, rates in cache.lines.items()
+                if key[0] != start and not key[3] and any(math.isnan(r) for r in rates)]
+        assert half  # a masked detour search left a route line partly rated
+        for a, b, n, _ in half:
+            assert delta_lower_bound(a, b, KIN) == n
+            for residual in (0.0, 5e6):
+                warm = optimize_leg(a, b, residual, CP, KIN, cache=cache)
+                cold = optimize_leg(a, b, residual, CP, KIN)
+                assert warm == cold
+                assert not any(math.isnan(r) for r in warm.rates)
+            assert not any(math.isnan(r) for r in cache.lines[(a, b, n, False)])
+
+    def test_masked_corpus_matches_the_dense_scan(self):
+        # digest of 200 legs as the dense scan, which rated every point of
+        # every candidate line, returned them (cold and with one shared cache)
+        for cache in (None, LegCache(CP, KIN)):
+            h = hashlib.sha256()
+            for start, end, residual, mask, first_slot in _masked_corpus():
+                leg = _planned(start, end, residual, grant_from_mask(mask), first_slot, cache)
+                if leg != "infeasible":
+                    leg = (leg.waypoints, leg.rates, leg.detour_slots, leg.route_slots)
+                h.update(repr(leg).encode())
+            assert h.hexdigest()[:16] == "e5a95b0e3ef80eea"
 
 
 class TestSpeedOptimality:
