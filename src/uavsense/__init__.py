@@ -30,7 +30,7 @@ from .channel import (
     los_probability,
 )
 from .itsso import ItssoConfig, Solution, initial_solution, run_itsso
-from .placement import SensingAssignment, adjust_collinear, delta_bounds, optimize_sensing_locations
+from .placement import SensingAssignment, adjust_collinear, optimize_sensing_locations
 from .scheduler import GreedyScheduler, RandomScheduler, schedule_slot
 from .sensing import (
     SensingParams,

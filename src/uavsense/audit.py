@@ -4,9 +4,10 @@ Walks the per-slot trace rows and re-derives every protocol constraint from
 scratch: altitude floor, speed cap, zero velocity while sensing, cooperative
 sensing probability, complete data delivery between sensing slots, the
 per-slot subcarrier cap and binary grants, legal slot-type transitions, and
-agreement between the reported rates and the channel model.  It shares
-nothing with the simulator's bookkeeping except the channel definition
-itself.
+agreement between the reported rates and the channel model.  Given the
+claimed completion slots, it also checks that each UAV's trace ends in its
+completion slot, which ties the objective to the trace.  It shares nothing
+with the simulator's bookkeeping except the channel definition itself.
 """
 
 from __future__ import annotations
@@ -45,8 +46,14 @@ def audit_trace(
     sp: SensingParams,
     k_subcarriers: int,
     check_sensing_prob: bool = True,
+    completion_times: Mapping[int, int] | None = None,
 ) -> list[str]:
-    """Return a list of constraint violations (empty means the trace passes)."""
+    """Return a list of constraint violations (empty means the trace passes).
+
+    With ``completion_times`` (UAV id -> completion slot), each UAV's last
+    trace row must fall in its completion slot, and a UAV without rows must
+    complete at slot 0.
+    """
     problems: list[str] = []
     by_uav: dict[int, list[TraceRow]] = defaultdict(list)
     by_slot_granted: dict[int, int] = defaultdict(int)
@@ -143,6 +150,15 @@ def audit_trace(
                 problems.append(
                     f"uav {uav}: final upload ended at {last_drain_slot} before "
                     f"its last sensing slot {last_sense_slot}")
+
+    if completion_times is not None:
+        for uav in sorted(set(completion_times) | set(by_uav)):
+            claimed = completion_times.get(uav)
+            last = by_uav[uav][-1].slot if uav in by_uav else 0
+            if claimed != last:
+                problems.append(
+                    f"uav {uav}: claimed completion slot {claimed} but its trace "
+                    f"ends at slot {last}")
 
     if check_sensing_prob:
         for task_id, points in sorted(sensing_points.items()):

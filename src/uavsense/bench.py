@@ -243,11 +243,19 @@ def run_scheme(scenario: Scenario, cfg: ItssoConfig | None = None,
 
 
 def audit_solution(scenario: Scenario, solution: Solution) -> list[str]:
-    """Independent constraint audit of a solution's trace."""
-    if solution.outcome.trace is None:
+    """Independent constraint audit of a solution's trace, including its
+    objective: the trace must end in slot ``solution.t_max`` and each UAV's
+    rows in its completion slot."""
+    trace = solution.outcome.trace
+    if trace is None:
         raise ValueError("solution was produced without a trace; rerun with record_trace")
-    return audit_trace(
-        solution.outcome.trace,
+    problems = []
+    last = max((r.slot for r in trace), default=0)
+    if last != solution.t_max:
+        problems.append(f"trace ends at slot {last} but the solution claims "
+                        f"t_max {solution.t_max}")
+    return problems + audit_trace(
+        trace,
         scenario.uav_starts,
         scenario.routes,
         scenario.tasks,
@@ -256,6 +264,7 @@ def audit_solution(scenario: Scenario, solution: Solution) -> list[str]:
         scenario.sensing,
         scenario.k,
         check_sensing_prob=(scenario.config.scheme != "fsl"),
+        completion_times=solution.outcome.completion_times,
     )
 
 

@@ -194,32 +194,39 @@ def link_budget(uav: Position3, scheduled: bool, params: ChannelParams) -> LinkB
 def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
     """Scheduled rate at raw coordinates: the planner/simulator hot path.
 
-    Same result as ``link_rate(Position3(x, y, z), True, params)`` with the
-    domain checks assumed to have been done by the caller.
+    Same result as ``link_rate(Position3(x, y, z), True, params)`` without
+    its up-front domain checks: a point the model has no value at (on the BS
+    itself, or at z <= 0) raises ``ChannelDomainError`` naming the point.
     """
-    log_z = _LOG10(z)
-    d1 = 460.0 * log_z - 700.0
-    if d1 < 18.0:
-        d1 = 18.0
-    d_h = math.hypot(x, y)
-    dz = z - params.bs_height
-    d = math.sqrt(x * x + y * y + dz * dz)
-    log_d = _LOG10(d)
-    pl_los = 28.0 + 22.0 * log_d + params._fc_db
-    if d_h <= d1:
-        pl = pl_los
-    else:
-        p0 = 4300.0 * log_z - 3800.0
-        p_los = d1 / d_h + _EXP((-d_h / p0) * (1.0 - d1 / d_h))
-        if p_los >= 1.0:
+    try:
+        log_z = _LOG10(z)
+        d1 = 460.0 * log_z - 700.0
+        if d1 < 18.0:
+            d1 = 18.0
+        d_h = math.hypot(x, y)
+        dz = z - params.bs_height
+        d = math.sqrt(x * x + y * y + dz * dz)
+        log_d = _LOG10(d)
+        pl_los = 28.0 + 22.0 * log_d + params._fc_db
+        if d_h <= d1:
             pl = pl_los
         else:
-            if p_los < 0.0:
-                p_los = 0.0
-            pl_nlos = -17.5 + (46.0 - 7.0 * log_z) * log_d + params._nlos_db
-            pl = p_los * pl_los + (1.0 - p_los) * pl_nlos
-    gamma = params.tx_mw / (10.0 ** (pl / 10.0)) / params.noise_mw
-    return params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
+            p0 = 4300.0 * log_z - 3800.0
+            p_los = d1 / d_h + _EXP((-d_h / p0) * (1.0 - d1 / d_h))
+            if p_los >= 1.0:
+                pl = pl_los
+            else:
+                if p_los < 0.0:
+                    p_los = 0.0
+                pl_nlos = -17.5 + (46.0 - 7.0 * log_z) * log_d + params._nlos_db
+                pl = p_los * pl_los + (1.0 - p_los) * pl_nlos
+        gamma = params.tx_mw / (10.0 ** (pl / 10.0)) / params.noise_mw
+        return params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
+    except ValueError as exc:
+        raise ChannelDomainError(
+            f"no channel rate at ({x!r}, {y!r}, {z!r}) with the BS at height "
+            f"{params.bs_height!r}: {exc}"
+        ) from exc
 
 
 def segment_rate_ceiling(a: Position3, b: Position3, params: ChannelParams) -> float:

@@ -7,6 +7,11 @@ locally optimize the sensing locations, and let the greedy per-slot
 scheduler resolve the new contention inside the simulator.  The simulator
 is the single source of truth for the objective; a candidate iterate that
 fails to improve it terminates the loop and the best solution seen wins.
+
+Every iterate is simulated without a slot trace.  When a trace is asked
+for, it is recorded once, for the returned iterate only, by replaying its
+plans under its own grant schedule: the simulator's state depends only on
+the plans and the granted sets, so the replay reproduces the run exactly.
 """
 
 from __future__ import annotations
@@ -163,7 +168,6 @@ def initial_solution(
     cfg: ItssoConfig,
     locations: Mapping[tuple[int, int], Position3] | None = None,
     sensing_check: bool = True,
-    record_trace: bool = False,
 ) -> Solution:
     """Feasible slow-speed starting point with a seeded random schedule."""
     locations = dict(locations) if locations is not None else default_initial_locations(scenario)
@@ -173,7 +177,7 @@ def initial_solution(
     plans = _build_plans(scenario, locations, None, v0, initial=True)
     outcome = run(
         plans, RandomScheduler(scenario.k, cfg.rng_seed), scenario.tasks,
-        scenario.channel, scenario.kinematics, record_trace=record_trace,
+        scenario.channel, scenario.kinematics, record_trace=False,
     )
     return Solution(
         plans=plans,
@@ -198,12 +202,16 @@ def run_itsso(
     ``placement=False`` with ``fixed_locations`` realizes schemes that pin
     sensing locations (the locations are then never moved).  One
     ``LegCache`` serves every leg planned in this call and is dropped with it.
+
+    Iterates are simulated untraced.  With ``record_trace`` the returned
+    solution's trace comes from one replay of its plans under its own grant
+    schedule; a replay that does not reproduce ``t_max`` and the grants
+    raises ``RuntimeError``.
     """
     cfg = cfg or ItssoConfig()
     cache = LegCache(scenario.channel, scenario.kinematics)
     best = initial_solution(
-        scenario, cfg, locations=fixed_locations,
-        sensing_check=sensing_check, record_trace=record_trace,
+        scenario, cfg, locations=fixed_locations, sensing_check=sensing_check,
     )
     history = list(best.history)
     candidates = list(best.candidate_history)
@@ -228,7 +236,7 @@ def run_itsso(
             passes += cand_assignment.passes
         outcome = run(
             plans, GreedyScheduler(scenario.k), scenario.tasks,
-            scenario.channel, scenario.kinematics, record_trace=record_trace,
+            scenario.channel, scenario.kinematics, record_trace=False,
         )
         candidates.append(outcome.t_max)
         if outcome.t_max < best.t_max:
@@ -238,9 +246,18 @@ def run_itsso(
                 assignment = cand_assignment
         else:
             break
+    outcome = best.outcome
+    if record_trace:
+        outcome = replay(best.plans, best.outcome.grants, scenario)
+        if outcome.t_max != best.t_max or outcome.grants != best.outcome.grants:
+            raise RuntimeError(
+                f"trace replay diverged from the run it re-records: t_max "
+                f"{outcome.t_max} against {best.t_max}, grants "
+                f"{'equal' if outcome.grants == best.outcome.grants else 'differ'}"
+            )
     return Solution(
         plans=best.plans,
-        outcome=best.outcome,
+        outcome=outcome,
         t_max=best.t_max,
         history=history,
         candidate_history=candidates,

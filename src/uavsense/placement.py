@@ -40,7 +40,6 @@ from .trajectory import (
 __all__ = [
     "SensingAssignment",
     "adjust_collinear",
-    "delta_bounds",
     "optimize_sensing_locations",
 ]
 
@@ -80,28 +79,6 @@ def adjust_collinear(
         current.y + s * dy,
         max(current.z + s * dz, kin.h_min),
     )
-
-
-def delta_bounds(
-    start: Position3,
-    task: Task,
-    residual: float,
-    cp: ChannelParams,
-    kin: KinematicParams,
-    is_granted: GrantFn = None,
-    first_slot: int = 0,
-) -> tuple[int, int]:
-    """Slot-count bounds for the leg arriving at a task's sensing location.
-
-    Lower bound: the sensing location sits on the turning point itself, so
-    the leg is the pure maximum-rate detour.  Upper bound: the sensing
-    location is directly above the task at minimum altitude, the farthest
-    admissible point along the line.
-    """
-    lb = drain_leg(start, residual, cp, kin, is_granted, first_slot).slots
-    overhead = Position3(task.location.x, task.location.y, kin.h_min)
-    ub = optimize_leg(start, overhead, residual, cp, kin, is_granted, first_slot).slots
-    return lb, ub
 
 
 class _Search:
@@ -203,6 +180,8 @@ class _Search:
         return max(self.t[m] for m in task.workers)
 
     def lower_bound(self, uav: int, idx: int) -> int:
+        """Slots of leg ``idx`` with its sensing location on the turning
+        point: the pure maximum-rate detour."""
         p = self.plans[uav]
         start = p.start if idx == 0 else p.sensing_locations[idx - 1]
         residual = 0.0 if idx == 0 else self.tasks[p.task_ids[idx - 1]].data_size
@@ -212,6 +191,8 @@ class _Search:
         ).slots
 
     def upper_bound(self, uav: int, idx: int, task: Task) -> int:
+        """Slots of leg ``idx`` ending right above the task at the altitude
+        floor, the farthest admissible sensing location."""
         p = self.plans[uav]
         start = p.start if idx == 0 else p.sensing_locations[idx - 1]
         residual = 0.0 if idx == 0 else self.tasks[p.task_ids[idx - 1]].data_size

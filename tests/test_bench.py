@@ -93,6 +93,25 @@ class TestSchemes:
             sol = run_scheme(sc, ItssoConfig(rng_seed=4), record_trace=True)
             assert audit_solution(sc, sol) == []
 
+    def test_audit_flags_a_tampered_objective(self):
+        sc = generate_scenario(ScenarioConfig(seed=2, scheme="fsl"))
+        sol = fsl_plan(sc, ItssoConfig(rng_seed=2), record_trace=True)
+        sol.t_max -= 1
+        assert audit_solution(sc, sol) == [
+            f"trace ends at slot {sol.t_max + 1} but the solution claims t_max {sol.t_max}"]
+
+    def test_audit_flags_a_trace_cut_short_by_one_slot(self):
+        sc = generate_scenario(ScenarioConfig(seed=2, scheme="fsl"))
+        sol = fsl_plan(sc, ItssoConfig(rng_seed=2), record_trace=True)
+        last = [u for u, t in sol.outcome.completion_times.items() if t == sol.t_max]
+        sol.outcome.trace = [r for r in sol.outcome.trace if r.slot < sol.t_max]
+        problems = audit_solution(sc, sol)
+        assert problems[0] == (f"trace ends at slot {sol.t_max - 1} but the solution "
+                               f"claims t_max {sol.t_max}")
+        for uav in last:
+            assert (f"uav {uav}: claimed completion slot {sol.t_max} but its trace "
+                    f"ends at slot {sol.t_max - 1}") in problems
+
 
 class TestExperiments:
     def test_unknown_id_rejected(self):

@@ -1,11 +1,18 @@
 """Outer-loop tests: initialization, convergence, termination, export."""
 
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
-from uavsense.bench import _ITSSO_SEED_OFFSET, ScenarioConfig, generate_scenario, run_scheme
+from uavsense.bench import (
+    _ITSSO_SEED_OFFSET,
+    ScenarioConfig,
+    generate_scenario,
+    nc_config,
+    run_scheme,
+)
 from uavsense.channel import Position3
 from uavsense.itsso import (
     InfeasibleScenario,
@@ -18,7 +25,9 @@ from uavsense.itsso import (
     solution_from_json,
     solution_to_json,
 )
+from uavsense.scheduler import GreedyScheduler, RandomScheduler
 from uavsense.sensing import SensingParams, sensing_success_coop
+from uavsense.simulator import run
 from uavsense.trajectory import drain_leg
 
 
@@ -150,6 +159,64 @@ class TestTablePins:
         sol = run_scheme(sc, ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET))
         assert sol.t_max == history[-1]
         assert sol.history == history
+
+
+class TestTraceReplay:
+    """Iterates run untraced; a traced run records the returned iterate once,
+    by replaying its plans under its own grant schedule."""
+
+    SCENARIOS = {
+        "itsso": ScenarioConfig(seed=21),
+        "fsl": ScenarioConfig(seed=22, scheme="fsl"),
+        "nc": nc_config(ScenarioConfig(seed=23)),
+        "itsso-k2": ScenarioConfig(m=10, n=10, k=2, seed=24),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_traced_run_returns_the_untraced_solution_plus_its_trace(self, name):
+        sc = generate_scenario(self.SCENARIOS[name])
+        cfg = ItssoConfig(rng_seed=sc.config.seed + _ITSSO_SEED_OFFSET)
+        traced = run_scheme(sc, cfg, record_trace=True)
+        plain = run_scheme(sc, cfg, record_trace=False)
+        assert plain.outcome.trace is None
+        assert traced.plans == plain.plans
+        assert traced.t_max == plain.t_max
+        assert traced.history == plain.history
+        assert traced.candidate_history == plain.candidate_history
+        assert dc_replace(traced.outcome, trace=None) == plain.outcome
+        # a candidate won, so this is the trace a traced greedy run records
+        assert len(traced.history) > 1
+        direct = run(traced.plans, GreedyScheduler(sc.k), sc.tasks, sc.channel,
+                     sc.kinematics, record_trace=True)
+        assert traced.outcome.trace == direct.trace
+        assert dc_replace(direct, trace=None) == plain.outcome
+
+    def test_replay_reproduces_a_random_schedule_trace(self):
+        # the initial iterate wins only when no candidate improves on it;
+        # its trace is then a replay of a RandomScheduler run
+        sc = generate_scenario(ScenarioConfig(m=10, n=10, k=2, seed=25))
+        cfg = ItssoConfig(rng_seed=25)
+        init = initial_solution(sc, cfg)
+        assert init.outcome.trace is None
+        out = replay(init.plans, init.outcome.grants, sc)
+        direct = run(init.plans, RandomScheduler(sc.k, cfg.rng_seed), sc.tasks,
+                     sc.channel, sc.kinematics, record_trace=True)
+        assert out.trace == direct.trace
+        assert dc_replace(out, trace=None) == dc_replace(init.outcome, trace=None)
+
+    def test_diverging_replay_raises(self, monkeypatch):
+        import uavsense.itsso as itsso
+
+        def off_by_one(plans, schedule, scenario, record_trace=True):
+            out = replay(plans, schedule, scenario, record_trace)
+            return dc_replace(out, grants=out.grants + [frozenset()])
+
+        monkeypatch.setattr(itsso, "replay", off_by_one)
+        sc = generate_scenario(ScenarioConfig(m=6, n=6, q=2, k=3, seed=26))
+        # an untraced run never replays
+        assert run_itsso(sc, ItssoConfig(rng_seed=26), record_trace=False).t_max > 0
+        with pytest.raises(RuntimeError, match="replay diverged"):
+            run_itsso(sc, ItssoConfig(rng_seed=26), record_trace=True)
 
 
 class TestExportReplay:

@@ -11,7 +11,6 @@ from uavsense.channel import ChannelParams, Position3
 from uavsense.itsso import ItssoConfig, default_initial_locations, run_itsso
 from uavsense.placement import (
     adjust_collinear,
-    delta_bounds,
     optimize_sensing_locations,
 )
 from uavsense.scheduler import GreedyScheduler
@@ -65,15 +64,20 @@ class TestAdjustCollinear:
 
 
 class TestDeltaBounds:
+    """Slot-count bounds of the leg arriving at a task's sensing location, as
+    placement's local search takes them: the pure maximum-rate detour
+    (``drain_leg``, the location on its turning point) below, the leg to the
+    point right above the task at the floor (``optimize_leg``) above."""
+
     def test_lower_bound_is_detour_only(self):
         start = Position3(200, 100, 40)
-        task = Task(0, Position3(350, 250, 0), 20e6, (0,))
-        lb, ub = delta_bounds(start, task, 20e6, CP, KIN)
-        assert lb == drain_leg(start, 20e6, CP, KIN).slots
-        assert ub == optimize_leg(
-            start, Position3(task.location.x, task.location.y, KIN.h_min),
-            20e6, CP, KIN).slots
-        assert lb <= ub
+        lower = drain_leg(start, 20e6, CP, KIN)
+        assert lower.route_slots == 0 and lower.detour_slots == lower.slots
+        assert lower.turning_point == lower.end
+        # a sensing location on the turning point makes the leg that detour
+        assert optimize_leg(start, lower.end, 20e6, CP, KIN).slots == lower.slots
+        upper = optimize_leg(start, Position3(350, 250, KIN.h_min), 20e6, CP, KIN)
+        assert lower.slots <= upper.slots
 
     def test_initial_legs_sit_inside_bounds(self):
         # legs re-planned at full speed from overhead locations equal the
@@ -89,7 +93,8 @@ class TestDeltaBounds:
                     residual = 0.0 if idx == 0 else sc.tasks[route[idx - 1]].data_size
                     loc = Position3(task.location.x, task.location.y, KIN.h_min)
                     leg = optimize_leg(prev, loc, residual, CP, KIN)
-                    lb, ub = delta_bounds(prev, task, residual, CP, KIN)
+                    lb = drain_leg(prev, residual, CP, KIN).slots
+                    ub = optimize_leg(prev, loc, residual, CP, KIN).slots
                     assert lb <= leg.slots <= ub
                     prev = loc
 

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavsense.channel import ChannelParams, Position3, rate_at, segment_rate_ceiling
+from uavsense.channel import (
+    ChannelDomainError,
+    ChannelParams,
+    Position3,
+    rate_at,
+    segment_rate_ceiling,
+)
 from uavsense.trajectory import (
     KinematicParams,
     LegCache,
@@ -246,6 +252,15 @@ class TestOptimizeLeg:
         end = Position3(470, 470, 10)
         with pytest.raises(LegInfeasible):
             optimize_leg(start, end, 1e12, CP, KIN, max_detour_factor=1)
+
+    def test_evenly_paced_waypoint_on_the_bs_is_a_named_domain_error(self):
+        # 150 m straight through the BS: the 3-slot full-speed line and its
+        # hover cannot carry 100 Mbit, and the 4-slot evenly paced line puts
+        # its second waypoint exactly on the BS, where the model has no value
+        start, end = Position3(-75, 0, CP.bs_height), Position3(75, 0, CP.bs_height)
+        assert _even_waypoints(start, end, 4)[1] == CP.bs_position
+        with pytest.raises(ChannelDomainError, match=r"\(0\.0, 0\.0, 25\.0\)"):
+            optimize_leg(start, end, 100e6, CP, KIN)
 
     def test_mask_never_shortens_leg(self):
         start, end = Position3(300, 300, 40), Position3(200, 250, 30)
