@@ -196,7 +196,9 @@ def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
 
     Same result as ``link_rate(Position3(x, y, z), True, params)`` without
     its up-front domain checks: a point the model has no value at (on the BS
-    itself, or at z <= 0) raises ``ChannelDomainError`` naming the point.
+    itself, at z <= 0, or beyond the LoS breakpoint at an altitude where the
+    LoS scale ``4300 log10 z - 3800`` is 0 or so near it that the decay term
+    overflows) raises ``ChannelDomainError`` naming the point.
     """
     try:
         log_z = _LOG10(z)
@@ -222,7 +224,7 @@ def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
                 pl = p_los * pl_los + (1.0 - p_los) * pl_nlos
         gamma = params.tx_mw / (10.0 ** (pl / 10.0)) / params.noise_mw
         return params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ChannelDomainError(
             f"no channel rate at ({x!r}, {y!r}, {z!r}) with the BS at height "
             f"{params.bs_height!r}: {exc}"

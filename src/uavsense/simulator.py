@@ -11,7 +11,10 @@ that slack on the next pass by re-planning against the observed grants.
 
 Completion projections, the greedy scheduler's priority, are made on
 demand: only when a scheduler reads a UAV's estimate in a slot, which in
-practice means only for the requesters of a contended slot.
+practice means only for the requesters of a contended slot.  Likewise a
+leg's rate is read only in a granted slot of a UAV holding data, and a
+waypoint only when a trace row is written, so a leg whose items are made
+on first read (``trajectory.initial_leg``) is rated only where it sends.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .channel import ChannelParams, Position3, rate_at
+from .channel import ChannelParams, Position3
 from .scheduler import OnDemand, update_completion_estimates
 from .sensing import Task
 from .trajectory import KinematicParams, Leg
@@ -110,15 +113,17 @@ class _Runtime:
 
     The waypoints, rates and length of the leg being walked are bound when
     the UAV enters it, so the slot loop reads them without a plan lookup.
+    The UAV is at waypoint ``w - 1`` of that leg, or, while ``w`` is 0, where
+    the last leg left it; ``position`` is kept up to date only in traced runs.
     """
 
     __slots__ = (
         "uav", "plan", "n_tasks", "cur", "wps", "rates", "leg_slots", "w",
-        "residual", "position", "rate_now", "stype", "pending_sense", "done",
+        "residual", "position", "stype", "pending_sense", "done",
         "t_done", "taus", "chain", "tran_start",
     )
 
-    def __init__(self, plan: UavPlan, cp: ChannelParams):
+    def __init__(self, plan: UavPlan):
         self.uav = plan.uav
         self.plan = plan
         self.n_tasks = plan.n_tasks
@@ -126,7 +131,6 @@ class _Runtime:
         self.enter_leg()
         self.residual = 0.0
         self.position = plan.start
-        self.rate_now = rate_at(plan.start.x, plan.start.y, plan.start.z, cp)
         self.stype = EMPTY
         self.pending_sense = False
         self.done = self.n_tasks == 0
@@ -208,7 +212,7 @@ def run(
     residual bits, both as they stand after the slot's moves.  A scheduler
     that ranks nobody, as in every uncontended slot, projects nobody.
     """
-    states = [_Runtime(p, cp) for p in plans]
+    states = [_Runtime(p) for p in plans]
     by_id = {s.uav: s for s in states}
     if len(by_id) != len(states):
         raise ValueError("duplicate UAV ids in plans")
@@ -243,13 +247,15 @@ def run(
                 st.pending_sense = False
                 st.cur += 1
                 st.enter_leg()
+                if not st.leg_slots and st.residual > 0:
+                    # the UAV sends only from a waypoint of the leg it walks
+                    raise RuntimeError(
+                        f"UAV {st.uav}: leg {st.cur} carries {st.residual:.3g} bits "
+                        f"but has no waypoints")
                 st.stype = SENSING
                 continue
-            w = st.w
-            if w < st.leg_slots:
-                st.position = st.wps[w]
-                st.rate_now = st.rates[w]
-                st.w = w + 1
+            if st.w < st.leg_slots:
+                st.w += 1
             # else: waypoints exhausted; hover in place at the leg end
             if st.residual > 0:
                 st.stype = TRANSMISSION
@@ -272,11 +278,15 @@ def run(
             got = uav in granted
             applied = 0.0
             if got and st.residual > 0:
-                applied = min(st.rate_now, st.residual)
+                # a granted requester has walked a waypoint of its leg, as a
+                # leg carrying data has waypoints (checked on sensing)
+                applied = min(st.rates[st.w - 1], st.residual)
                 st.residual -= applied
                 if st.residual <= 1e-9:
                     st.residual = 0.0
             if trace is not None:
+                if st.w:
+                    st.position = st.wps[st.w - 1]
                 pos = st.position
                 trace.append(TraceRow(
                     t, uav, stype, pos.x, pos.y, pos.z,

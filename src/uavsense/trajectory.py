@@ -34,6 +34,11 @@ on geometry; the mask and the residual only decide which rates are summed.
   rated by one call is completed by the next that needs it.
   ``run_itsso`` makes one per call and drops it on return; a call without
   one starts cold.  There is no module-level cache.
+- ``initial_leg`` builds nothing up front: its waypoints and rates are
+  ``_EvenLine`` sequences whose items are made on first read, the rates
+  kept in a NaN-filled ``array('d')``.  Its stretch test rates the line up
+  to the point where the all-granted upload fits; the simulator rates the
+  points it sums in granted slots, and a dump rates the rest.
 Capacities are summed left to right over granted slots, exactly as a
 plain loop over every slot would, so a plan is bit-identical to the one a
 dense scan of every point gives, with or without a cache.
@@ -43,9 +48,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .channel import ChannelParams, Position3, rate_at, segment_rate_ceiling
 
@@ -67,6 +73,7 @@ GrantFn = Optional[Callable[[int], bool]]
 _CEIL_EPS = 1e-9  # guards exact-division distances against float noise
 _BS_STANDOFF = 1.0  # m; gradient steps never land closer to the BS than this
 _NAN = array("d", [math.nan])  # an unrated line point
+_MAX_STRETCH = 100000  # slots; an initial leg needing more is infeasible
 
 
 class LegInfeasible(RuntimeError):
@@ -88,16 +95,18 @@ class Leg:
     """One planned leg: waypoints occupy the slots after the start's sensing slot.
 
     ``waypoints[k]`` is the position in leg slot k+1; the last waypoint is
-    the leg's end point.  ``rates`` caches the scheduled-rate at each
-    waypoint so the simulator and schedulers never re-evaluate the channel.
+    the leg's end point.  ``rates[k]`` is the scheduled rate at
+    ``waypoints[k]``, so the simulator and schedulers never re-evaluate the
+    channel.  Both are read-only sequences: lists for planned legs, and for
+    ``initial_leg`` lines whose items are made on first read.
     ``detour_slots + route_slots == len(waypoints)``.
     """
 
     start: Position3
     end: Position3
     residual_data: float
-    waypoints: list[Position3]
-    rates: list[float]
+    waypoints: Sequence[Position3]
+    rates: Sequence[float]
     turning_point: Position3
     detour_slots: int
     route_slots: int
@@ -295,24 +304,79 @@ def _granted_total(rates: Sequence[float], granted: Sequence[bool]) -> float:
     return total
 
 
-def _line_rate(a: Position3, b: Position3, n: int, even: bool, j: int,
-               speed: float, cp: ChannelParams) -> float:
-    """Rate at waypoint j (0-based) of the n-slot line a -> b, evenly paced or
-    at full speed: the point ``_even_waypoints``/``_frontload_waypoints`` put
-    there, by the same float expressions, computed on its own."""
+def _line_point(a: Position3, b: Position3, n: int, even: bool, j: int,
+                speed: float) -> tuple[float, float, float]:
+    """Waypoint j (0-based) of the n-slot line a -> b, evenly paced or at full
+    speed: the point ``_even_waypoints``/``_frontload_waypoints`` put there,
+    by the same float expressions, computed on its own."""
     k = j + 1
     if k == n:
-        x, y, z = b
-    elif even:
+        return b
+    if even:
         f = k / n
-        x, y, z = a.x + f * (b.x - a.x), a.y + f * (b.y - a.y), a.z + f * (b.z - a.z)
-    else:
-        d = a.dist(b)
-        t = min(k * speed, d)
-        x = a.x + t * ((b.x - a.x) / d)
-        y = a.y + t * ((b.y - a.y) / d)
-        z = a.z + t * ((b.z - a.z) / d)
+        return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y), a.z + f * (b.z - a.z)
+    d = a.dist(b)
+    t = min(k * speed, d)
+    return (a.x + t * ((b.x - a.x) / d), a.y + t * ((b.y - a.y) / d),
+            a.z + t * ((b.z - a.z) / d))
+
+
+def _line_rate(a: Position3, b: Position3, n: int, even: bool, j: int,
+               speed: float, cp: ChannelParams) -> float:
+    """Rate at waypoint j (0-based) of the n-slot line a -> b (see ``_line_point``)."""
+    x, y, z = _line_point(a, b, n, even, j, speed)
     return rate_at(x, y, z, cp)
+
+
+class _EvenLine(Sequence):
+    """Read-only waypoints, or their rates, of the evenly paced n-slot line
+    a -> b, each made on first read.
+
+    Without ``rates`` the line yields waypoints, each worked out by
+    ``_line_point`` when read.  With ``rates``, an ``array('d')`` of n NaNs,
+    it yields the waypoints' rates: a point is rated on its first read and
+    kept there.  Either compares equal to a list of the same items.
+    """
+
+    __slots__ = ("a", "b", "n", "cp", "rates")
+
+    def __init__(self, a: Position3, b: Position3, n: int,
+                 cp: Optional[ChannelParams] = None, rates: Optional[array] = None):
+        self.a, self.b, self.n, self.cp, self.rates = a, b, n, cp, rates
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j):
+        n = self.n
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(n))]
+        if j < 0:
+            j += n
+        if not 0 <= j < n:
+            raise IndexError("line index out of range")
+        rates = self.rates
+        if rates is None:
+            return Position3(*_line_point(self.a, self.b, n, True, j, 0.0))
+        r = rates[j]
+        if r != r:
+            r = rates[j] = _line_rate(self.a, self.b, n, True, j, 0.0, self.cp)
+        return r
+
+    def __iter__(self):
+        for j in range(self.n):
+            yield self[j]
+
+    def __eq__(self, other):
+        if not isinstance(other, (_EvenLine, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        what = "waypoints" if self.rates is None else "rates"
+        return f"_EvenLine({what} of {self.a} -> {self.b} in {self.n} slots)"
 
 
 def _filled(rates: array, pts: Sequence[Position3], cp: ChannelParams) -> list[float]:
@@ -572,6 +636,18 @@ def drain_leg(
     )
 
 
+def _reaches(rates: Sequence[float], target: float) -> bool:
+    """Whether the rates, summed left to right, reach ``target``; rates are
+    non-negative, so stopping once the sum gets there gives the full sum's
+    answer."""
+    total = 0.0
+    for r in rates:
+        total += r
+        if total >= target:
+            return True
+    return False
+
+
 def initial_leg(
     start: Position3,
     end: Position3,
@@ -579,22 +655,23 @@ def initial_leg(
     v0: float,
     cp: ChannelParams,
     kin: KinematicParams,
-    max_stretch: int = 100000,
 ) -> Leg:
     """Slow evenly-paced straight leg used by the initial solution.
 
     The pace starts at v0 and the leg is stretched (more slots along the
     same segment) until the all-granted upload fits, which guarantees the
-    data constraint for the initial iterate.
+    data constraint for the initial iterate.  Waypoints and rates are made
+    on first read (``_EvenLine``): the stretch test rates the points up to
+    the one where the upload fits, the simulator only those it sums.
     """
     d = start.dist(end)
     slots = 0 if d <= 0 else max(1, math.ceil(d / v0 - _CEIL_EPS))
     while True:
-        line = _even_waypoints(start, end, slots) if slots else []
-        rates = [rate_at(p.x, p.y, p.z, cp) for p in line]
-        if residual_data <= 0 or sum(rates) >= residual_data:
-            return Leg(start, end, residual_data, line, rates, start, 0, slots)
-        if slots >= max_stretch:
+        rates = _EvenLine(start, end, slots, cp, _NAN * slots)
+        if residual_data <= 0 or _reaches(rates, residual_data):
+            return Leg(start, end, residual_data, _EvenLine(start, end, slots), rates,
+                       start, 0, slots)
+        if slots >= _MAX_STRETCH:
             raise LegInfeasible(
                 f"initial leg from {start} to {end} cannot carry "
                 f"{residual_data:.3g} bits even with {slots} slots"

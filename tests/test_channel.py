@@ -5,6 +5,7 @@ model formulas directly (independent of the package) and are frozen here.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,13 @@ class TestLinkRate:
             x, y = rng.uniform(-400, 400, size=2)
             z = rng.uniform(5, 150)
             assert rate_at(x, y, z, CP) == link_rate(Position3(x, y, z), True, CP)
+
+    @pytest.mark.parametrize("z", [10 ** (38 / 43), 7.651])
+    def test_zero_los_scale_is_a_domain_error(self, z):
+        # beyond the LoS breakpoint the decay divides by 4300 log10 z - 3800,
+        # which is 0 at the first altitude and overflows exp at the second
+        with pytest.raises(ChannelDomainError, match=rf"\(100, 0, {re.escape(repr(z))}\)"):
+            rate_at(100, 0, z, CP)
 
 
 class TestLinkBudget:

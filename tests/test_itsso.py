@@ -68,6 +68,44 @@ class TestInitialSolution:
         assert a.outcome.grants == b.outcome.grants
         assert a.t_max == b.t_max
 
+    def test_initial_legs_are_rated_only_where_they_send(self, monkeypatch):
+        # a slow initial leg rates the points up to where its all-granted
+        # upload fits, and the simulator those it sums in granted slots; the
+        # drain legs' gradient walks are counted apart
+        import sys
+
+        import uavsense.channel as channel
+        import uavsense.itsso as itsso
+
+        real_rate_at = channel.rate_at
+        calls = {"legs": 0, "drain": 0}
+        where = ["legs"]
+
+        def counted(*args):
+            calls[where[0]] += 1
+            return real_rate_at(*args)
+
+        def drain_counted(*args, **kwargs):
+            where[0] = "drain"
+            try:
+                return drain_leg(*args, **kwargs)
+            finally:
+                where[0] = "legs"
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("uavsense.") and module is not channel
+                    and getattr(module, "rate_at", None) is real_rate_at):
+                monkeypatch.setattr(module, "rate_at", counted)
+        monkeypatch.setattr(itsso, "drain_leg", drain_counted)
+        sc = generate_scenario(ScenarioConfig(seed=0))
+        sol = initial_solution(sc, ItssoConfig(rng_seed=_ITSSO_SEED_OFFSET))
+        granted = sum(len(g) for g in sol.outcome.grants)
+        legs = sum(p.n_tasks for p in sol.plans)
+        waypoints = sum(leg.slots for p in sol.plans for leg in p.legs)
+        assert calls["drain"] > 0
+        assert calls["legs"] <= granted + 2 * legs
+        assert waypoints > 4 * (granted + 2 * legs)  # rating them all would fail
+
 
 class TestRunItsso:
     def test_history_non_increasing(self):

@@ -186,6 +186,22 @@ class TestDeterminism:
         assert a.outcome.trace == b.outcome.trace
 
 
+class TestLegWithoutWaypoints:
+    def test_data_on_a_leg_without_waypoints_raises(self):
+        # the second leg says it carries nothing and has no slots, but the
+        # task sensed before it holds data: no waypoint to send from
+        tasks = {0: Task(0, Position3(100, 0, 0), 20e6, (0,)),
+                 1: Task(1, Position3(100, 0, 0), 20e6, (0,))}
+        loc = Position3(100, 0, 10)
+        leg0 = optimize_leg(Position3(0, 0, 40), loc, 0.0, CP, KIN)
+        plan = UavPlan(0, Position3(0, 0, 40), [0, 1], [loc, loc],
+                       [leg0, optimize_leg(loc, loc, 0.0, CP, KIN)],
+                       drain_leg(loc, 20e6, CP, KIN))
+        assert plan.legs[1].slots == 0
+        with pytest.raises(RuntimeError, match="leg 1 carries 2e.07 bits but has no waypoints"):
+            run([plan], GreedyScheduler(10), tasks, CP, KIN)
+
+
 class TestStarvation:
     def test_never_granted_uav_raises_diagnostic(self):
         class NeverScheduler:

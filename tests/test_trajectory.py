@@ -1,6 +1,7 @@
 """Leg-planner tests: bounds, gradient direction, detour search, speed optimality."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from uavsense.channel import (
     rate_at,
     segment_rate_ceiling,
 )
+from uavsense.itsso import _leg_to_dict
 from uavsense.trajectory import (
     KinematicParams,
+    Leg,
     LegCache,
     LegInfeasible,
     constant_speed_leg,
@@ -506,7 +509,63 @@ class TestDrainLeg:
         assert leg.rates[-1] > leg.rates[0]
 
 
+def eager_initial_leg(start, end, residual, v0, cp):
+    """Reference initial leg: every waypoint built and rated up front, and
+    stretched while the whole line's capacity falls short of the residual."""
+    d = start.dist(end)
+    slots = 0 if d <= 0 else max(1, math.ceil(d / v0 - 1e-9))
+    while True:
+        pts = _even_waypoints(start, end, slots) if slots else []
+        rates = [rate_at(p.x, p.y, p.z, cp) for p in pts]
+        total = 0.0
+        for r in rates:
+            total += r
+        if residual <= 0 or total >= residual:
+            return Leg(start, end, residual, pts, rates, start, 0, slots)
+        slots = max(slots + 1, int(slots * 1.5))
+
+
 class TestInitialLeg:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seg=_segment(), v0=st.sampled_from([2.5, 5.0, 20.0]),
+           load=st.sampled_from([0.0, 0.01, 0.3, 0.99, 1.0, 1.7, 3.0]), data=st.data())
+    def test_lazy_leg_equals_eager_reference(self, seg, v0, load, data):
+        # a load above 1 makes the leg stretch; items are read in random order
+        # (negative indices too) before the leg is dumped, listed and compared
+        cp, a, b = seg
+        n0 = eager_initial_leg(a, b, 0.0, v0, cp).slots
+        assume(n0 <= 400)
+        try:
+            capacity = sum(eager_initial_leg(a, b, 0.0, v0, cp).rates) if n0 else 1e6
+            ref = eager_initial_leg(a, b, load * capacity, v0, cp)
+        except ChannelDomainError:
+            assume(False)  # a waypoint exactly on the BS; see the test below
+        leg = initial_leg(a, b, load * capacity, v0, cp, KIN)
+        n = ref.slots
+        assert (leg.slots, len(leg.rates), leg.detour_slots, leg.route_slots) == \
+            (n, n, 0, n)
+        reads = data.draw(st.lists(st.integers(-n, n - 1), max_size=12)) if n else []
+        for j in reads + ([-1] if n else []):
+            assert leg.rates[j] == ref.rates[j]
+            assert leg.waypoints[j] == ref.waypoints[j]
+        with pytest.raises(IndexError):
+            leg.waypoints[n]
+        assert json.dumps(_leg_to_dict(leg)) == json.dumps(_leg_to_dict(ref))
+        assert list(leg.waypoints) == ref.waypoints and list(leg.rates) == ref.rates
+        assert leg.waypoints[1:-1] == ref.waypoints[1:-1]
+        assert leg == ref and ref == leg
+
+    def test_a_point_on_the_bs_raises_when_read(self):
+        # the 4-slot line puts its second waypoint exactly on the BS; the
+        # first already carries the data, so the leg is built, and only
+        # reading that point's rate meets the model's hole
+        start, end = Position3(-75, 0, CP.bs_height), Position3(75, 0, CP.bs_height)
+        leg = initial_leg(start, end, 1e6, 37.5, CP, KIN)
+        assert leg.slots == 4 and leg.waypoints[1] == CP.bs_position
+        assert leg.rates[0] == rate_at(-37.5, 0.0, CP.bs_height, CP)
+        with pytest.raises(ChannelDomainError, match=r"\(0\.0, 0\.0, 25\.0\)"):
+            leg.rates[1]
+
     def test_even_pacing_and_capacity(self):
         start, end = Position3(400, 0, 50), Position3(100, 200, 30)
         leg = initial_leg(start, end, 40e6, 5.0, CP, KIN)
