@@ -22,10 +22,8 @@ from .bench import (
 )
 from .channel import (
     ChannelParams,
-    LinkBudget,
     Position3,
     average_pathloss,
-    link_budget,
     link_rate,
     los_probability,
 )

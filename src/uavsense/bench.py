@@ -227,10 +227,7 @@ def fsl_plan(scenario: Scenario, cfg: ItssoConfig | None = None,
         for idx, tid in enumerate(route):
             loc = scenario.tasks[tid].location
             fixed[(uav, idx)] = Position3(loc.x, loc.y, h)
-    return run_itsso(
-        scenario, cfg, placement=False, sensing_check=False,
-        fixed_locations=fixed, record_trace=record_trace,
-    )
+    return run_itsso(scenario, cfg, fixed_locations=fixed, record_trace=record_trace)
 
 
 def run_scheme(scenario: Scenario, cfg: ItssoConfig | None = None,

@@ -21,12 +21,10 @@ __all__ = [
     "ChannelDomainError",
     "Position3",
     "ChannelParams",
-    "LinkBudget",
     "los_probability",
     "average_pathloss",
     "snr",
     "link_rate",
-    "link_budget",
     "segment_rate_ceiling",
 ]
 
@@ -99,18 +97,6 @@ class ChannelParams:
         return Position3(0.0, 0.0, self.bs_height)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """All intermediate link quantities for one UAV position."""
-
-    distance_to_bs: float  # meters
-    horizontal_distance: float  # meters
-    los_prob: float  # [0, 1]
-    avg_pathloss: float  # dB
-    snr: float  # linear ratio
-    rate: float  # bits per slot (0 when unscheduled)
-
-
 def _check_geometry(uav: Position3) -> None:
     if not uav.is_finite():
         raise ChannelDomainError(f"non-finite UAV position {uav}")
@@ -168,27 +154,6 @@ def link_rate(uav: Position3, scheduled: bool, params: ChannelParams) -> float:
         return 0.0
     gamma = snr(uav, params)
     return params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
-
-
-def link_budget(uav: Position3, scheduled: bool, params: ChannelParams) -> LinkBudget:
-    """Assemble every link quantity at once (diagnostics / audit)."""
-    _check_geometry(uav)
-    d = math.sqrt(uav.x * uav.x + uav.y * uav.y + (uav.z - params.bs_height) ** 2)
-    d_h = math.hypot(uav.x, uav.y)
-    p_los = los_probability(uav, params)
-    pl = average_pathloss(uav, params)
-    gamma = params.tx_mw / (10.0 ** (pl / 10.0)) / params.noise_mw
-    rate = 0.0
-    if scheduled:
-        rate = params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
-    return LinkBudget(
-        distance_to_bs=d,
-        horizontal_distance=d_h,
-        los_prob=p_los,
-        avg_pathloss=pl,
-        snr=gamma,
-        rate=rate,
-    )
 
 
 def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:

@@ -17,22 +17,21 @@ the plans and the granted sets, so the replay reproduces the run exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .channel import ChannelParams, Position3
-from .placement import SensingAssignment, optimize_sensing_locations
+from .placement import optimize_sensing_locations
 from .scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
 from .sensing import SensingParams, Task, sensing_success_coop
 from .simulator import SimOutcome, UavPlan, run
 from .trajectory import (
     KinematicParams,
     LegCache,
-    LegInfeasible,
     drain_leg,
     grant_from_mask,
     initial_leg,
-    optimize_leg,
+    replan_leg,
 )
 
 __all__ = [
@@ -45,18 +44,17 @@ __all__ = [
     "replay",
 ]
 
+_MAX_ITERATIONS = 100  # candidate iterates per run; the loop stops at the first non-improving one
+
 
 @dataclass(frozen=True)
 class ItssoConfig:
     initial_speed_ratio: float = 0.1  # v0 as a fraction of v_max
-    max_iterations: int = 100
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.initial_speed_ratio <= 1.0:
             raise ValueError("initial_speed_ratio must lie in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -69,7 +67,6 @@ class Solution:
     history: list[int]  # objective of each accepted iterate (initial first)
     candidate_history: list[int]  # every simulated candidate, accepted or not
     iterations: int
-    assignment: Optional[SensingAssignment] = None
     placement_passes: int = 0
 
 
@@ -108,9 +105,10 @@ def _build_plans(
     locations: Mapping[tuple[int, int], Position3],
     masks: Mapping[int, Sequence[bool]] | None,
     speed: float | None,
-    initial: bool,
     cache: LegCache | None = None,
 ) -> list[UavPlan]:
+    """One plan per UAV through ``locations``: slow initial legs at ``speed``,
+    or, with no speed, full-speed legs re-planned against ``masks``."""
     cp: ChannelParams = scenario.channel
     kin: KinematicParams = scenario.kinematics
     plans = []
@@ -125,17 +123,10 @@ def _build_plans(
         for idx, tid in enumerate(route):
             loc = locations[(uav, idx)]
             residual = 0.0 if idx == 0 else scenario.tasks[route[idx - 1]].data_size
-            if initial:
+            if speed is not None:
                 leg = initial_leg(prev, loc, residual, speed, cp, kin)
             else:
-                try:
-                    leg = optimize_leg(prev, loc, residual, cp, kin, grant, t + 1,
-                                       cache=cache)
-                except LegInfeasible:
-                    # the observed mask can deny long stretches that the new
-                    # plan will never see; plan optimistically and let the
-                    # simulator resolve the contention
-                    leg = optimize_leg(prev, loc, residual, cp, kin, cache=cache)
+                leg = replan_leg(prev, loc, residual, cp, kin, grant, t + 1, cache)
             legs.append(leg)
             locs.append(loc)
             t += leg.slots + 1
@@ -167,14 +158,19 @@ def initial_solution(
     scenario,
     cfg: ItssoConfig,
     locations: Mapping[tuple[int, int], Position3] | None = None,
-    sensing_check: bool = True,
 ) -> Solution:
-    """Feasible slow-speed starting point with a seeded random schedule."""
-    locations = dict(locations) if locations is not None else default_initial_locations(scenario)
-    if sensing_check:
+    """Feasible slow-speed starting point with a seeded random schedule.
+
+    Without ``locations`` every worker senses from right above its task,
+    and a scenario whose threshold no placement can meet raises
+    ``InfeasibleScenario``.  Pinned ``locations`` are taken as given: the
+    threshold is not checked against them.
+    """
+    if locations is None:
+        locations = default_initial_locations(scenario)
         _check_feasible(scenario, locations)
     v0 = cfg.initial_speed_ratio * scenario.kinematics.v_max
-    plans = _build_plans(scenario, locations, None, v0, initial=True)
+    plans = _build_plans(scenario, locations, None, v0)
     outcome = run(
         plans, RandomScheduler(scenario.k, cfg.rng_seed), scenario.tasks,
         scenario.channel, scenario.kinematics, record_trace=False,
@@ -192,16 +188,15 @@ def initial_solution(
 def run_itsso(
     scenario,
     cfg: ItssoConfig | None = None,
-    placement: bool = True,
-    sensing_check: bool = True,
     fixed_locations: Mapping[tuple[int, int], Position3] | None = None,
     record_trace: bool = False,
 ) -> Solution:
     """Full optimization loop; see the module docstring.
 
-    ``placement=False`` with ``fixed_locations`` realizes schemes that pin
-    sensing locations (the locations are then never moved).  One
-    ``LegCache`` serves every leg planned in this call and is dropped with it.
+    ``fixed_locations`` realizes schemes that pin sensing locations: they
+    are never moved by the sensing-location search and never checked
+    against the probability threshold.  One ``LegCache`` serves every leg
+    planned in this call and is dropped with it.
 
     Iterates are simulated untraced.  With ``record_trace`` the returned
     solution's trace comes from one replay of its plans under its own grant
@@ -210,30 +205,26 @@ def run_itsso(
     """
     cfg = cfg or ItssoConfig()
     cache = LegCache(scenario.channel, scenario.kinematics)
-    best = initial_solution(
-        scenario, cfg, locations=fixed_locations, sensing_check=sensing_check,
-    )
+    best = initial_solution(scenario, cfg, locations=fixed_locations)
     history = list(best.history)
     candidates = list(best.candidate_history)
-    assignment: Optional[SensingAssignment] = None
     passes = 0
     iterations = 0
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         iterations += 1
         masks = masks_from_outcome(best.outcome)
         locations = {
             (p.uav, idx): p.sensing_locations[idx]
             for p in best.plans for idx in range(p.n_tasks)
         }
-        plans = _build_plans(scenario, locations, masks, None, initial=False, cache=cache)
-        cand_assignment = None
-        if placement:
-            cand_assignment = optimize_sensing_locations(
+        plans = _build_plans(scenario, locations, masks, None, cache=cache)
+        if fixed_locations is None:
+            assignment = optimize_sensing_locations(
                 plans, scenario.tasks, scenario.channel, scenario.kinematics,
                 scenario.sensing, masks, cache=cache,
             )
-            plans = cand_assignment.plans
-            passes += cand_assignment.passes
+            plans = assignment.plans
+            passes += assignment.passes
         outcome = run(
             plans, GreedyScheduler(scenario.k), scenario.tasks,
             scenario.channel, scenario.kinematics, record_trace=False,
@@ -242,8 +233,6 @@ def run_itsso(
         if outcome.t_max < best.t_max:
             best = Solution(plans, outcome, outcome.t_max, [], [], 0)
             history.append(outcome.t_max)
-            if cand_assignment is not None:
-                assignment = cand_assignment
         else:
             break
     outcome = best.outcome
@@ -262,7 +251,6 @@ def run_itsso(
         history=history,
         candidate_history=candidates,
         iterations=iterations,
-        assignment=assignment,
         placement_passes=passes,
     )
 

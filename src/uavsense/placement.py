@@ -31,10 +31,9 @@ from .trajectory import (
     GrantFn,
     KinematicParams,
     LegCache,
-    LegInfeasible,
     drain_leg,
     grant_from_mask,
-    optimize_leg,
+    replan_leg,
 )
 
 __all__ = [
@@ -44,13 +43,13 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+_MAX_PASSES = 200  # search passes per call; a pass that changes nothing ends it sooner
 
 
 @dataclass
 class SensingAssignment:
-    """Result of the local search: final locations and updated plans."""
+    """Result of the local search: the plans with their moved locations."""
 
-    locations: dict[tuple[int, int], Position3]  # (uav, route index) -> location
     plans: list[UavPlan]
     passes: int
     t_max_history: list[int]  # network completion estimate after each pass
@@ -112,42 +111,30 @@ class _Search:
                 self.route_index[(p.uav, tid)] = idx
         self.t = {u: p.planned_completion() for u, p in self.plans.items()}
 
-    # -- mask helpers ------------------------------------------------------
-    def _first_slot(self, plan: UavPlan, idx: int) -> int:
-        # absolute slot of the leg's first waypoint: after idx sensing slots
-        # and the preceding legs
-        t = 0
-        for k in range(idx):
-            t += plan.legs[k].slots + 1
-        return t + 1
-
     # -- plan surgery ------------------------------------------------------
+    def _leg_inputs(self, p: UavPlan, idx: int) -> tuple[Position3, float, int]:
+        """Start, payload and first absolute slot of leg ``idx`` of ``p``;
+        ``idx == p.n_tasks`` is the drain.  A leg starts in the slot after
+        the previous sensing slot."""
+        if idx == 0:
+            return p.start, 0.0, 1
+        return (p.sensing_locations[idx - 1], self.tasks[p.task_ids[idx - 1]].data_size,
+                p.sensing_slots()[idx - 1] + 1)
+
     def _replan_incoming(self, uav: int, idx: int) -> None:
         p = self.plans[uav]
-        start = p.start if idx == 0 else p.sensing_locations[idx - 1]
-        residual = 0.0 if idx == 0 else self.tasks[p.task_ids[idx - 1]].data_size
-        try:
-            p.legs[idx] = optimize_leg(
-                start, p.sensing_locations[idx], residual, self.cp, self.kin,
-                self.grants.get(uav), self._first_slot(p, idx), cache=self.cache,
-            )
-        except LegInfeasible:
-            # stale observed mask; plan optimistically (see the outer loop)
-            p.legs[idx] = optimize_leg(
-                start, p.sensing_locations[idx], residual, self.cp, self.kin,
-                cache=self.cache)
+        start, residual, first = self._leg_inputs(p, idx)
+        p.legs[idx] = replan_leg(start, p.sensing_locations[idx], residual, self.cp,
+                                 self.kin, self.grants.get(uav), first, self.cache)
 
     def _replan_outgoing(self, uav: int, idx: int) -> None:
         p = self.plans[uav]
         if idx + 1 < p.n_tasks:
             self._replan_incoming(uav, idx + 1)
         else:
-            residual = self.tasks[p.task_ids[idx]].data_size
-            p.drain = drain_leg(
-                p.sensing_locations[idx], residual, self.cp, self.kin,
-                self.grants.get(uav), self._first_slot(p, idx) + p.legs[idx].slots + 1,
-                cache=self.cache,
-            )
+            start, residual, first = self._leg_inputs(p, idx + 1)
+            p.drain = drain_leg(start, residual, self.cp, self.kin, self.grants.get(uav),
+                                first, cache=self.cache)
 
     def move(self, uav: int, idx: int, loc: Position3) -> None:
         p = self.plans[uav]
@@ -182,29 +169,17 @@ class _Search:
     def lower_bound(self, uav: int, idx: int) -> int:
         """Slots of leg ``idx`` with its sensing location on the turning
         point: the pure maximum-rate detour."""
-        p = self.plans[uav]
-        start = p.start if idx == 0 else p.sensing_locations[idx - 1]
-        residual = 0.0 if idx == 0 else self.tasks[p.task_ids[idx - 1]].data_size
-        return drain_leg(
-            start, residual, self.cp, self.kin,
-            self.grants.get(uav), self._first_slot(p, idx), cache=self.cache,
-        ).slots
+        start, residual, first = self._leg_inputs(self.plans[uav], idx)
+        return drain_leg(start, residual, self.cp, self.kin, self.grants.get(uav), first,
+                         cache=self.cache).slots
 
     def upper_bound(self, uav: int, idx: int, task: Task) -> int:
         """Slots of leg ``idx`` ending right above the task at the altitude
         floor, the farthest admissible sensing location."""
-        p = self.plans[uav]
-        start = p.start if idx == 0 else p.sensing_locations[idx - 1]
-        residual = 0.0 if idx == 0 else self.tasks[p.task_ids[idx - 1]].data_size
+        start, residual, first = self._leg_inputs(self.plans[uav], idx)
         overhead = Position3(task.location.x, task.location.y, self.kin.h_min)
-        try:
-            return optimize_leg(
-                start, overhead, residual, self.cp, self.kin,
-                self.grants.get(uav), self._first_slot(p, idx), cache=self.cache,
-            ).slots
-        except LegInfeasible:
-            return optimize_leg(start, overhead, residual, self.cp, self.kin,
-                                cache=self.cache).slots
+        return replan_leg(start, overhead, residual, self.cp, self.kin,
+                          self.grants.get(uav), first, self.cache).slots
 
     # -- moves -------------------------------------------------------------
     def _shrink_location(self, uav: int, idx: int, task: Task) -> Optional[Position3]:
@@ -328,7 +303,6 @@ def optimize_sensing_locations(
     kin: KinematicParams,
     sp: SensingParams,
     masks: Mapping[int, Sequence[bool]] | None = None,
-    max_passes: int = 200,
     cache: LegCache | None = None,
 ) -> SensingAssignment:
     """Run the local search until a full pass leaves every task's group
@@ -341,7 +315,7 @@ def optimize_sensing_locations(
     ordered_tasks = [tasks[j] for j in sorted(tasks)]
     history = [max(search.t.values(), default=0)]
     passes = 0
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         passes += 1
         before = [search.group_max(task) for task in ordered_tasks]
         for task in ordered_tasks:
@@ -353,12 +327,7 @@ def optimize_sensing_locations(
         history.append(t_max)
         if after == before:
             break
-    locations = {
-        (p.uav, idx): loc
-        for p in search.plans.values() for idx, loc in enumerate(p.sensing_locations)
-    }
     return SensingAssignment(
-        locations=locations,
         plans=[search.plans[u] for u in sorted(search.plans)],
         passes=passes,
         t_max_history=history,

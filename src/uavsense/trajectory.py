@@ -10,12 +10,13 @@ upload fit wins.
 Masks: planners accept ``is_granted(abs_slot) -> bool`` describing which
 slots the caller expects to hold a subcarrier (slot of waypoint k is
 ``first_slot + k - 1``).  ``None`` means every slot is granted.
-``grant_from_mask`` turns an observed per-slot mask into such a function.
-Only granted slots add capacity, so ``optimize_leg`` sums a line over its
-granted slots alone, and skips a candidate outright when its granted
-slots, each at the segment's rate ceiling (``channel.segment_rate_ceiling``,
-a proven upper bound on the rate anywhere on the segment), cannot make up
-the residual.
+``grant_from_mask`` turns an observed per-slot mask into such a function,
+and ``replan_leg`` plans against it, falling back to no mask when no leg
+fits.  Only granted slots add capacity, so ``optimize_leg`` sums a line
+over its granted slots alone, and skips a candidate outright when its
+granted slots, each at the segment's rate ceiling
+(``channel.segment_rate_ceiling``, a proven upper bound on the rate
+anywhere on the segment), cannot make up the residual.
 
 What is cached, and for how long.  Every channel evaluation depends only
 on geometry; the mask and the residual only decide which rates are summed.
@@ -64,6 +65,7 @@ __all__ = [
     "grant_from_mask",
     "rate_gradient",
     "optimize_leg",
+    "replan_leg",
     "drain_leg",
     "initial_leg",
 ]
@@ -74,6 +76,8 @@ _CEIL_EPS = 1e-9  # guards exact-division distances against float noise
 _BS_STANDOFF = 1.0  # m; gradient steps never land closer to the BS than this
 _NAN = array("d", [math.nan])  # an unrated line point
 _MAX_STRETCH = 100000  # slots; an initial leg needing more is infeasible
+_MAX_DETOUR_FACTOR = 10  # extra slots a leg may take: this many times its minimum, at least 20
+_GRADIENT_STEP = 0.1  # m; central-difference step of ``rate_gradient``
 
 
 class LegInfeasible(RuntimeError):
@@ -140,17 +144,17 @@ def rate_gradient(
     pos: Position3,
     params: ChannelParams,
     kin: KinematicParams,
-    step: float = 0.1,
 ) -> Optional[tuple[float, float, float]]:
     """Unit direction of steepest rate increase at ``pos``.
 
-    Central finite differences with the given step; if a full-speed move
-    along the raw direction would sink below the altitude floor, the
-    vertical component is dropped and the rest renormalized.  Returns None
-    when no ascent direction exists (degenerate gradient); callers fall
-    back to a horizontal step toward the BS.
+    Central finite differences with a ``_GRADIENT_STEP`` step; if a
+    full-speed move along the raw direction would sink below the altitude
+    floor, the vertical component is dropped and the rest renormalized.
+    Returns None when no ascent direction exists (degenerate gradient);
+    callers fall back to a horizontal step toward the BS.
     """
     x, y, z = pos
+    step = _GRADIENT_STEP
     gx = rate_at(x + step, y, z, params) - rate_at(x - step, y, z, params)
     gy = rate_at(x, y + step, z, params) - rate_at(x, y - step, z, params)
     zl = max(z - step, 1e-6)  # keep the probe inside the z > 0 domain
@@ -396,7 +400,6 @@ def optimize_leg(
     kin: KinematicParams,
     is_granted: GrantFn = None,
     first_slot: int = 0,
-    max_detour_factor: int = 10,
     cache: Optional[LegCache] = None,
 ) -> Leg:
     """Shortest leg from start to end whose capacity covers the residual data.
@@ -441,7 +444,7 @@ def optimize_leg(
     if line_total >= residual_data:
         return Leg(start, end, residual_data, line, rates, start, 0, dlb)
 
-    cap = max(max_detour_factor * max(dlb, 1), 20)
+    cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
     granted += _grant_window(is_granted, first_slot + dlb, cap)
     w = len(granted)
     count = list(accumulate(granted, initial=0))  # granted leg slots before slot k
@@ -549,6 +552,29 @@ def optimize_leg(
     )
 
 
+def replan_leg(
+    start: Position3,
+    end: Position3,
+    residual_data: float,
+    cp: ChannelParams,
+    kin: KinematicParams,
+    is_granted: GrantFn,
+    first_slot: int,
+    cache: Optional[LegCache] = None,
+) -> Leg:
+    """``optimize_leg`` against the grants of a previous run, or, when no leg
+    fits them, as if every slot were granted.
+
+    The observed mask can deny long stretches that the new plan will never
+    see; planning optimistically leaves that contention to the simulator.
+    """
+    try:
+        return optimize_leg(start, end, residual_data, cp, kin, is_granted, first_slot,
+                            cache=cache)
+    except LegInfeasible:
+        return optimize_leg(start, end, residual_data, cp, kin, cache=cache)
+
+
 def constant_speed_leg(
     start: Position3,
     end: Position3,
@@ -558,7 +584,6 @@ def constant_speed_leg(
     kin: KinematicParams,
     is_granted: GrantFn = None,
     first_slot: int = 0,
-    max_detour_factor: int = 10,
 ) -> Leg:
     """Reference builder moving at one fixed speed every slot.
 
@@ -578,7 +603,7 @@ def constant_speed_leg(
     granted = _grant_window(is_granted, first_slot, dlb)
     if residual_data <= 0 or _granted_total(rates, granted) >= residual_data:
         return Leg(start, end, residual_data, line, rates, start, 0, dlb)
-    cap = max(max_detour_factor * max(dlb, 1), 20)
+    cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
     detour: list[Position3] = []
     detour_rates: list[float] = []
     pos = start

@@ -21,6 +21,7 @@ from uavsense.bench import (
 )
 from uavsense.cli import main as cli_main
 from uavsense.itsso import ItssoConfig
+from uavsense.sensing import SensingParams, sensing_success_coop
 
 
 class TestGeneration:
@@ -77,7 +78,15 @@ class TestSchemes:
             for loc in p.sensing_locations:
                 assert loc.z == 50.0
         assert sol.placement_passes == 0
-        assert sol.assignment is None
+
+    def test_pinned_locations_waive_the_sensing_threshold(self):
+        sensing = SensingParams(0.01, 0.999)
+        sc = generate_scenario(ScenarioConfig(m=8, n=8, q=4, k=4, seed=5, scheme="fsl",
+                                              sensing=sensing))
+        # four workers 50 m above the task fall short of the threshold
+        assert sensing_success_coop([50.0] * 4, sensing) == pytest.approx(0.976, abs=1e-3)
+        sol = fsl_plan(sc, ItssoConfig(rng_seed=5), record_trace=True)
+        assert audit_solution(sc, sol) == []
 
     def test_fsl_audit_skips_sensing_probability(self):
         sc = generate_scenario(ScenarioConfig(seed=2, scheme="fsl"))

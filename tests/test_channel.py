@@ -15,11 +15,9 @@ from uavsense.channel import (
     ChannelParams,
     Position3,
     average_pathloss,
-    link_budget,
     link_rate,
     los_probability,
     rate_at,
-    snr,
 )
 
 CP = ChannelParams()  # table defaults: H=25, 2 GHz, 1 MHz, -96 dBm, 23 dBm, 1 s
@@ -127,19 +125,6 @@ class TestLinkRate:
         # which is 0 at the first altitude and overflows exp at the second
         with pytest.raises(ChannelDomainError, match=rf"\(100, 0, {re.escape(repr(z))}\)"):
             rate_at(100, 0, z, CP)
-
-
-class TestLinkBudget:
-    def test_fields_consistent(self):
-        pos = Position3(100, 0, 50)
-        lb = link_budget(pos, True, CP)
-        assert lb.horizontal_distance == pytest.approx(100.0)
-        assert lb.distance_to_bs == pytest.approx(math.sqrt(100**2 + 25**2))
-        assert lb.horizontal_distance <= lb.distance_to_bs
-        assert 0 <= lb.los_prob <= 1
-        assert lb.snr == pytest.approx(snr(pos, CP))
-        assert lb.rate == pytest.approx(link_rate(pos, True, CP))
-        assert link_budget(pos, False, CP).rate == 0.0
 
 
 class TestChannelParams:

@@ -174,7 +174,7 @@ class TestLocalSearch:
         locations = default_initial_locations(sc)
         from uavsense.itsso import _build_plans
 
-        plans = _build_plans(sc, locations, None, None, initial=False)
+        plans = _build_plans(sc, locations, None, None)
         out = optimize_sensing_locations(plans, sc.tasks, CP, KIN, SP)
         hist = out.t_max_history
         assert all(b <= a for a, b in zip(hist, hist[1:]))

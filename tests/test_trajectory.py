@@ -29,6 +29,7 @@ from uavsense.trajectory import (
     initial_leg,
     optimize_leg,
     rate_gradient,
+    replan_leg,
 )
 from uavsense.trajectory import _even_waypoints, _frontload_waypoints, _line_rate
 
@@ -254,7 +255,7 @@ class TestOptimizeLeg:
         start = Position3(480, 480, 10)
         end = Position3(470, 470, 10)
         with pytest.raises(LegInfeasible):
-            optimize_leg(start, end, 1e12, CP, KIN, max_detour_factor=1)
+            optimize_leg(start, end, 1e12, CP, KIN)
 
     def test_evenly_paced_waypoint_on_the_bs_is_a_named_domain_error(self):
         # 150 m straight through the BS: the 3-slot full-speed line and its
@@ -315,6 +316,32 @@ class TestMaskedFamilies:
         grant = grant_from_mask([False, True])
         assert [grant(s) for s in (-1, 0, 1, 2, 3)] == [True, True, False, True, True]
         assert grant_from_mask(None) is None
+
+
+class TestReplanLeg:
+    start, end = Position3(400, 400, 40), Position3(350, 420, 30)
+
+    def heavy(self) -> float:
+        return 6.0 * sum(optimize_leg(self.start, self.end, 0.0, CP, KIN).rates)
+
+    def test_plans_as_if_every_slot_were_granted_when_no_leg_fits_the_grants(self):
+        heavy = self.heavy()
+        denied = grant_from_mask([False] * 200)
+        with pytest.raises(LegInfeasible):
+            optimize_leg(self.start, self.end, heavy, CP, KIN, denied, 1)
+        leg = replan_leg(self.start, self.end, heavy, CP, KIN, denied, 1, LegCache(CP, KIN))
+        unmasked = optimize_leg(self.start, self.end, heavy, CP, KIN)
+        assert leg.waypoints == unmasked.waypoints and leg.rates == unmasked.rates
+        assert (leg.detour_slots, leg.route_slots) == (unmasked.detour_slots,
+                                                       unmasked.route_slots)
+        assert leg == unmasked
+
+    def test_keeps_the_masked_leg_when_one_fits(self):
+        heavy = self.heavy()
+        grant = grant_from_mask(mask_of("1101" * 10))
+        leg = replan_leg(self.start, self.end, heavy, CP, KIN, grant, 1)
+        assert leg == optimize_leg(self.start, self.end, heavy, CP, KIN, grant, 1)
+        assert leg != optimize_leg(self.start, self.end, heavy, CP, KIN)
 
 
 def _planned(start, end, residual, grant, first_slot, cache):
