@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -286,13 +286,8 @@ class ExperimentResult:
         return [v for s, xv, _, v in self.raw if s == scheme and xv == x]
 
 
-def _default_config() -> ScenarioConfig:
-    return ScenarioConfig()
-
-
-def _table_point(base: ScenarioConfig, *, m: int, n: int, q: int,
-                 scheme: str = "itsso", uneven: bool = False, **kw) -> ScenarioConfig:
-    return replace(base, m=m, n=n, q=q, scheme=scheme, uneven_split=uneven, **kw)
+def _table_point(base: ScenarioConfig, *, m: int, n: int, q: int, **kw) -> ScenarioConfig:
+    return replace(base, m=m, n=n, q=q, scheme="itsso", uneven_split=False, **kw)
 
 
 def _fig4_points(base: ScenarioConfig):
@@ -413,7 +408,7 @@ def _run_fig8(base: ScenarioConfig, instances: int, seed: int):
 
 def run_experiment(
     experiment: str,
-    overrides: Mapping | None = None,
+    base: ScenarioConfig | None = None,
     instances: int = 200,
     out_dir: str | os.PathLike | None = None,
     seed: int = 1000,
@@ -421,14 +416,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one figure experiment and (optionally) write its CSV files.
 
-    ``overrides`` patches the base Table-defaults config (e.g. k, sensing).
+    Each sweep point patches ``base`` (the Table defaults when None), so
+    fields a figure does not sweep (e.g. k, sensing) come from it.
     Instance i of every scheme runs on seed ``seed + i`` for pairing.
     """
     if experiment not in EXPERIMENT_IDS:
         raise ValueError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENT_IDS}")
-    base = _default_config()
-    if overrides:
-        base = replace(base, **dict(overrides))
+    if base is None:
+        base = ScenarioConfig()
 
     if experiment == "fig8":
         raw = _run_fig8(base, instances, seed)

@@ -52,9 +52,6 @@ class Position3(NamedTuple):
             + (self.z - other.z) ** 2
         )
 
-    def horizontal_dist(self, other: "Position3") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 

@@ -20,18 +20,6 @@ from .sensing import SensingParams, min_cooperative_uavs
 from .simulator import read_trace, write_trace
 
 
-def _overrides_from_pairs(pairs: list[str]) -> dict:
-    """Map config-file style 'key=value' pairs to ScenarioConfig fields."""
-    cfg = bench.parse_config_text("\n".join(pairs))
-    base = bench.ScenarioConfig()
-    out = {}
-    for name in ("m", "n", "k", "q", "area", "channel", "sensing",
-                 "kinematics", "data_size", "seed", "scheme", "fsl_height"):
-        if getattr(cfg, name) != getattr(base, name):
-            out[name] = getattr(cfg, name)
-    return out
-
-
 def _config_from_args(args) -> bench.ScenarioConfig:
     """The ``--config`` file (or the defaults) with ``--seed``/``--scheme`` applied."""
     config = bench.load_config(args.config) if args.config else bench.ScenarioConfig()
@@ -67,9 +55,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = _overrides_from_pairs(args.set) if args.set else None
     result = bench.run_experiment(
-        args.id, overrides=overrides, instances=args.instances,
+        args.id, base=bench.parse_config_text("\n".join(args.set or [])),
+        instances=args.instances,
         out_dir=args.out, seed=args.seed, workers=args.workers,
     )
     print(f"experiment {args.id}: {result.manifest}")

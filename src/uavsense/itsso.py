@@ -45,16 +45,12 @@ __all__ = [
 ]
 
 _MAX_ITERATIONS = 100  # candidate iterates per run; the loop stops at the first non-improving one
+_INITIAL_SPEED_RATIO = 0.1  # pace of the initial iterate's legs, as a fraction of v_max
 
 
 @dataclass(frozen=True)
 class ItssoConfig:
-    initial_speed_ratio: float = 0.1  # v0 as a fraction of v_max
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.initial_speed_ratio <= 1.0:
-            raise ValueError("initial_speed_ratio must lie in (0, 1]")
 
 
 @dataclass
@@ -169,7 +165,7 @@ def initial_solution(
     if locations is None:
         locations = default_initial_locations(scenario)
         _check_feasible(scenario, locations)
-    v0 = cfg.initial_speed_ratio * scenario.kinematics.v_max
+    v0 = _INITIAL_SPEED_RATIO * scenario.kinematics.v_max
     plans = _build_plans(scenario, locations, None, v0)
     outcome = run(
         plans, RandomScheduler(scenario.k, cfg.rng_seed), scenario.tasks,
@@ -323,6 +319,6 @@ def solution_from_json(text: str) -> tuple[list[UavPlan], list[frozenset[int]]]:
 def replay(plans, schedule, scenario, record_trace: bool = True) -> SimOutcome:
     """Re-run a dumped solution under its recorded schedule."""
     return run(
-        plans, ReplayScheduler(schedule, scenario.k), scenario.tasks,
+        plans, ReplayScheduler(schedule), scenario.tasks,
         scenario.channel, scenario.kinematics, record_trace=record_trace,
     )

@@ -113,13 +113,18 @@ class RandomScheduler:
 
 
 class ReplayScheduler:
-    """Replays a recorded per-slot grant sequence (solution replay)."""
+    """Replays a recorded per-slot grant sequence (solution replay).
 
-    def __init__(self, grants: list[frozenset[int]], k: int):
+    A request after the last recorded slot means the replay has left the
+    run it records, so it raises rather than schedule on its own.
+    """
+
+    def __init__(self, grants: list[frozenset[int]]):
         self.grants = grants
-        self.k = k
 
     def grant(self, slot, requests, estimates, residuals):
-        if slot - 1 < len(self.grants):
-            return frozenset(self.grants[slot - 1]) & frozenset(requests)
-        return schedule_slot(requests, estimates, self.k, residuals)
+        if slot - 1 >= len(self.grants):
+            raise RuntimeError(
+                f"replay diverged: slot {slot} requests a subcarrier after the "
+                f"{len(self.grants)} recorded slots")
+        return frozenset(self.grants[slot - 1]) & frozenset(requests)

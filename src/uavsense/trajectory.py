@@ -25,21 +25,22 @@ on geometry; the mask and the residual only decide which rates are summed.
   when the straight line falls short, into a list of bools, a next-granted
   index and a prefix count.  Each detour split's route and rate ceiling
   are worked out once, whatever the budget.
-- A line's rates are one ``array('d')`` per line, NaN until rated.  A
-  capacity check rates only the granted points it sums, and stops at the
-  residual; the winning leg and the straight line at the kinematic
-  minimum rate the rest.
+- Every straight line, full speed or evenly paced, is one ``_Line``, the
+  only place a line point is worked out.  It keeps its rates in an
+  ``array('d')``, NaN until rated.  A capacity check rates only the
+  granted points it sums, and stops at the residual; the winning leg and
+  the straight line at the kinematic minimum rate the rest.
 - A ``LegCache`` keeps the rate-gradient walk (positions and rates) from
   each leg start, which ``optimize_leg`` and ``drain_leg`` extend and
-  share, and those line rate arrays (not the waypoints), so a line partly
-  rated by one call is completed by the next that needs it.
+  share, and those lines (their rates, not their waypoints), so a line
+  partly rated by one call is completed by the next that needs it.
   ``run_itsso`` makes one per call and drops it on return; a call without
   one starts cold.  There is no module-level cache.
 - ``initial_leg`` builds nothing up front: its waypoints and rates are
-  ``_EvenLine`` sequences whose items are made on first read, the rates
-  kept in a NaN-filled ``array('d')``.  Its stretch test rates the line up
-  to the point where the all-granted upload fits; the simulator rates the
-  points it sums in granted slots, and a dump rates the rest.
+  ``_Line`` sequences whose items are made on first read.  Its stretch
+  test rates the line up to the point where the all-granted upload fits;
+  the simulator rates the points it sums in granted slots, and a dump
+  rates the rest.
 Capacities are summed left to right over granted slots, exactly as a
 plain loop over every slot would, so a plan is bit-identical to the one a
 dense scan of every point gives, with or without a cache.
@@ -208,32 +209,104 @@ def _gradient_step(pos: Position3, speed: float, cp: ChannelParams,
     return nxt
 
 
-def _even_waypoints(start: Position3, end: Position3, slots: int) -> list[Position3]:
-    pts = []
-    for k in range(1, slots + 1):
-        f = k / slots
-        pts.append(Position3(
-            start.x + f * (end.x - start.x),
-            start.y + f * (end.y - start.y),
-            start.z + f * (end.z - start.z),
-        ))
-    pts[-1] = end
-    return pts
+class _Line(Sequence):
+    """The n-slot straight line a -> b, evenly paced or at ``speed`` with the
+    remainder on the last step; the last point is exactly b.
 
+    The one place a line point is worked out.  Without ``rates`` it is the
+    read-only sequence of its waypoints, each made when read.  With
+    ``rates``, an ``array('d')`` of n NaNs, it is the sequence of their
+    rates: a point is rated on its first read and kept there.  Either
+    compares equal to a list of the same items.  ``points`` and ``filled``
+    give a winning leg's lists in bulk.
+    """
 
-def _frontload_waypoints(start: Position3, end: Position3, speed: float,
-                         slots: int) -> list[Position3]:
-    """Full-speed steps with the remainder on the last one."""
-    d = start.dist(end)
-    if slots == 0:
-        return []
-    ux, uy, uz = (end.x - start.x) / d, (end.y - start.y) / d, (end.z - start.z) / d
-    pts = [Position3(start.x + min(k * speed, d) * ux,
-                     start.y + min(k * speed, d) * uy,
-                     start.z + min(k * speed, d) * uz)
-           for k in range(1, slots + 1)]
-    pts[-1] = end
-    return pts
+    __slots__ = ("a", "b", "n", "even", "speed", "cp", "rates", "_d", "_dx", "_dy", "_dz")
+
+    def __init__(self, a: Position3, b: Position3, n: int, even: bool, speed: float = 0.0,
+                 cp: Optional[ChannelParams] = None, rates: Optional[array] = None):
+        self.a, self.b, self.n, self.even = a, b, n, even
+        self.speed, self.cp, self.rates = speed, cp, rates
+        # point k (1-based) is a + f * (dx, dy, dz): evenly paced, f = k / n
+        # of the span; at full speed, f = min(k * speed, d) along the unit
+        # direction
+        dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
+        if not even and n:
+            d = self._d = a.dist(b)
+            dx, dy, dz = dx / d, dy / d, dz / d
+        self._dx, self._dy, self._dz = dx, dy, dz
+
+    def _xyz(self, j: int) -> tuple[float, float, float]:
+        """Waypoint j (0-based)."""
+        k = j + 1
+        n = self.n
+        if k == n:
+            return self.b
+        f = k / n if self.even else min(k * self.speed, self._d)
+        a = self.a
+        return a.x + f * self._dx, a.y + f * self._dy, a.z + f * self._dz
+
+    def points(self) -> list[Position3]:
+        """Every waypoint, as ``_xyz`` makes it."""
+        n = self.n
+        if not n:
+            return []
+        if self.even:
+            fs = [k / n for k in range(1, n)]
+        else:
+            v, d = self.speed, self._d
+            fs = [min(k * v, d) for k in range(1, n)]
+        (ax, ay, az), dx, dy, dz = self.a, self._dx, self._dy, self._dz
+        pts = [Position3(ax + f * dx, ay + f * dy, az + f * dz) for f in fs]
+        pts.append(self.b)
+        return pts
+
+    def rate(self, j: int) -> float:
+        """Rate waypoint j (0-based) and keep it."""
+        x, y, z = self._xyz(j)
+        r = self.rates[j] = rate_at(x, y, z, self.cp)
+        return r
+
+    def filled(self) -> list[float]:
+        """Every waypoint's rate, rating those not yet rated."""
+        rates = self.rates
+        for j, r in enumerate(rates):
+            if r != r:
+                self.rate(j)
+        return rates.tolist()
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j):
+        n = self.n
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(n))]
+        if j < 0:
+            j += n
+        if not 0 <= j < n:
+            raise IndexError("line index out of range")
+        rates = self.rates
+        if rates is None:
+            return Position3(*self._xyz(j))
+        r = rates[j]
+        return self.rate(j) if r != r else r
+
+    def __iter__(self):
+        for j in range(self.n):
+            yield self[j]
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Line, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        what = "waypoints" if self.rates is None else "rates"
+        pace = "evenly paced" if self.even else f"at {self.speed}"
+        return f"_Line({what} of {self.a} -> {self.b} in {self.n} slots, {pace})"
 
 
 class _Walk:
@@ -264,22 +337,22 @@ class _Walk:
 
 
 class LegCache:
-    """Gradient walks by leg start and line rates by geometry, shared by the
+    """Gradient walks by leg start and rated lines by geometry, shared by the
     planners of one run.
 
     Bound to one channel and kinematics; ``optimize_leg`` and ``drain_leg``
     refuse a cache made for other parameters.  It grows with every distinct
     start and line it sees and is meant to be dropped with the run that
-    made it.  Line rates are kept as ``array('d')``, NaN where not yet
-    rated, without waypoints, to keep it small.
+    made it.  A line keeps its rates, NaN where not yet rated, but not its
+    waypoints, to keep it small.
     """
 
     def __init__(self, cp: ChannelParams, kin: KinematicParams):
         self.cp = cp
         self.kin = kin
         self._walks: dict[Position3, _Walk] = {}
-        # (a, b, slots, evenly paced) -> rates of that line's waypoints
-        self.lines: dict[tuple[Position3, Position3, int, bool], array] = {}
+        # (a, b, slots, evenly paced) -> that line, at full speed v_max
+        self.lines: dict[tuple[Position3, Position3, int, bool], _Line] = {}
 
     def check(self, cp: ChannelParams, kin: KinematicParams) -> None:
         if (cp is not self.cp and cp != self.cp) or (kin is not self.kin and kin != self.kin):
@@ -290,6 +363,13 @@ class LegCache:
         if w is None:
             w = self._walks[start] = _Walk(start, self.cp, self.kin)
         return w
+
+    def line(self, a: Position3, b: Position3, n: int, even: bool) -> _Line:
+        key = (a, b, n, even)
+        got = self.lines.get(key)
+        if got is None:
+            got = self.lines[key] = _Line(a, b, n, even, self.kin.v_max, self.cp, _NAN * n)
+        return got
 
 
 def _grant_window(is_granted: GrantFn, first_slot: int, n: int) -> list[bool]:
@@ -306,90 +386,6 @@ def _granted_total(rates: Sequence[float], granted: Sequence[bool]) -> float:
         if g:
             total += r
     return total
-
-
-def _line_point(a: Position3, b: Position3, n: int, even: bool, j: int,
-                speed: float) -> tuple[float, float, float]:
-    """Waypoint j (0-based) of the n-slot line a -> b, evenly paced or at full
-    speed: the point ``_even_waypoints``/``_frontload_waypoints`` put there,
-    by the same float expressions, computed on its own."""
-    k = j + 1
-    if k == n:
-        return b
-    if even:
-        f = k / n
-        return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y), a.z + f * (b.z - a.z)
-    d = a.dist(b)
-    t = min(k * speed, d)
-    return (a.x + t * ((b.x - a.x) / d), a.y + t * ((b.y - a.y) / d),
-            a.z + t * ((b.z - a.z) / d))
-
-
-def _line_rate(a: Position3, b: Position3, n: int, even: bool, j: int,
-               speed: float, cp: ChannelParams) -> float:
-    """Rate at waypoint j (0-based) of the n-slot line a -> b (see ``_line_point``)."""
-    x, y, z = _line_point(a, b, n, even, j, speed)
-    return rate_at(x, y, z, cp)
-
-
-class _EvenLine(Sequence):
-    """Read-only waypoints, or their rates, of the evenly paced n-slot line
-    a -> b, each made on first read.
-
-    Without ``rates`` the line yields waypoints, each worked out by
-    ``_line_point`` when read.  With ``rates``, an ``array('d')`` of n NaNs,
-    it yields the waypoints' rates: a point is rated on its first read and
-    kept there.  Either compares equal to a list of the same items.
-    """
-
-    __slots__ = ("a", "b", "n", "cp", "rates")
-
-    def __init__(self, a: Position3, b: Position3, n: int,
-                 cp: Optional[ChannelParams] = None, rates: Optional[array] = None):
-        self.a, self.b, self.n, self.cp, self.rates = a, b, n, cp, rates
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, j):
-        n = self.n
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(n))]
-        if j < 0:
-            j += n
-        if not 0 <= j < n:
-            raise IndexError("line index out of range")
-        rates = self.rates
-        if rates is None:
-            return Position3(*_line_point(self.a, self.b, n, True, j, 0.0))
-        r = rates[j]
-        if r != r:
-            r = rates[j] = _line_rate(self.a, self.b, n, True, j, 0.0, self.cp)
-        return r
-
-    def __iter__(self):
-        for j in range(self.n):
-            yield self[j]
-
-    def __eq__(self, other):
-        if not isinstance(other, (_EvenLine, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        what = "waypoints" if self.rates is None else "rates"
-        return f"_EvenLine({what} of {self.a} -> {self.b} in {self.n} slots)"
-
-
-def _filled(rates: array, pts: Sequence[Position3], cp: ChannelParams) -> list[float]:
-    """Rate the points of ``rates`` still NaN (at ``pts``) and return them all."""
-    for j, r in enumerate(rates):
-        if r != r:
-            p = pts[j]
-            rates[j] = rate_at(p.x, p.y, p.z, cp)
-    return rates.tolist()
 
 
 def optimize_leg(
@@ -422,21 +418,13 @@ def optimize_leg(
     v = kin.v_max
     dlb = delta_lower_bound(start, end, kin)  # 0 only for a line of no length
 
-    # line key -> rates, NaN until rated; a cold call still rates each point once
-    lines = {}
-    if cache is not None:
+    if cache is None:
+        cache = LegCache(cp, kin)  # a cold call still rates each point once
+    else:
         cache.check(cp, kin)
-        lines = cache.lines
-
-    def line_rates(a: Position3, b: Position3, n: int, even: bool) -> array:
-        key = (a, b, n, even)
-        got = lines.get(key)
-        if got is None:
-            got = lines[key] = _NAN * n
-        return got
-
-    line = _frontload_waypoints(start, end, v, dlb)
-    rates = _filled(line_rates(start, end, dlb, False), line, cp)
+    straight = cache.line(start, end, dlb, False)
+    line = straight.points()
+    rates = straight.filled()
     if residual_data <= 0:
         return Leg(start, end, residual_data, line, rates, start, 0, dlb)
     granted = _grant_window(is_granted, first_slot, dlb)
@@ -452,25 +440,24 @@ def optimize_leg(
     for k in range(w - 1, -1, -1):
         nxt[k] = k if granted[k] else nxt[k + 1]
 
-    def covers(a: Position3, b: Position3, n: int, even: bool, k0: int,
-               total: float) -> bool:
+    def covers(line: _Line, k0: int, total: float) -> bool:
         """Whether ``total`` plus the granted rates of a line whose point j
         flies leg slot k0 + j reaches the residual.  Only granted points
         are rated, left to right; rates are non-negative, so stopping once
         the sum reaches the residual gives the full sum's answer."""
-        rates = line_rates(a, b, n, even)
+        rates, n = line.rates, line.n
         j = nxt[k0] - k0
         while j < n:
             r = rates[j]
             if r != r:
-                r = rates[j] = _line_rate(a, b, n, even, j, v, cp)
+                r = line.rate(j)
             total += r
             if total >= residual_data:
                 return True
             j = nxt[k0 + j + 1] - k0
         return False
 
-    walk = _Walk(start, cp, kin) if cache is None else cache.walk(start)
+    walk = cache.walk(start)
     detour, detour_rates = walk.pts, walk.rates
     # per detour split d1 (index d1 - 1): the route length d2 to the end,
     # the hover pauses counted so far, the capacity of the first d1 walk
@@ -496,11 +483,11 @@ def optimize_leg(
             # segment's rate ceiling in every granted slot falls short
             if line_ceiling != line_ceiling:
                 line_ceiling = segment_rate_ceiling(start, end, cp)
-            if (not count[n] * line_ceiling < residual_data
-                    and covers(start, end, n, True, 0, 0.0)):
-                pts = _even_waypoints(start, end, n)
-                return Leg(start, end, residual_data, pts,
-                           _filled(line_rates(start, end, n, True), pts, cp), start, 0, n)
+            if not count[n] * line_ceiling < residual_data:
+                paced = cache.line(start, end, n, True)
+                if covers(paced, 0, 0.0):
+                    return Leg(start, end, residual_data, paced.points(), paced.filled(),
+                               start, 0, n)
         if len(detour) < n:
             walk.extend(n)
         while len(d2s) < n:
@@ -538,13 +525,11 @@ def optimize_leg(
                 if h + g * c < residual_data:
                     continue
             for even in ((False, True) if d2 else (False,)):
-                if h >= residual_data or covers(tp, end, d2, even, k0, h):
-                    pts = _even_waypoints(tp, end, d2) if even else \
-                        _frontload_waypoints(tp, end, v, d2)
+                route = cache.line(tp, end, d2, even)
+                if h >= residual_data or covers(route, k0, h):
                     return Leg(start, end, residual_data,
-                               detour[:d1] + [tp] * hover + pts,
-                               detour_rates[:d1] + [r_tp] * hover
-                               + _filled(line_rates(tp, end, d2, even), pts, cp),
+                               detour[:d1] + [tp] * hover + route.points(),
+                               detour_rates[:d1] + [r_tp] * hover + route.filled(),
                                tp, d1 + hover, d2)
     raise LegInfeasible(
         f"no feasible leg from {start} to {end} within {cap} extra slots "
@@ -598,7 +583,7 @@ def constant_speed_leg(
         raise ValueError("residual_data must be non-negative")
     d = start.dist(end)
     dlb = 0 if d <= 0 else max(1, math.ceil(d / v - _CEIL_EPS))
-    line = _frontload_waypoints(start, end, v, dlb)
+    line = _Line(start, end, dlb, False, v).points()
     rates = [rate_at(p.x, p.y, p.z, cp) for p in line]
     granted = _grant_window(is_granted, first_slot, dlb)
     if residual_data <= 0 or _granted_total(rates, granted) >= residual_data:
@@ -613,7 +598,7 @@ def constant_speed_leg(
         detour_rates.append(rate_at(pos.x, pos.y, pos.z, cp))
         span = pos.dist(end)
         d2 = 0 if span <= 0 else max(1, math.ceil(span / v - _CEIL_EPS))
-        route = _frontload_waypoints(pos, end, v, d2)
+        route = _Line(pos, end, d2, False, v).points()
         route_rates = [rate_at(p.x, p.y, p.z, cp) for p in route]
         leg_rates = detour_rates + route_rates
         granted = _grant_window(is_granted, first_slot, len(leg_rates))
@@ -686,15 +671,15 @@ def initial_leg(
     The pace starts at v0 and the leg is stretched (more slots along the
     same segment) until the all-granted upload fits, which guarantees the
     data constraint for the initial iterate.  Waypoints and rates are made
-    on first read (``_EvenLine``): the stretch test rates the points up to
+    on first read (``_Line``): the stretch test rates the points up to
     the one where the upload fits, the simulator only those it sums.
     """
     d = start.dist(end)
     slots = 0 if d <= 0 else max(1, math.ceil(d / v0 - _CEIL_EPS))
     while True:
-        rates = _EvenLine(start, end, slots, cp, _NAN * slots)
+        rates = _Line(start, end, slots, True, cp=cp, rates=_NAN * slots)
         if residual_data <= 0 or _reaches(rates, residual_data):
-            return Leg(start, end, residual_data, _EvenLine(start, end, slots), rates,
+            return Leg(start, end, residual_data, _Line(start, end, slots, True), rates,
                        start, 0, slots)
         if slots >= _MAX_STRETCH:
             raise LegInfeasible(

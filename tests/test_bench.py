@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,3 +266,20 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "fig8.csv").exists()
         assert "simulated" in out
+
+    def test_experiment_set_patches_the_base_config(self, tmp_path, capsys):
+        # --set pairs in config-file syntax give the sweep's base config
+        args = ["experiment", "--id", "fig6", "--instances", "1", "--seed", "80",
+                "--set", "K=2", "--set", "data_size=5e6"]
+        assert cli_main(args + ["--out", str(tmp_path / "cli")]) == 0
+        capsys.readouterr()
+        base = replace(ScenarioConfig(), k=2, data_size=5e6)
+        res = run_experiment("fig6", base=base, instances=1, seed=80,
+                             out_dir=tmp_path / "api")
+        with open(tmp_path / "cli" / "fig6.csv", newline="") as fh:
+            cli_rows = list(csv.reader(fh))
+        with open(tmp_path / "api" / "fig6.csv", newline="") as fh:
+            assert cli_rows == list(csv.reader(fh))
+        assert len(cli_rows) == 1 + len(res.rows) == 16
+        default = run_experiment("fig6", base=replace(base, k=10), instances=1, seed=80)
+        assert default.rows != res.rows  # K=2 reached the sweep

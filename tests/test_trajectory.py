@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -31,10 +32,42 @@ from uavsense.trajectory import (
     rate_gradient,
     replan_leg,
 )
-from uavsense.trajectory import _even_waypoints, _frontload_waypoints, _line_rate
+from uavsense.trajectory import _Line
 
 CP = ChannelParams()
 KIN = KinematicParams()  # v_max=50, h_min=10
+NAN = array("d", [math.nan])
+
+
+def even_waypoints(start: Position3, end: Position3, slots: int) -> list[Position3]:
+    """Reference evenly paced line, built eagerly: point k at k/slots of the
+    way, the last exactly at the end."""
+    pts = []
+    for k in range(1, slots + 1):
+        f = k / slots
+        pts.append(Position3(
+            start.x + f * (end.x - start.x),
+            start.y + f * (end.y - start.y),
+            start.z + f * (end.z - start.z),
+        ))
+    pts[-1] = end
+    return pts
+
+
+def frontload_waypoints(start: Position3, end: Position3, speed: float,
+                        slots: int) -> list[Position3]:
+    """Reference full-speed line, built eagerly: full-speed steps with the
+    remainder on the last one."""
+    d = start.dist(end)
+    if slots == 0:
+        return []
+    ux, uy, uz = (end.x - start.x) / d, (end.y - start.y) / d, (end.z - start.z) / d
+    pts = [Position3(start.x + min(k * speed, d) * ux,
+                     start.y + min(k * speed, d) * uy,
+                     start.z + min(k * speed, d) * uz)
+           for k in range(1, slots + 1)]
+    pts[-1] = end
+    return pts
 
 
 def random_position(rng, zmin=10.0, zmax=120.0):
@@ -163,17 +196,22 @@ class TestSegmentRateCeiling:
         ceiling = segment_rate_ceiling(a, b, cp)
         assert ceiling > 0.0 and not math.isnan(ceiling)
         n = max(delta_lower_bound(a, b, KIN), 1)
-        lines = [(n + stretch, True, _even_waypoints(a, b, n + stretch))]
+        lines = [(n + stretch, True, even_waypoints(a, b, n + stretch))]
         if a.dist(b) > 0.0:  # as the planner, which routes no zero-length line
-            lines.append((n, False, _frontload_waypoints(a, b, KIN.v_max, n)))
+            lines.append((n, False, frontload_waypoints(a, b, KIN.v_max, n)))
         for slots, even, pts in lines:
+            line = _Line(a, b, slots, even, KIN.v_max, cp, NAN * slots)
             for j, p in enumerate(pts):
-                dz = p.z - cp.bs_height
-                if p.x * p.x + p.y * p.y + dz * dz == 0.0:
-                    continue  # at the BS: outside the channel model's domain
-                r = rate_at(p.x, p.y, p.z, cp)
+                try:
+                    r = rate_at(p.x, p.y, p.z, cp)
+                except ChannelDomainError:
+                    # on (or within float underflow of) the BS: outside the
+                    # channel model's domain, for the line as well
+                    with pytest.raises(ChannelDomainError):
+                        line[j]
+                    continue
                 assert r <= ceiling
-                assert _line_rate(a, b, slots, even, j, KIN.v_max, cp) == r
+                assert line[j] == r
 
     def test_is_tight_far_from_the_bs(self):
         a = b = Position3(300.0, -200.0, 60.0)
@@ -185,6 +223,51 @@ class TestSegmentRateCeiling:
         a = Position3(-50.0, 0.0, bs.z)
         assert segment_rate_ceiling(a, Position3(50.0, 0.0, bs.z), CP) == math.inf
         assert segment_rate_ceiling(bs, bs, CP) == math.inf
+
+
+class TestLine:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seg=_segment(), n=st.integers(1, 40), even=st.booleans(), data=st.data())
+    def test_matches_the_eager_reference_bit_for_bit(self, seg, n, even, data):
+        # waypoints, slices, negative indices and rates of both pacings equal
+        # the eagerly built line's, whatever order they are read in, and a
+        # cached line rated halfway by those reads fills to the same rates
+        cp, a, b = seg
+        assume(even or a.dist(b) > 0.0)  # a full-speed line has a direction
+        ref = even_waypoints(a, b, n) if even else frontload_waypoints(a, b, KIN.v_max, n)
+        try:
+            ref_rates = [rate_at(p.x, p.y, p.z, cp) for p in ref]
+        except ChannelDomainError:
+            assume(False)  # a waypoint on the BS
+        pts = _Line(a, b, n, even, KIN.v_max)
+        assert repr(pts.points()) == repr(ref) and repr(list(pts)) == repr(ref)
+        assert pts == ref and ref == pts and len(pts) == n
+        assert pts.points()[-1] == b and pts[-1] == b
+        index = st.integers(-n, n - 1)
+        cut = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+        step = st.sampled_from([None, 1, 2, -1, -3])
+        for sl in data.draw(st.lists(st.builds(slice, cut, cut, step),
+                                     max_size=4)):
+            assert repr(pts[sl]) == repr(ref[sl])
+        with pytest.raises(IndexError):
+            pts[n]
+        with pytest.raises(IndexError):
+            pts[-n - 1]
+        cache = LegCache(cp, KIN)
+        line = cache.line(a, b, n, even)
+        for j in data.draw(st.lists(index, max_size=n)):
+            assert repr(pts[j]) == repr(ref[j])
+            assert repr(line[j]) == repr(ref_rates[j])
+        assert cache.line(a, b, n, even) is line
+        assert repr(line.filled()) == repr(ref_rates)
+        assert repr(line.points()) == repr(ref)
+        assert line == ref_rates and list(line) == ref_rates
+
+    def test_no_slots_is_empty(self):
+        a, b = Position3(0, 0, 10), Position3(0, 0, 10)
+        for even in (False, True):
+            line = _Line(a, b, 0, even, KIN.v_max, CP, NAN * 0)
+            assert line.points() == [] and line.filled() == [] and line == []
 
 
 class TestOptimizeLeg:
@@ -248,7 +331,7 @@ class TestOptimizeLeg:
             n = leg.slots
             if n <= straight.slots:
                 continue
-            shorter = _even_waypoints(start, end, n - 1)
+            shorter = even_waypoints(start, end, n - 1)
             assert sum(rate_at(p.x, p.y, p.z, CP) for p in shorter) < residual
 
     def test_infeasible_leg_raises(self):
@@ -262,7 +345,7 @@ class TestOptimizeLeg:
         # hover cannot carry 100 Mbit, and the 4-slot evenly paced line puts
         # its second waypoint exactly on the BS, where the model has no value
         start, end = Position3(-75, 0, CP.bs_height), Position3(75, 0, CP.bs_height)
-        assert _even_waypoints(start, end, 4)[1] == CP.bs_position
+        assert even_waypoints(start, end, 4)[1] == CP.bs_position
         with pytest.raises(ChannelDomainError, match=r"\(0\.0, 0\.0, 25\.0\)"):
             optimize_leg(start, end, 100e6, CP, KIN)
 
@@ -479,8 +562,8 @@ class TestGrantedSlotScan:
         cache = LegCache(CP, KIN)
         optimize_leg(start, end, 40e6, CP, KIN, grant_from_mask(mask_of("0001" * 15)), 1,
                      cache=cache)
-        half = [key for key, rates in cache.lines.items()
-                if key[0] != start and not key[3] and any(math.isnan(r) for r in rates)]
+        half = [key for key, line in cache.lines.items()
+                if key[0] != start and not key[3] and any(math.isnan(r) for r in line.rates)]
         assert half  # a masked detour search left a route line partly rated
         for a, b, n, _ in half:
             assert delta_lower_bound(a, b, KIN) == n
@@ -489,7 +572,7 @@ class TestGrantedSlotScan:
                 cold = optimize_leg(a, b, residual, CP, KIN)
                 assert warm == cold
                 assert not any(math.isnan(r) for r in warm.rates)
-            assert not any(math.isnan(r) for r in cache.lines[(a, b, n, False)])
+            assert not any(math.isnan(r) for r in cache.lines[(a, b, n, False)].rates)
 
     def test_masked_corpus_matches_the_dense_scan(self):
         # digest of 200 legs as the dense scan, which rated every point of
@@ -542,7 +625,7 @@ def eager_initial_leg(start, end, residual, v0, cp):
     d = start.dist(end)
     slots = 0 if d <= 0 else max(1, math.ceil(d / v0 - 1e-9))
     while True:
-        pts = _even_waypoints(start, end, slots) if slots else []
+        pts = even_waypoints(start, end, slots) if slots else []
         rates = [rate_at(p.x, p.y, p.z, cp) for p in pts]
         total = 0.0
         for r in rates:
