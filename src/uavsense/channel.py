@@ -2,7 +2,8 @@
 
 Pure evaluation of the UAV-to-BS link on one subcarrier: 3D/horizontal
 distances, LoS probability, average pathloss, SNR and the per-slot
-achievable rate, plus an upper bound of that rate over a straight segment
+achievable rate, the gradient of that rate (which the leg planner's
+detours follow), and an upper bound of the rate over a straight segment
 (which lets the leg planner skip candidates).  All dBm-to-linear
 conversions happen once when the parameter set is constructed; everything
 on the hot path is plain float math in linear milliwatts.
@@ -25,11 +26,14 @@ __all__ = [
     "average_pathloss",
     "snr",
     "link_rate",
+    "rate_gradient_at",
     "segment_rate_ceiling",
 ]
 
 _LOG10 = math.log10
 _EXP = math.exp
+_LN10 = math.log(10.0)
+_RATE_PER_DB = _LN10 / (10.0 * math.log(2.0))  # -d log2(1 + gamma) / d pl at gamma >> 1
 _CEILING_SLACK_M = 1e-6  # m; waypoints may sit this far off their segment by rounding
 _CEILING_MARGIN = 1e-6  # relative headroom of a rate ceiling over float rounding
 
@@ -189,6 +193,70 @@ def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
     except (ValueError, ArithmeticError) as exc:
         raise ChannelDomainError(
             f"no channel rate at ({x!r}, {y!r}, {z!r}) with the BS at height "
+            f"{params.bs_height!r}: {exc}"
+        ) from exc
+
+
+def rate_gradient_at(x: float, y: float, z: float,
+                     params: ChannelParams) -> tuple[float, float, float]:
+    """Gradient of ``rate_at`` at raw coordinates, in bits per slot per meter.
+
+    The derivative of the formula ``rate_at`` evaluates, branch by branch:
+    the LoS pathloss alone inside the breakpoint (``d_h <= d1``) and where
+    the LoS probability saturates at 1, the LoS/NLoS mixture beyond it.  The
+    breakpoint ``d1`` is constant in z where its 18 m floor holds, and so is
+    a LoS probability clamped at 0.  On a branch boundary it is the
+    derivative of the branch ``rate_at`` takes there.  The rate falls
+    strictly as the average pathloss ``pl`` rises, so the gradient is
+    ``-grad pl`` times a positive factor.  Raises ``ChannelDomainError``
+    wherever ``rate_at`` does.
+    """
+    try:
+        log_z = _LOG10(z)
+        dlog_z = 1.0 / (z * _LN10)  # d log10(z) / dz
+        d1 = 460.0 * log_z - 700.0
+        if d1 < 18.0:
+            d1, d1_z = 18.0, 0.0
+        else:
+            d1_z = 460.0 * dlog_z
+        d_h = math.hypot(x, y)
+        dz = z - params.bs_height
+        d = math.sqrt(x * x + y * y + dz * dz)
+        log_d = _LOG10(d)
+        pl_los = 28.0 + 22.0 * log_d + params._fc_db
+        # grad pl = pl_d * grad log10(d) + pl_h * grad d_h + (0, 0, pl_z)
+        pl_d, pl_h, pl_z = 22.0, 0.0, 0.0
+        if d_h <= d1:
+            pl = pl_los
+        else:
+            p0 = 4300.0 * log_z - 3800.0
+            e = _EXP((-d_h / p0) * (1.0 - d1 / d_h))
+            p_los = d1 / d_h + e
+            if p_los >= 1.0:
+                pl = pl_los
+            else:
+                if p_los < 0.0:
+                    p_los, p_h, p_z = 0.0, 0.0, 0.0
+                else:
+                    p_h = -d1 / (d_h * d_h) - e / p0
+                    p_z = d1_z / d_h + e * (d1_z / p0
+                                            + (d_h - d1) * 4300.0 * dlog_z / (p0 * p0))
+                slope = 46.0 - 7.0 * log_z
+                pl_nlos = -17.5 + slope * log_d + params._nlos_db
+                pl = p_los * pl_los + (1.0 - p_los) * pl_nlos
+                gap = pl_los - pl_nlos
+                pl_d = 22.0 * p_los + slope * (1.0 - p_los)
+                pl_h = gap * p_h
+                pl_z = gap * p_z - (1.0 - p_los) * 7.0 * dlog_z * log_d
+        gamma = params.tx_mw / (10.0 ** (pl / 10.0)) / params.noise_mw
+        scale = (-params.subcarrier_bandwidth * params.slot_duration * _RATE_PER_DB
+                 * gamma / (1.0 + gamma))  # d rate / d pl
+        k = pl_d / (d * d * _LN10)
+        h = pl_h / d_h if pl_h else 0.0
+        return (scale * (k * x + h * x), scale * (k * y + h * y), scale * (k * dz + pl_z))
+    except (ValueError, ArithmeticError) as exc:
+        raise ChannelDomainError(
+            f"no channel rate gradient at ({x!r}, {y!r}, {z!r}) with the BS at height "
             f"{params.bs_height!r}: {exc}"
         ) from exc
 

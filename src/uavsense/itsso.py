@@ -154,19 +154,22 @@ def initial_solution(
     scenario,
     cfg: ItssoConfig,
     locations: Mapping[tuple[int, int], Position3] | None = None,
+    cache: LegCache | None = None,
 ) -> Solution:
     """Feasible slow-speed starting point with a seeded random schedule.
 
     Without ``locations`` every worker senses from right above its task,
     and a scenario whose threshold no placement can meet raises
     ``InfeasibleScenario``.  Pinned ``locations`` are taken as given: the
-    threshold is not checked against them.
+    threshold is not checked against them.  ``cache`` shares the drain
+    legs' gradient walks with the caller's later plans, whose drains start
+    from the same last sensing locations.
     """
     if locations is None:
         locations = default_initial_locations(scenario)
         _check_feasible(scenario, locations)
     v0 = _INITIAL_SPEED_RATIO * scenario.kinematics.v_max
-    plans = _build_plans(scenario, locations, None, v0)
+    plans = _build_plans(scenario, locations, None, v0, cache)
     outcome = run(
         plans, RandomScheduler(scenario.k, cfg.rng_seed), scenario.tasks,
         scenario.channel, scenario.kinematics, record_trace=False,
@@ -192,7 +195,8 @@ def run_itsso(
     ``fixed_locations`` realizes schemes that pin sensing locations: they
     are never moved by the sensing-location search and never checked
     against the probability threshold.  One ``LegCache`` serves every leg
-    planned in this call and is dropped with it.
+    planned in this call, the initial iterate's drains included, and is
+    dropped with it.
 
     Iterates are simulated untraced.  With ``record_trace`` the returned
     solution's trace comes from one replay of its plans under its own grant
@@ -201,7 +205,7 @@ def run_itsso(
     """
     cfg = cfg or ItssoConfig()
     cache = LegCache(scenario.channel, scenario.kinematics)
-    best = initial_solution(scenario, cfg, locations=fixed_locations)
+    best = initial_solution(scenario, cfg, locations=fixed_locations, cache=cache)
     history = list(best.history)
     candidates = list(best.candidate_history)
     passes = 0

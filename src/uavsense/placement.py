@@ -16,6 +16,8 @@ the symmetric radius at which the whole group exactly meets the threshold.
 Without it the search parks all slack on one member (the probability
 product barely constrains a single far member once the others cover the
 task), which degenerates into sensing from wherever the UAV happens to be.
+A retreat that would leave the budget stops where its line exits the
+budget sphere, a root of a quadratic in closed form (``_retreat``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .channel import ChannelParams, Position3
 from .sensing import SensingParams, Task, required_sensing_radius, sensing_success_coop
 from .simulator import UavPlan
 from .trajectory import (
+    _ROOT_SLACK_M,
     GrantFn,
     KinematicParams,
     LegCache,
@@ -78,6 +81,50 @@ def adjust_collinear(
         current.y + s * dy,
         max(current.z + s * dz, kin.h_min),
     )
+
+
+def _retreat(cur: Position3, tr: Position3, center: Position3, budget: float,
+             kin: KinematicParams) -> Optional[Position3]:
+    """At most one slot from ``cur`` back toward the turning point ``tr``.
+
+    The step shortens when it would overshoot the turning point or leave the
+    budget sphere (radius ``budget`` around ``center``): the location then
+    lands exactly on the turning point, or where the line exits the sphere,
+    the root of ``|cur + s u - center| = budget`` in closed form, aimed
+    ``_ROOT_SLACK_M`` inside it so that rounding cannot land outside.  Both
+    ends of the retreat sit at or above the altitude floor, so the floor
+    cannot bend the line inside it; the landing point is still clamped to
+    it.  None when there is no move: ``cur`` on the turning point, less
+    than 1e-6 m from where the line leaves the sphere, or outside a sphere
+    the line misses.
+    """
+    gap = cur.dist(tr)
+    if gap <= _EPS:
+        return None
+    step = min(kin.v_max, gap)
+    ux, uy, uz = (tr.x - cur.x) / gap, (tr.y - cur.y) / gap, (tr.z - cur.z) / gap
+
+    def at(s: float) -> Position3:
+        return Position3(cur.x + s * ux, cur.y + s * uy, max(cur.z + s * uz, kin.h_min))
+
+    cand = at(step)
+    if cand.dist(center) > budget:
+        wx, wy, wz = cur.x - center.x, cur.y - center.y, cur.z - center.z
+        r = budget - _ROOT_SLACK_M
+        b = wx * ux + wy * uy + wz * uz
+        c = wx * wx + wy * wy + wz * wz - r * r
+        disc = b * b - c
+        if disc < 0.0:
+            return None  # the line misses the sphere
+        root = math.sqrt(disc)
+        s = -c / (b + root) if b > 0.0 else root - b  # the larger root, without cancellation
+        # a location already on the sphere gives a root of rounding size
+        if s <= 1e-6:
+            return None
+        cand = at(s)
+        if cand.dist(center) > budget:
+            return None
+    return cand
 
 
 class _Search:
@@ -182,41 +229,6 @@ class _Search:
                           self.grants.get(uav), first, self.cache).slots
 
     # -- moves -------------------------------------------------------------
-    def _shrink_location(self, uav: int, idx: int, task: Task) -> Optional[Position3]:
-        """At most one slot back toward the turning point.
-
-        The step shortens when it would overshoot the turning point or leave
-        the task's distance budget: the location then lands exactly on the
-        turning point or on the budget sphere.
-        """
-        p = self.plans[uav]
-        cur = p.sensing_locations[idx]
-        tr = p.legs[idx].turning_point
-        gap = cur.dist(tr)
-        if gap <= _EPS:
-            return None
-        budget = self.budget[task.id]
-        step = min(self.kin.v_max, gap)
-        ux, uy, uz = (tr.x - cur.x) / gap, (tr.y - cur.y) / gap, (tr.z - cur.z) / gap
-
-        def at(s: float) -> Position3:
-            return Position3(cur.x + s * ux, cur.y + s * uy,
-                             max(cur.z + s * uz, self.kin.h_min))
-
-        cand = at(step)
-        if cand.dist(task.location) > budget:
-            lo, hi = 0.0, step
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if at(mid).dist(task.location) <= budget:
-                    lo = mid
-                else:
-                    hi = mid
-            if lo <= 1e-6:
-                return None
-            cand = at(lo)
-        return cand
-
     def _grow_location(self, uav: int, idx: int, task: Task) -> Optional[Position3]:
         """One slot along the line away from the turning point, toward the task."""
         p = self.plans[uav]
@@ -247,7 +259,8 @@ class _Search:
         plan = self.plans[i]
         if plan.legs[idx].slots <= self.lower_bound(i, idx):
             return False
-        new_loc = self._shrink_location(i, idx, task)
+        new_loc = _retreat(plan.sensing_locations[idx], plan.legs[idx].turning_point,
+                           task.location, self.budget[task.id], self.kin)
         if new_loc is None:
             return False
         t_ref = self.t[i]

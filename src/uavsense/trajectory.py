@@ -5,7 +5,11 @@ next while uploading the data collected at the leg's start.  Legs are built
 at maximum speed (slower speeds never finish earlier) and, when the straight
 line does not give enough transmission capacity, are prefixed with a
 rate-gradient detour toward the BS: the shortest detour that makes the
-upload fit wins.
+upload fit wins.  A detour walks at full speed along the closed-form
+gradient of the rate (``channel.rate_gradient_at``), and a step that would
+end within ``_BS_STANDOFF`` of the BS stops where it enters that sphere,
+the smaller root of a quadratic.  No channel evaluation steers the walk:
+it rates only the points it lands on.
 
 Masks: planners accept ``is_granted(abs_slot) -> bool`` describing which
 slots the caller expects to hold a subcarrier (slot of waypoint k is
@@ -55,7 +59,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional
 
-from .channel import ChannelParams, Position3, rate_at, segment_rate_ceiling
+from .channel import (
+    ChannelParams,
+    Position3,
+    rate_at,
+    rate_gradient_at,
+    segment_rate_ceiling,
+)
 
 __all__ = [
     "KinematicParams",
@@ -78,7 +88,7 @@ _BS_STANDOFF = 1.0  # m; gradient steps never land closer to the BS than this
 _NAN = array("d", [math.nan])  # an unrated line point
 _MAX_STRETCH = 100000  # slots; an initial leg needing more is infeasible
 _MAX_DETOUR_FACTOR = 10  # extra slots a leg may take: this many times its minimum, at least 20
-_GRADIENT_STEP = 0.1  # m; central-difference step of ``rate_gradient``
+_ROOT_SLACK_M = 1e-10  # m; a closed-form sphere crossing is aimed this far on the safe side
 
 
 class LegInfeasible(RuntimeError):
@@ -148,23 +158,20 @@ def rate_gradient(
 ) -> Optional[tuple[float, float, float]]:
     """Unit direction of steepest rate increase at ``pos``.
 
-    Central finite differences with a ``_GRADIENT_STEP`` step; if a
-    full-speed move along the raw direction would sink below the altitude
-    floor, the vertical component is dropped and the rest renormalized.
-    Returns None when no ascent direction exists (degenerate gradient);
-    callers fall back to a horizontal step toward the BS.
+    The direction of ``channel.rate_gradient_at``, the closed-form gradient
+    of ``rate_at`` (along ``-grad pl``, since the rate falls strictly as the
+    average pathloss rises); it raises ``ChannelDomainError`` wherever
+    ``rate_at`` does.  If a full-speed move along it would sink below the
+    altitude floor, the vertical component is dropped and the rest
+    renormalized.  Returns None when no ascent direction exists (degenerate
+    gradient); callers fall back to a horizontal step toward the BS.
     """
-    x, y, z = pos
-    step = _GRADIENT_STEP
-    gx = rate_at(x + step, y, z, params) - rate_at(x - step, y, z, params)
-    gy = rate_at(x, y + step, z, params) - rate_at(x, y - step, z, params)
-    zl = max(z - step, 1e-6)  # keep the probe inside the z > 0 domain
-    gz = rate_at(x, y, z + step, params) - rate_at(x, y, zl, params)
+    gx, gy, gz = rate_gradient_at(pos.x, pos.y, pos.z, params)
     norm = math.sqrt(gx * gx + gy * gy + gz * gz)
     if norm <= 0.0 or not math.isfinite(norm):
         return None
     gx, gy, gz = gx / norm, gy / norm, gz / norm
-    if z + kin.v_max * gz < kin.h_min:
+    if pos.z + kin.v_max * gz < kin.h_min:
         h = math.hypot(gx, gy)
         if h <= 1e-12:
             return None
@@ -192,20 +199,22 @@ def _gradient_step(pos: Position3, speed: float, cp: ChannelParams,
         )
     bs = cp.bs_position
     if nxt.dist(bs) < _BS_STANDOFF:
-        # pull back along the step so the link stays out of the singularity
+        # stop where the step enters the standoff sphere, so the link stays
+        # out of the singularity: the smaller root of |w + s v| = r, with w
+        # the start's offset from the BS and v the step, aimed _ROOT_SLACK_M
+        # outside the sphere so that rounding cannot land inside it
         vx, vy, vz = nxt.x - pos.x, nxt.y - pos.y, nxt.z - pos.z
-        span = math.sqrt(vx * vx + vy * vy + vz * vz)
-        if span <= 1e-12:
+        wx, wy, wz = pos.x - bs.x, pos.y - bs.y, pos.z - bs.z
+        r = _BS_STANDOFF + _ROOT_SLACK_M
+        c = wx * wx + wy * wy + wz * wz - r * r
+        if c <= 0.0:
+            return pos  # already at the standoff: hover
+        a = vx * vx + vy * vy + vz * vz
+        b = wx * vx + wy * vy + wz * vz  # < 0: the step ends inside the sphere
+        s = c / (math.sqrt(b * b - a * c) - b)
+        nxt = Position3(pos.x + s * vx, pos.y + s * vy, pos.z + s * vz)
+        if nxt.dist(bs) < _BS_STANDOFF:
             return pos
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            cand = Position3(pos.x + mid * vx, pos.y + mid * vy, pos.z + mid * vz)
-            if cand.dist(bs) < _BS_STANDOFF:
-                hi = mid
-            else:
-                lo = mid
-        nxt = Position3(pos.x + lo * vx, pos.y + lo * vy, pos.z + lo * vz)
     return nxt
 
 

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uavsense.bench import ScenarioConfig, generate_scenario
 from uavsense.channel import ChannelParams, Position3
 from uavsense.itsso import ItssoConfig, default_initial_locations, run_itsso
 from uavsense.placement import (
+    _retreat,
     adjust_collinear,
     optimize_sensing_locations,
 )
@@ -61,6 +64,104 @@ class TestAdjustCollinear:
         p = Position3(10, 10, 20)
         with pytest.raises(ValueError):
             adjust_collinear(p, p, 1.0, KIN)
+
+
+def bisection_retreat(cur, tr, center, budget, kin):
+    """Reference retreat: at most one slot toward ``tr``, cut short where a
+    40-step bisection finds the line leaving the budget sphere."""
+    gap = cur.dist(tr)
+    if gap <= 1e-9:
+        return None
+    step = min(kin.v_max, gap)
+    ux, uy, uz = (tr.x - cur.x) / gap, (tr.y - cur.y) / gap, (tr.z - cur.z) / gap
+
+    def at(s):
+        return Position3(cur.x + s * ux, cur.y + s * uy, max(cur.z + s * uz, kin.h_min))
+
+    cand = at(step)
+    if cand.dist(center) > budget:
+        lo, hi = 0.0, step
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if at(mid).dist(center) <= budget:
+                lo = mid
+            else:
+                hi = mid
+        if lo <= 1e-6:
+            return None
+        cand = at(lo)
+    return cand
+
+
+_unit = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: math.hypot(*v) > 1e-3)
+
+
+@st.composite
+def _retreat_case(draw):
+    """A location inside the budget sphere around a ground task, above the
+    floor, and a turning point above the floor up to four slots away."""
+    center = Position3(draw(st.floats(-500, 500)), draw(st.floats(-500, 500)), 0.0)
+    budget = draw(st.floats(15, 150))
+    v = draw(_unit)
+    f = budget * draw(st.floats(0, 1)) / math.hypot(*v)
+    cur = Position3(center.x + f * v[0], center.y + f * v[1], abs(f * v[2]))
+    assume(cur.z >= KIN.h_min)
+    w = draw(_unit)
+    g = draw(st.floats(1, 200)) / math.hypot(*w)
+    tr = Position3(cur.x + g * w[0], cur.y + g * w[1], max(cur.z + g * w[2], KIN.h_min))
+    return cur, tr, center, budget
+
+
+class TestRetreat:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=_retreat_case())
+    def test_lands_on_the_budget_sphere_and_never_outside(self, case):
+        cur, tr, center, budget = case
+        got = _retreat(cur, tr, center, budget, KIN)
+        full = min(KIN.v_max, cur.dist(tr))
+        u = np.subtract(tr, cur) / cur.dist(tr)
+        if got is None:
+            return
+        assert got.dist(center) <= budget
+        assert got.z >= KIN.h_min
+        assert cur.dist(got) <= full + 1e-9
+        assert np.linalg.norm(np.cross(np.subtract(got, cur), u)) < 1e-9  # on the line
+        if cur.dist(got) < full - 1e-6:  # cut short: on the sphere
+            assert budget - got.dist(center) <= 1e-9
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=_retreat_case())
+    def test_agrees_with_the_bisection(self, case):
+        # both land within 1e-9 m of the sphere, the closed form 1e-10 m
+        # inside it and the bisection within its 2**-40 step; their points
+        # agree to 1e-9 m unless the line grazes the sphere, where the
+        # exit is ill-conditioned for both
+        cur, tr, center, budget = case
+        got = _retreat(cur, tr, center, budget, KIN)
+        ref = bisection_retreat(cur, tr, center, budget, KIN)
+        assert (got is None) == (ref is None)
+        if got is None:
+            return
+        assert abs(got.dist(center) - ref.dist(center)) <= 1e-9
+        radial = np.subtract(got, center) / got.dist(center)
+        if abs(np.dot(radial, np.subtract(tr, cur) / cur.dist(tr))) >= 0.2:
+            assert got.dist(ref) <= 1e-9
+
+    @pytest.mark.parametrize("budget", [15.0, 47.3, 123.456789])
+    def test_a_location_on_the_sphere_does_not_move(self, budget):
+        # a retreat outward from the sphere's surface has a root of rounding
+        # size, which is no move
+        center = Position3(120.0, -340.0, 0.0)
+        rng = np.random.default_rng(int(budget))
+        for _ in range(200):
+            v = rng.normal(size=3)
+            v[2] = abs(v[2]) + 0.2
+            v /= np.linalg.norm(v)
+            cur = Position3(*(np.asarray(center) + budget * v))
+            if cur.z < KIN.h_min:
+                continue
+            tr = Position3(*(np.asarray(cur) + rng.uniform(5, 100) * v))
+            assert _retreat(cur, tr, center, budget, KIN) is None
 
 
 class TestDeltaBounds:

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uavsense import trajectory
 from uavsense.channel import (
     ChannelDomainError,
     ChannelParams,
     Position3,
     rate_at,
+    rate_gradient_at,
     segment_rate_ceiling,
 )
 from uavsense.itsso import _leg_to_dict
@@ -32,7 +34,7 @@ from uavsense.trajectory import (
     rate_gradient,
     replan_leg,
 )
-from uavsense.trajectory import _Line
+from uavsense.trajectory import _BS_STANDOFF, _Line, _gradient_step
 
 CP = ChannelParams()
 KIN = KinematicParams()  # v_max=50, h_min=10
@@ -104,6 +106,88 @@ def near_pathloss_kink(pos: Position3) -> bool:
     return False
 
 
+def central_differences(pos: Position3, cp: ChannelParams,
+                        step: float = 0.1) -> tuple[float, float, float]:
+    """Rate differences across a central stencil of half-width ``step``; the
+    lower z probe is kept inside the z > 0 domain."""
+    x, y, z = pos
+    return (rate_at(x + step, y, z, cp) - rate_at(x - step, y, z, cp),
+            rate_at(x, y + step, z, cp) - rate_at(x, y - step, z, cp),
+            rate_at(x, y, z + step, cp) - rate_at(x, y, max(z - step, 1e-6), cp))
+
+
+def central_difference_gradient(pos: Position3, cp: ChannelParams, kin: KinematicParams):
+    """Reference ``rate_gradient``: the direction of the 0.1 m central
+    differences, with the planner's floor clamp."""
+    gx, gy, gz = central_differences(pos, cp)
+    norm = math.sqrt(gx * gx + gy * gy + gz * gz)
+    if norm <= 0.0 or not math.isfinite(norm):
+        return None
+    gx, gy, gz = gx / norm, gy / norm, gz / norm
+    if pos.z + kin.v_max * gz < kin.h_min:
+        h = math.hypot(gx, gy)
+        if h <= 1e-12:
+            return None
+        return (gx / h, gy / h, 0.0)
+    return (gx, gy, gz)
+
+
+def bisection_gradient_step(pos: Position3, speed: float, cp: ChannelParams,
+                            kin: KinematicParams) -> Position3:
+    """Reference gradient-walk step: along ``central_difference_gradient``,
+    pulled back by a 40-step bisection to where it enters the BS standoff.
+    Gradient walks stepped so when the ``TestGrantedSlotScan`` pins were
+    recorded."""
+    g = central_difference_gradient(pos, cp, kin)
+    if g is None:
+        h = math.hypot(pos.x, pos.y)
+        if h <= 1e-9:
+            return pos
+        d = min(speed, h)
+        nxt = Position3(pos.x - d * pos.x / h, pos.y - d * pos.y / h, pos.z)
+    else:
+        nxt = Position3(pos.x + speed * g[0], pos.y + speed * g[1],
+                        max(pos.z + speed * g[2], kin.h_min))
+    bs = cp.bs_position
+    if nxt.dist(bs) < _BS_STANDOFF:
+        vx, vy, vz = nxt.x - pos.x, nxt.y - pos.y, nxt.z - pos.z
+        if math.sqrt(vx * vx + vy * vy + vz * vz) <= 1e-12:
+            return pos
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            cand = Position3(pos.x + mid * vx, pos.y + mid * vy, pos.z + mid * vz)
+            if cand.dist(bs) < _BS_STANDOFF:
+                hi = mid
+            else:
+                lo = mid
+        nxt = Position3(pos.x + lo * vx, pos.y + lo * vy, pos.z + lo * vz)
+    return nxt
+
+
+def rate_branch(x: float, y: float, z: float, cp: ChannelParams) -> tuple[bool, ...]:
+    """Which piece of ``rate_at``'s formula a point takes: the 18 m floor of
+    the breakpoint, inside the breakpoint, LoS probability clamped at 1 or
+    at 0."""
+    log_z = math.log10(z)
+    d1_raw = 460.0 * log_z - 700.0
+    d1 = max(d1_raw, 18.0)
+    d_h = math.hypot(x, y)
+    if d_h <= d1:
+        return (d1_raw < 18.0, True, False, False)
+    p = d1 / d_h + math.exp((-d_h / (4300.0 * log_z - 3800.0)) * (1.0 - d1 / d_h))
+    return (d1_raw < 18.0, False, p >= 1.0, p < 0.0)
+
+
+def angle(u, v) -> float:
+    cos = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    return math.acos(min(1.0, max(-1.0, cos)))
+
+
+_cp = st.builds(ChannelParams, tx_power=st.sampled_from([23.0, 0.0, 10.0, 30.0]),
+                bs_height=st.sampled_from([25.0, 10.0, 45.0, 80.0]))
+
+
 class TestDeltaLowerBound:
     def test_zero_distance(self):
         p = Position3(10, 10, 20)
@@ -154,9 +238,62 @@ class TestRateGradient:
             assert math.acos(cos) < 1e-3
             checked += 1
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(-800, 800), y=st.floats(-800, 800), z=st.floats(10.2, 150),
+           cp=_cp)
+    def test_analytic_gradient_matches_the_central_difference_off_the_branches(
+            self, x, y, z, cp):
+        # where no point of the 0.1 m stencil takes another piece of the
+        # formula than the centre, the closed form points where the central
+        # difference does, within 1e-3 rad, and is the rate's gradient: its
+        # size is that of a 0.1 mm stencil's within 0.01%
+        h = 0.1
+        stencil = [(x + h, y, z), (x - h, y, z), (x, y + h, z), (x, y - h, z),
+                   (x, y, z + h), (x, y, z - h)]
+        branch = rate_branch(x, y, z, cp)
+        assume(all(rate_branch(*p, cp) == branch for p in stencil))
+        assume(math.hypot(x, y, z - cp.bs_height) > 1.0)
+        g = np.asarray(rate_gradient_at(x, y, z, cp))
+        ref = np.asarray(central_differences(Position3(x, y, z), cp, h)) / (2 * h)
+        assert angle(g, ref) < 1e-3
+        fine = np.asarray(central_differences(Position3(x, y, z), cp, 1e-4)) / 2e-4
+        assert np.linalg.norm(g) == pytest.approx(np.linalg.norm(fine), rel=1e-4)
 
-_cp = st.builds(ChannelParams, tx_power=st.sampled_from([23.0, 0.0, 10.0, 30.0]),
-                bs_height=st.sampled_from([25.0, 10.0, 45.0, 80.0]))
+    @pytest.mark.parametrize("pos", [
+        CP.bs_position, Position3(30.0, 0.0, 0.0), Position3(0.0, 0.0, -5.0),
+        Position3(-200.0, 100.0, -1e-9),
+    ])
+    def test_no_gradient_on_the_bs_or_at_or_below_the_ground(self, pos):
+        with pytest.raises(ChannelDomainError):
+            rate_at(pos.x, pos.y, pos.z, CP)
+        with pytest.raises(ChannelDomainError, match="no channel rate gradient"):
+            rate_gradient_at(pos.x, pos.y, pos.z, CP)
+        with pytest.raises(ChannelDomainError):
+            rate_gradient(pos, CP, KIN)
+
+
+class TestBsStandoff:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(bs_height=st.sampled_from([25.0, 10.0, 45.0, 80.0]),
+           x=st.floats(-17, 17), y=st.floats(-17, 17), dz=st.floats(-40, 0),
+           overshoot=st.floats(-0.99, 0.99))
+    def test_a_step_aimed_through_the_bs_stops_at_the_standoff(self, bs_height, x, y, dz,
+                                                               overshoot):
+        # inside the 18 m breakpoint the link is LoS, so from the BS height
+        # or below (where the floor clamp leaves it alone) the rate gradient
+        # points straight at the BS; a step whose end falls within the
+        # standoff stops where it enters the standoff sphere
+        cp = ChannelParams(bs_height=bs_height)
+        bs = cp.bs_position
+        pos = Position3(x, y, max(bs_height + dz, KIN.h_min))
+        dist = pos.dist(bs)
+        assume(dist > 1.5)
+        assert angle(rate_gradient(pos, cp, KIN), np.subtract(bs, pos)) < 1e-6
+        nxt = _gradient_step(pos, dist + overshoot, cp, KIN)
+        assert _BS_STANDOFF <= nxt.dist(bs) <= _BS_STANDOFF + 1e-9
+        # on the step's own line
+        v = np.subtract(nxt, pos)
+        assert angle(v, np.subtract(bs, pos)) < 1e-6
 
 
 @st.composite
@@ -538,24 +675,44 @@ def _masked_corpus():
     return calls
 
 
+@pytest.fixture
+def bisection_walk(monkeypatch):
+    """Gradient walks that take ``bisection_gradient_step``."""
+    monkeypatch.setattr(trajectory, "_gradient_step", bisection_gradient_step)
+
+
 class TestGrantedSlotScan:
     """The scan rates only summed points and skips checks a rate ceiling
-    rules out; these pin the legs it returns to those of a dense scan."""
+    rules out; these pin the legs it returns to those of a dense scan.
 
-    def test_hover_pauses_reach_the_residual_before_a_denied_route(self):
+    The pins were recorded with gradient walks along the central-difference
+    direction and a bisected BS standoff (``bisection_gradient_step``; 9
+    steps of the corpus walks stop at the standoff).  Each check runs once
+    with that walk and once, pinned anew, with the closed-form walk the
+    planner takes."""
+
+    def check_hover_pauses(self, tp: Position3) -> None:
         # the held capacity reaches the residual only through the pauses at
         # the turning point, and every slot of the route is denied
         start, end = Position3(-106.0, 179.0, 84.0), Position3(-208.0, 205.0, 120.0)
         mask = mask_of("100100000001001000000000010000")
         residual = 25.1e6
         leg = optimize_leg(start, end, residual, CP, KIN, grant_from_mask(mask), 1)
-        tp = Position3(-56.97948623399388, 96.22006324830403, 56.71499859809383)
         assert (leg.slots, leg.detour_slots, leg.route_slots, leg.turning_point) == (8, 4, 4, tp)
         d1 = leg.waypoints.index(tp) + 1
         assert d1 == 2
         assert not any(mask[leg.detour_slots:leg.slots])
         assert masked_capacity(leg.waypoints[:d1], mask, 1) < residual
         assert masked_capacity(leg.waypoints[:leg.detour_slots], mask, 1) >= residual
+
+    def test_hover_pauses_reach_the_residual_before_a_denied_route(
+            self, bisection_walk):
+        self.check_hover_pauses(
+            Position3(-56.97948623399388, 96.22006324830403, 56.71499859809383))
+
+    def test_hover_pauses_reach_the_residual_before_a_denied_route_on_the_analytic_walk(self):
+        self.check_hover_pauses(
+            Position3(-56.979481342892086, 96.22006755073286, 56.714994332364455))
 
     def test_half_rated_route_line_comes_back_whole_as_a_straight_line(self):
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
@@ -574,7 +731,7 @@ class TestGrantedSlotScan:
                 assert not any(math.isnan(r) for r in warm.rates)
             assert not any(math.isnan(r) for r in cache.lines[(a, b, n, False)].rates)
 
-    def test_masked_corpus_matches_the_dense_scan(self):
+    def check_masked_corpus(self, digest: str) -> None:
         # digest of 200 legs as the dense scan, which rated every point of
         # every candidate line, returned them (cold and with one shared cache)
         for cache in (None, LegCache(CP, KIN)):
@@ -584,7 +741,13 @@ class TestGrantedSlotScan:
                 if leg != "infeasible":
                     leg = (leg.waypoints, leg.rates, leg.detour_slots, leg.route_slots)
                 h.update(repr(leg).encode())
-            assert h.hexdigest()[:16] == "e5a95b0e3ef80eea"
+            assert h.hexdigest()[:16] == digest
+
+    def test_masked_corpus_matches_the_dense_scan(self, bisection_walk):
+        self.check_masked_corpus("e5a95b0e3ef80eea")
+
+    def test_masked_corpus_matches_the_dense_scan_on_the_analytic_walk(self):
+        self.check_masked_corpus("87605dc1dc66e3ef")
 
 
 class TestSpeedOptimality:
