@@ -1,13 +1,7 @@
 """Slot-based simulator and completion-time optimizer for cooperative
 sensing UAV cellular networks."""
 
-from .analysis import (
-    DominanceModel,
-    SensitivityInputs,
-    dTmax_dPRth,
-    dTmax_dq,
-    dominance_threshold,
-)
+from .analysis import SensitivityInputs, dTmax_dPRth, dTmax_dq
 from .audit import audit_trace
 from .bench import (
     ExperimentResult,
@@ -20,13 +14,7 @@ from .bench import (
     run_experiment,
     run_scheme,
 )
-from .channel import (
-    ChannelParams,
-    Position3,
-    average_pathloss,
-    link_rate,
-    los_probability,
-)
+from .channel import ChannelParams, Position3, rate_at
 from .itsso import ItssoConfig, Solution, initial_solution, run_itsso
 from .placement import SensingAssignment, adjust_collinear, optimize_sensing_locations
 from .scheduler import GreedyScheduler, RandomScheduler, schedule_slot

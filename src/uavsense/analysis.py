@@ -4,26 +4,19 @@ Under the symmetric-distance idealization (every group member sensing from
 the radius that exactly meets the threshold), the completion time responds
 to the group size q and the threshold pr_th through that radius alone.
 The marginal slot cost per task is the radius change divided by the top
-speed, times the number of tasks per UAV.  The module also carries the
-crowding model: mean upload time scales like M/K, and transmission becomes
-the binding resource once K drops below eta*M divided by the mean
-kinematic leg bound.
+speed, times the number of tasks per UAV.  ``uavsense analyze --op
+dtdq`` and ``--op dtdpr`` evaluate them at a given point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
     "SensitivityInputs",
-    "DominanceModel",
     "dTmax_dq",
     "dTmax_dPRth",
-    "dominance_threshold",
-    "fit_eta",
-    "knee_subcarriers",
 ]
 
 
@@ -62,48 +55,3 @@ def dTmax_dPRth(inp: SensitivityInputs) -> float:
         / (inp.lam * inp.q * (1.0 - u))
         * (inp.n_tasks_per_uav / inp.v_max)
     )
-
-
-@dataclass(frozen=True)
-class DominanceModel:
-    eta: float  # fitted mean-upload-time coefficient: tran_time ~ eta * M / K
-    mean_leg_lower_bound: float  # slots
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if self.eta <= 0 or self.mean_leg_lower_bound <= 0:
-            raise ValueError("eta and the mean leg bound must be positive")
-
-
-def dominance_threshold(model: DominanceModel) -> float:
-    """Subcarrier count below which transmission dominates completion time."""
-    return model.eta * model.m / model.mean_leg_lower_bound
-
-
-def fit_eta(load_ratios: Sequence[float], mean_tran_times: Sequence[float]) -> float:
-    """Least-squares through the origin of mean upload time vs M/K."""
-    if len(load_ratios) != len(mean_tran_times) or not load_ratios:
-        raise ValueError("need matching, non-empty samples")
-    sxy = sum(x * y for x, y in zip(load_ratios, mean_tran_times))
-    sxx = sum(x * x for x in load_ratios)
-    if sxx <= 0:
-        raise ValueError("degenerate load ratios")
-    return sxy / sxx
-
-
-def knee_subcarriers(ks: Sequence[int], t_means: Sequence[float],
-                     flat_fraction: float = 0.05) -> int:
-    """First K where adding a subcarrier stops paying.
-
-    The knee is the smallest K whose marginal improvement falls below
-    ``flat_fraction`` of the sweep's total drop.
-    """
-    if len(ks) != len(t_means) or len(ks) < 2:
-        raise ValueError("need at least two sweep points")
-    pairs = sorted(zip(ks, t_means))
-    total_drop = max(pairs[0][1] - pairs[-1][1], 1e-12)
-    for (k0, t0), (_, t1) in zip(pairs, pairs[1:]):
-        if t0 - t1 < flat_fraction * total_drop:
-            return k0
-    return pairs[-1][0]

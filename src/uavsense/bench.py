@@ -276,12 +276,6 @@ class ExperimentResult:
     raw: list[tuple[str, float, int, float]]  # scheme, x, instance, value
     manifest: str
 
-    def mean(self, scheme: str, x: float) -> float:
-        for s, xv, mean, _, _ in self.rows:
-            if s == scheme and xv == x:
-                return mean
-        raise KeyError((scheme, x))
-
     def raw_values(self, scheme: str, x: float) -> list[float]:
         return [v for s, xv, _, v in self.raw if s == scheme and xv == x]
 

@@ -1,8 +1,9 @@
 """Urban-macro air-to-ground uplink model.
 
-Pure evaluation of the UAV-to-BS link on one subcarrier: 3D/horizontal
-distances, LoS probability, average pathloss, SNR and the per-slot
-achievable rate, the gradient of that rate (which the leg planner's
+Pure evaluation of the UAV-to-BS link on one subcarrier: ``rate_at``
+carries the whole chain from 3D/horizontal distances through the LoS
+probability, average pathloss and SNR to the per-slot achievable rate.
+Beside it sit the gradient of that rate (which the leg planner's
 detours follow), and an upper bound of the rate over a straight segment
 (which lets the leg planner skip candidates).  All dBm-to-linear
 conversions happen once when the parameter set is constructed; everything
@@ -22,10 +23,7 @@ __all__ = [
     "ChannelDomainError",
     "Position3",
     "ChannelParams",
-    "los_probability",
-    "average_pathloss",
-    "snr",
-    "link_rate",
+    "rate_at",
     "rate_gradient_at",
     "segment_rate_ceiling",
 ]
@@ -55,9 +53,6 @@ class Position3(NamedTuple):
             + (self.y - other.y) ** 2
             + (self.z - other.z) ** 2
         )
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
 
 @dataclass(frozen=True)
@@ -98,73 +93,19 @@ class ChannelParams:
         return Position3(0.0, 0.0, self.bs_height)
 
 
-def _check_geometry(uav: Position3) -> None:
-    if not uav.is_finite():
-        raise ChannelDomainError(f"non-finite UAV position {uav}")
-    if uav.z <= 0.0:
-        raise ChannelDomainError(f"UAV altitude must be positive, got z={uav.z}")
-
-
-def los_probability(uav: Position3, params: ChannelParams) -> float:
-    """LoS probability of the UAV-BS link, clamped to [0, 1].
-
-    Piecewise in the horizontal distance d_H: equals 1 up to the
-    altitude-dependent breakpoint d_1, decays beyond it.
-    """
-    _check_geometry(uav)
-    d_h = math.hypot(uav.x, uav.y)
-    log_z = _LOG10(uav.z)
-    d1 = max(460.0 * log_z - 700.0, 18.0)
-    if d_h <= d1:
-        return 1.0
-    p0 = 4300.0 * log_z - 3800.0
-    raw = d1 / d_h + _EXP((-d_h / p0) * (1.0 - d1 / d_h))
-    if raw < 0.0:
-        return 0.0
-    return raw if raw < 1.0 else 1.0
-
-
-def average_pathloss(uav: Position3, params: ChannelParams) -> float:
-    """Average pathloss in dB: LoS/NLoS pathlosses mixed by the LoS probability.
-
-    All logs are base-10 (dB convention); the carrier frequency enters in GHz.
-    """
-    _check_geometry(uav)
-    d = math.sqrt(uav.x * uav.x + uav.y * uav.y + (uav.z - params.bs_height) ** 2)
-    if d <= 0.0:
-        raise ChannelDomainError("UAV coincides with the BS")
-    p_los = los_probability(uav, params)
-    log_d = _LOG10(d)
-    pl_los = 28.0 + 22.0 * log_d + params._fc_db
-    if p_los >= 1.0:
-        return pl_los
-    pl_nlos = -17.5 + (46.0 - 7.0 * _LOG10(uav.z)) * log_d + params._nlos_db
-    return p_los * pl_los + (1.0 - p_los) * pl_nlos
-
-
-def snr(uav: Position3, params: ChannelParams) -> float:
-    """Linear SNR at the BS for a transmitting UAV."""
-    pl_db = average_pathloss(uav, params)
-    return params.tx_mw / (10.0 ** (pl_db / 10.0)) / params.noise_mw
-
-
-def link_rate(uav: Position3, scheduled: bool, params: ChannelParams) -> float:
-    """Achievable bits per slot; zero whenever the UAV holds no subcarrier."""
-    if not scheduled:
-        _check_geometry(uav)
-        return 0.0
-    gamma = snr(uav, params)
-    return params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
-
-
 def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
-    """Scheduled rate at raw coordinates: the planner/simulator hot path.
+    """Achievable bits per slot of a UAV at (x, y, z) that holds a subcarrier.
 
-    Same result as ``link_rate(Position3(x, y, z), True, params)`` without
-    its up-front domain checks: a point the model has no value at (on the BS
-    itself, at z <= 0, or beyond the LoS breakpoint at an altitude where the
-    LoS scale ``4300 log10 z - 3800`` is 0 or so near it that the decay term
-    overflows) raises ``ChannelDomainError`` naming the point.
+    The model's one implementation: the LoS probability (1 up to the
+    altitude-dependent breakpoint d1, decaying beyond it) mixes the LoS and
+    NLoS pathlosses into the average pathloss, whose SNR gives the Shannon
+    rate.  All logs are base 10 and the carrier frequency is in GHz.
+
+    A point the model has no value at (not finite, on the BS itself, at
+    z <= 0, or beyond the LoS breakpoint at an altitude where the LoS scale
+    ``4300 log10 z - 3800`` is 0 or so near it that the decay term
+    overflows) raises
+    ``ChannelDomainError`` naming the point.
     """
     try:
         log_z = _LOG10(z)
@@ -174,6 +115,8 @@ def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
         d_h = math.hypot(x, y)
         dz = z - params.bs_height
         d = math.sqrt(x * x + y * y + dz * dz)
+        if not math.isfinite(d):
+            raise ValueError("the distance to the BS is not finite")
         log_d = _LOG10(d)
         pl_los = 28.0 + 22.0 * log_d + params._fc_db
         if d_h <= d1:
@@ -222,6 +165,8 @@ def rate_gradient_at(x: float, y: float, z: float,
         d_h = math.hypot(x, y)
         dz = z - params.bs_height
         d = math.sqrt(x * x + y * y + dz * dz)
+        if not math.isfinite(d):
+            raise ValueError("the distance to the BS is not finite")
         log_d = _LOG10(d)
         pl_los = 28.0 + 22.0 * log_d + params._fc_db
         # grad pl = pl_d * grad log10(d) + pl_h * grad d_h + (0, 0, pl_z)

@@ -25,7 +25,7 @@ def schedule_slot(
     requests: Iterable[int],
     completion_times: Mapping[int, float],
     k: int,
-    residuals: Mapping[int, float] | None = None,
+    residuals: Mapping[int, float],
 ) -> frozenset[int]:
     """Grant up to ``k`` subcarriers among the requesting UAVs.
 
@@ -35,11 +35,7 @@ def schedule_slot(
     req = list(requests)
     if len(req) <= k:
         return frozenset(req)
-    if residuals is None:
-        key = lambda i: (-completion_times[i], i)
-    else:
-        key = lambda i: (-completion_times[i], -residuals.get(i, 0.0), i)
-    req.sort(key=key)
+    req.sort(key=lambda i: (-completion_times[i], -residuals[i], i))
     return frozenset(req[:k])
 
 
@@ -50,11 +46,9 @@ class _ProjectsCompletion(Protocol):
 class OnDemand(dict):
     """``uav -> value`` mapping whose values are computed on first read.
 
-    ``fill(uav)`` makes a value, which is then kept.  ``get`` reads through
-    as well (a plain ``dict.get`` never calls ``__missing__``) and returns
-    the default only for a UAV that ``fill`` rejects with ``KeyError``.
-    Only values read so far are stored, so the mapping is meant to be read
-    by key, not iterated.
+    ``fill(uav)`` makes a value, which is then kept.  Only values read so
+    far are stored, so the mapping is meant to be read by key, not iterated
+    (nor through ``get``, which never calls ``__missing__``).
     """
 
     __slots__ = ("_fill",)
@@ -66,12 +60,6 @@ class OnDemand(dict):
     def __missing__(self, uav):
         value = self[uav] = self._fill(uav)
         return value
-
-    def get(self, uav, default=None):
-        try:
-            return self[uav]
-        except KeyError:
-            return default
 
 
 def update_completion_estimates(states: Mapping[int, _ProjectsCompletion], slot: int) -> OnDemand:

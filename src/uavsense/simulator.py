@@ -38,6 +38,8 @@ __all__ = [
     "read_trace",
 ]
 
+_MAX_SLOTS = 100000  # slots; a run needing more raises
+
 SENSING = "sensing"
 TRANSMISSION = "transmission"
 EMPTY = "empty"
@@ -104,7 +106,6 @@ class SimOutcome:
     tau: dict[int, list[int]]
     grants: list[frozenset[int]]
     requests: list[frozenset[int]]
-    tran_durations: dict[tuple[int, int], int]  # (uav, task index) -> slots to drain
     trace: list[TraceRow] | None
 
 
@@ -120,7 +121,7 @@ class _Runtime:
     __slots__ = (
         "uav", "plan", "n_tasks", "cur", "wps", "rates", "leg_slots", "w",
         "residual", "position", "stype", "pending_sense", "done",
-        "t_done", "taus", "chain", "tran_start",
+        "t_done", "taus", "chain",
     )
 
     def __init__(self, plan: UavPlan):
@@ -136,7 +137,6 @@ class _Runtime:
         self.done = self.n_tasks == 0
         self.t_done = 0
         self.taus: list[int] = []
-        self.tran_start: int = 0
         # chain[j]: all-granted slots from "about to walk leg j" to completion
         self.chain = _completion_chain(plan)
         if not self.done and self.leg_slots == 0:
@@ -201,7 +201,6 @@ def run(
     tasks: Mapping[int, Task],
     cp: ChannelParams,
     kin: KinematicParams,
-    max_slots: int = 100000,
     record_trace: bool = True,
 ) -> SimOutcome:
     """Run the protocol until every UAV finishes all its tasks.
@@ -211,6 +210,8 @@ def run(
     completion projection (all future transmission slots granted) and its
     residual bits, both as they stand after the slot's moves.  A scheduler
     that ranks nobody, as in every uncontended slot, projects nobody.
+    A run still going after ``_MAX_SLOTS`` slots raises ``RuntimeError``
+    naming the UAV that holds the most data.
     """
     states = [_Runtime(p) for p in plans]
     by_id = {s.uav: s for s in states}
@@ -223,17 +224,16 @@ def run(
 
     grants_log: list[frozenset[int]] = []
     requests_log: list[frozenset[int]] = []
-    tran_durations: dict[tuple[int, int], int] = {}
     trace: list[TraceRow] | None = [] if record_trace else None
 
     active = [by_id[i] for i in order if not by_id[i].done]
     t = 0
     while active:
         t += 1
-        if t > max_slots:
+        if t > _MAX_SLOTS:
             worst = max(active, key=lambda s: s.residual)
             raise RuntimeError(
-                f"simulation exceeded {max_slots} slots; UAV {worst.uav} still "
+                f"simulation exceeded {_MAX_SLOTS} slots; UAV {worst.uav} still "
                 f"holds {worst.residual:.3g} bits on leg {worst.cur}"
             )
         requests: list[int] = []
@@ -243,7 +243,6 @@ def run(
                 st.taus.append(t)
                 task = tasks[st.plan.task_ids[st.cur]]
                 st.residual += task.data_size
-                st.tran_start = t
                 st.pending_sense = False
                 st.cur += 1
                 st.enter_leg()
@@ -293,8 +292,6 @@ def run(
                     1 if got else 0, applied, st.residual,
                 ))
             if st.residual == 0.0:
-                if applied > 0.0 and st.cur >= 1:
-                    tran_durations[(uav, st.cur - 1)] = t - st.tran_start
                 if st.cur >= st.n_tasks:
                     if stype != SENSING or applied > 0.0:
                         st.done = True
@@ -312,7 +309,6 @@ def run(
         tau={i: list(by_id[i].taus) for i in order},
         grants=grants_log,
         requests=requests_log,
-        tran_durations=tran_durations,
         trace=trace,
     )
 

@@ -87,6 +87,7 @@ _CEIL_EPS = 1e-9  # guards exact-division distances against float noise
 _BS_STANDOFF = 1.0  # m; gradient steps never land closer to the BS than this
 _NAN = array("d", [math.nan])  # an unrated line point
 _MAX_STRETCH = 100000  # slots; an initial leg needing more is infeasible
+_MAX_DRAIN_SLOTS = 10000  # slots; a drain leg needing more is infeasible
 _MAX_DETOUR_FACTOR = 10  # extra slots a leg may take: this many times its minimum, at least 20
 _ROOT_SLACK_M = 1e-10  # m; a closed-form sphere crossing is aimed this far on the safe side
 
@@ -625,7 +626,6 @@ def drain_leg(
     kin: KinematicParams,
     is_granted: GrantFn = None,
     first_slot: int = 0,
-    max_slots: int = 10000,
     cache: Optional[LegCache] = None,
 ) -> Leg:
     """Pure sending-priority detour: walk the rate gradient until drained.
@@ -633,7 +633,9 @@ def drain_leg(
     Used after a UAV's final sensing slot, when there is no next sensing
     location to reach.  The turning point is the walk's endpoint and the
     route part is empty.  The leg is a prefix of the gradient walk from
-    ``start``, which ``cache`` shares with ``optimize_leg``.
+    ``start``, which ``cache`` shares with ``optimize_leg``.  A walk that
+    does not deliver within ``_MAX_DRAIN_SLOTS`` slots raises
+    ``LegInfeasible``.
     """
     if cache is not None:
         cache.check(cp, kin)
@@ -642,7 +644,7 @@ def drain_leg(
     walk = _Walk(start, cp, kin) if cache is None else cache.walk(start)
     rates = walk.rates
     total = 0.0
-    for k in range(1, max_slots + 1):
+    for k in range(1, _MAX_DRAIN_SLOTS + 1):
         if len(rates) < k:
             walk.extend(k)
         if is_granted is None or is_granted(first_slot + k - 1):
@@ -651,7 +653,7 @@ def drain_leg(
             pos = walk.pts[k - 1]
             return Leg(start, pos, residual_data, walk.pts[:k], rates[:k], pos, k, 0)
     raise LegInfeasible(
-        f"drain from {start} cannot deliver {residual_data:.3g} bits in {max_slots} slots"
+        f"drain from {start} cannot deliver {residual_data:.3g} bits in {_MAX_DRAIN_SLOTS} slots"
     )
 
 

@@ -2,18 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from uavsense.analysis import (
-    DominanceModel,
-    SensitivityInputs,
-    dTmax_dPRth,
-    dTmax_dq,
-    dominance_threshold,
-    fit_eta,
-    knee_subcarriers,
-)
+from uavsense.analysis import SensitivityInputs, dTmax_dPRth, dTmax_dq
 from uavsense.sensing import SensingParams, required_sensing_radius
 
 TABLE_POINT = SensitivityInputs(q=4, pr_th=0.9, lam=0.01, n_tasks_per_uav=4, v_max=50.0)
@@ -74,36 +65,3 @@ class TestThresholdSensitivity:
                 inp = SensitivityInputs(q, pr, 0.01, 4, 50.0)
                 fd = -(4 / 50.0) * (radius(q, pr + h) - radius(q, pr - h)) / (2 * h)
                 assert dTmax_dPRth(inp) == pytest.approx(fd, rel=1e-4)
-
-
-class TestDominance:
-    def test_threshold_unity(self):
-        model = DominanceModel(eta=1.5, mean_leg_lower_bound=30.0, m=20, k=10)
-        assert dominance_threshold(model) == pytest.approx(1.5 * 20 / 30.0)
-        unity = DominanceModel(eta=1.5, mean_leg_lower_bound=30.0, m=20, k=10)
-        assert dominance_threshold(
-            DominanceModel(eta=2.0, mean_leg_lower_bound=40.0, m=20, k=10)
-        ) == pytest.approx(1.0)
-
-    def test_linearity_in_m(self):
-        a = dominance_threshold(DominanceModel(1.2, 3.0, 10, 5))
-        b = dominance_threshold(DominanceModel(1.2, 3.0, 20, 5))
-        assert b == pytest.approx(2 * a)
-
-    def test_fit_eta_recovers_slope(self):
-        xs = [0.5, 1.0, 2.0, 4.0]
-        ys = [1.7 * x for x in xs]
-        assert fit_eta(xs, ys) == pytest.approx(1.7, rel=1e-12)
-
-    def test_fit_eta_least_squares(self):
-        rng = np.random.default_rng(8)
-        xs = list(rng.uniform(0.5, 4.0, 50))
-        noise = rng.normal(0, 0.01, 50)
-        ys = [2.3 * x + e for x, e in zip(xs, noise)]
-        assert fit_eta(xs, ys) == pytest.approx(2.3, abs=0.05)
-
-    def test_knee_detection(self):
-        ks = list(range(1, 11))
-        # sharp drop until K=4, flat after
-        ts = [60, 45, 34, 30, 29.8, 29.7, 29.6, 29.6, 29.5, 29.5]
-        assert knee_subcarriers(ks, ts) == 4

@@ -1,7 +1,11 @@
 """Link-model tests.
 
-Golden values were computed with a standalone scalar script evaluating the
-model formulas directly (independent of the package) and are frozen here.
+``channel.rate_at`` is the model's one implementation.  The reference
+functions below restate its chain step by step (LoS probability, average
+pathloss, rate) as the test-side oracle that ``rate_at`` is checked
+against.  Golden values were computed with a standalone scalar script
+evaluating the model formulas directly (independent of the package) and
+are frozen here.
 """
 
 import math
@@ -14,13 +18,47 @@ from uavsense.channel import (
     ChannelDomainError,
     ChannelParams,
     Position3,
-    average_pathloss,
-    link_rate,
-    los_probability,
     rate_at,
+    rate_gradient_at,
 )
 
 CP = ChannelParams()  # table defaults: H=25, 2 GHz, 1 MHz, -96 dBm, 23 dBm, 1 s
+
+
+def los_probability(uav: Position3, params: ChannelParams) -> float:
+    """LoS probability of the UAV-BS link, clamped to [0, 1]."""
+    d_h = math.hypot(uav.x, uav.y)
+    log_z = math.log10(uav.z)
+    d1 = max(460.0 * log_z - 700.0, 18.0)
+    if d_h <= d1:
+        return 1.0
+    p0 = 4300.0 * log_z - 3800.0
+    raw = d1 / d_h + math.exp((-d_h / p0) * (1.0 - d1 / d_h))
+    if raw < 0.0:
+        return 0.0
+    return raw if raw < 1.0 else 1.0
+
+
+def average_pathloss(uav: Position3, params: ChannelParams) -> float:
+    """LoS/NLoS pathlosses in dB mixed by the LoS probability."""
+    d = math.sqrt(uav.x * uav.x + uav.y * uav.y + (uav.z - params.bs_height) ** 2)
+    p_los = los_probability(uav, params)
+    log_d = math.log10(d)
+    pl_los = 28.0 + 22.0 * log_d + params._fc_db
+    if p_los >= 1.0:
+        return pl_los
+    pl_nlos = -17.5 + (46.0 - 7.0 * math.log10(uav.z)) * log_d + params._nlos_db
+    return p_los * pl_los + (1.0 - p_los) * pl_nlos
+
+
+def link_rate(uav: Position3, params: ChannelParams) -> float:
+    """Bits per slot of a scheduled UAV: Shannon rate at the average pathloss."""
+    return rate_from_pathloss(average_pathloss(uav, params), params)
+
+
+def rate_from_pathloss(pl_db: float, params: ChannelParams) -> float:
+    gamma = params.tx_mw / (10.0 ** (pl_db / 10.0)) / params.noise_mw
+    return params.subcarrier_bandwidth * math.log2(1.0 + gamma) * params.slot_duration
 
 
 class TestLosProbability:
@@ -53,9 +91,9 @@ class TestLosProbability:
 
     def test_domain_errors(self):
         with pytest.raises(ChannelDomainError):
-            los_probability(Position3(10, 0, 0.0), CP)
+            rate_at(10, 0, 0.0, CP)
         with pytest.raises(ChannelDomainError):
-            los_probability(Position3(float("nan"), 0, 10), CP)
+            rate_at(float("nan"), 0, 10, CP)
 
 
 class TestAveragePathloss:
@@ -68,8 +106,9 @@ class TestAveragePathloss:
 
     def test_golden_value(self):
         # frozen from the oracle script
-        assert average_pathloss(Position3(10, 0, 100), CP) == pytest.approx(
-            75.35613031441082, abs=1e-9)
+        pl = 75.35613031441082
+        assert average_pathloss(Position3(10, 0, 100), CP) == pytest.approx(pl, abs=1e-9)
+        assert rate_at(10, 0, 100, CP) == pytest.approx(rate_from_pathloss(pl, CP), rel=1e-12)
 
     def test_monotone_in_distance(self):
         rng = np.random.default_rng(11)
@@ -82,34 +121,28 @@ class TestAveragePathloss:
 
     def test_coincident_bs_rejected(self):
         with pytest.raises(ChannelDomainError):
-            average_pathloss(Position3(0, 0, CP.bs_height), CP)
+            rate_at(0, 0, CP.bs_height, CP)
 
 
 class TestLinkRate:
-    def test_unscheduled_is_zero(self):
-        assert link_rate(Position3(123, -45, 67), False, CP) == 0.0
-
     def test_golden_operating_point(self):
         # frozen from the oracle: chain of distance/pathloss/SNR/Shannon
-        assert link_rate(Position3(100, 0, 50), True, CP) == pytest.approx(
-            13516975.997860484, rel=1e-12)
+        assert rate_at(100, 0, 50, CP) == pytest.approx(13516975.997860484, rel=1e-12)
 
     def test_mirror_symmetry(self):
-        a = link_rate(Position3(120, 80, 60), True, CP)
-        b = link_rate(Position3(-120, -80, 60), True, CP)
+        a = rate_at(120, 80, 60, CP)
+        b = rate_at(-120, -80, 60, CP)
         assert a == b
 
     def test_rate_decreases_with_distance(self):
         rng = np.random.default_rng(3)
-        for _ in range(50)            :
+        for _ in range(50):
             z = rng.uniform(10, 100)
             x = rng.uniform(20, 200)
-            assert link_rate(Position3(x, 0, z), True, CP) > link_rate(
-                Position3(x * 2, 0, z), True, CP)
+            assert rate_at(x, 0, z, CP) > rate_at(x * 2, 0, z, CP)
 
     def test_pure_function(self):
-        pos = Position3(77.7, -13.5, 42.0)
-        vals = {link_rate(pos, True, CP) for _ in range(10)}
+        vals = {rate_at(77.7, -13.5, 42.0, CP) for _ in range(10)}
         assert len(vals) == 1
 
     def test_fast_path_matches_public_op(self):
@@ -117,7 +150,7 @@ class TestLinkRate:
         for _ in range(200):
             x, y = rng.uniform(-400, 400, size=2)
             z = rng.uniform(5, 150)
-            assert rate_at(x, y, z, CP) == link_rate(Position3(x, y, z), True, CP)
+            assert rate_at(x, y, z, CP) == link_rate(Position3(x, y, z), CP)
 
     @pytest.mark.parametrize("z", [10 ** (38 / 43), 7.651])
     def test_zero_los_scale_is_a_domain_error(self, z):
@@ -125,6 +158,13 @@ class TestLinkRate:
         # which is 0 at the first altitude and overflows exp at the second
         with pytest.raises(ChannelDomainError, match=rf"\(100, 0, {re.escape(repr(z))}\)"):
             rate_at(100, 0, z, CP)
+
+    @pytest.mark.parametrize("fn", [rate_at, rate_gradient_at])
+    @pytest.mark.parametrize("point", [(math.nan, 0, 10), (math.inf, 0, 10), (0, 0, math.inf)])
+    def test_non_finite_point_is_a_domain_error(self, fn, point):
+        x, y, z = point
+        with pytest.raises(ChannelDomainError, match=re.escape(f"({x!r}, {y!r}, {z!r})")):
+            fn(x, y, z, CP)
 
 
 class TestChannelParams:

@@ -1,0 +1,70 @@
+"""Export tests: every exported name resolves, and removed API stays removed."""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import uavsense
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(uavsense.__path__))
+
+# public names deleted because nothing in the pipeline read them
+REMOVED = {
+    "channel": ["los_probability", "average_pathloss", "snr", "link_rate",
+                "_check_geometry"],
+    "analysis": ["DominanceModel", "dominance_threshold", "fit_eta", "knee_subcarriers"],
+}
+
+
+def _package_imports() -> list[tuple[str, str]]:
+    """(module, name) for every ``from .module import name`` in ``__init__``."""
+    tree = ast.parse(inspect.getsource(uavsense))
+    return [(node.module, alias.name)
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"uavsense.{name}")
+    for export in getattr(module, "__all__", ()):
+        assert hasattr(module, export), f"uavsense.{name}.__all__ lists missing {export!r}"
+
+
+def test_every_package_import_resolves():
+    imports = _package_imports()
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(f"uavsense.{module}"), name)
+        assert hasattr(uavsense, name)
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_functions_are_gone(module):
+    mod = importlib.import_module(f"uavsense.{module}")
+    package_names = {name for _, name in _package_imports()}
+    for name in REMOVED[module]:
+        assert not hasattr(mod, name)
+        assert name not in getattr(mod, "__all__", ())
+        assert name not in package_names
+
+
+def test_removed_members_are_gone():
+    from uavsense.bench import ExperimentResult
+    from uavsense.channel import Position3
+    from uavsense.scheduler import OnDemand, schedule_slot
+    from uavsense.simulator import SimOutcome, run
+    from uavsense.trajectory import drain_leg
+
+    assert not hasattr(Position3, "is_finite")
+    assert not hasattr(ExperimentResult, "mean")
+    assert "tran_durations" not in {f.name for f in dataclasses.fields(SimOutcome)}
+    assert "get" not in vars(OnDemand)  # plain dict.get, which never fills
+    assert "max_slots" not in inspect.signature(run).parameters
+    assert "max_slots" not in inspect.signature(drain_leg).parameters
+    residuals = inspect.signature(schedule_slot).parameters["residuals"]
+    assert residuals.default is inspect.Parameter.empty

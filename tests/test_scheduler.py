@@ -19,21 +19,21 @@ KIN = KinematicParams()
 
 class TestScheduleSlot:
     def test_empty_requests(self):
-        assert schedule_slot([], {}, 10) == frozenset()
+        assert schedule_slot([], {}, 10, {}) == frozenset()
 
     def test_all_granted_under_cap(self):
         t = {1: 5.0, 2: 9.0, 3: 1.0}
-        assert schedule_slot([1, 2, 3], t, 10) == {1, 2, 3}
+        assert schedule_slot([1, 2, 3], t, 10, dict.fromkeys(t, 1e6)) == {1, 2, 3}
 
     def test_contention_takes_largest_completion_times(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             uavs = list(range(12))
             times = {i: float(rng.integers(0, 40)) for i in uavs}
-            granted = schedule_slot(uavs, times, 10)
+            granted = schedule_slot(uavs, times, 10, dict.fromkeys(uavs, 1e6))
             assert len(granted) == 10
             denied = set(uavs) - granted
-            # sort-based oracle with the documented tie-break (no residuals)
+            # sort-based oracle with the documented tie-break (equal residuals)
             order = sorted(uavs, key=lambda i: (-times[i], i))
             assert granted == set(order[:10])
             assert min(times[i] for i in granted) >= max(
@@ -42,7 +42,8 @@ class TestScheduleSlot:
 
     def test_priority_correctness_strict(self):
         times = {1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0}
-        granted = schedule_slot([1, 2, 3, 4], times, 2)
+        residuals = {1: 9e6, 2: 9e6, 3: 1e6, 4: 1e6}
+        granted = schedule_slot([1, 2, 3, 4], times, 2, residuals)
         assert granted == {3, 4}
 
     def test_residual_tie_break(self):
@@ -61,7 +62,7 @@ class TestScheduleSlot:
             n = int(rng.integers(1, 25))
             k = int(rng.integers(1, 12))
             times = {i: float(rng.integers(0, 50)) for i in range(n)}
-            granted = schedule_slot(list(range(n)), times, k)
+            granted = schedule_slot(list(range(n)), times, k, dict.fromkeys(times, 1e6))
             assert len(granted) <= k
             if n <= k:
                 assert len(granted) == n

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from uavsense import simulator
 from uavsense.channel import ChannelParams, Position3, rate_at
 from uavsense.scheduler import GreedyScheduler, OnDemand
 from uavsense.sensing import Task
@@ -203,7 +204,8 @@ class TestLegWithoutWaypoints:
 
 
 class TestStarvation:
-    def test_never_granted_uav_raises_diagnostic(self):
+    def test_never_granted_uav_raises_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_MAX_SLOTS", 200)
         class NeverScheduler:
             def grant(self, slot, requests, estimates, residuals):
                 return frozenset()
@@ -211,7 +213,7 @@ class TestStarvation:
         tasks = {0: Task(0, Position3(100, 0, 0), 20e6, (0,))}
         plan = make_plan(0, Position3(0, 0, 40), [Position3(100, 0, 15)], [0], tasks)
         with pytest.raises(RuntimeError, match="UAV 0"):
-            run([plan], NeverScheduler(), tasks, CP, KIN, max_slots=200)
+            run([plan], NeverScheduler(), tasks, CP, KIN)
 
 
 class _EagerReads(GreedyScheduler):
@@ -220,7 +222,7 @@ class _EagerReads(GreedyScheduler):
     def grant(self, slot, requests, estimates, residuals):
         for uav in requests:
             estimates[uav]
-            residuals.get(uav, 0.0)
+            residuals[uav]
         return super().grant(slot, requests, estimates, residuals)
 
 
@@ -274,20 +276,17 @@ class TestOnDemandProjections:
         out = run(plans, sched, sc.tasks, sc.channel, sc.kinematics)
         assert sched.contended == sum(len(r) > sc.k for r in out.requests) > 0
 
-    def test_mapping_fills_once_and_get_reads_through(self):
+    def test_mapping_fills_once(self):
         calls = []
 
         def fill(uav):
             calls.append(uav)
-            if uav > 2:
-                raise KeyError(uav)
             return 10.0 * uav
 
         values = OnDemand(fill)
-        assert values.get(1, 0.0) == 10.0
         assert values[1] == 10.0
-        assert values.get(7, -1.0) == -1.0
-        assert calls == [1, 7]
+        assert values[1] == 10.0
+        assert calls == [1]
         assert dict(values) == {1: 10.0}
 
 

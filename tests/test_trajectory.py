@@ -592,11 +592,13 @@ class TestLegCache:
         near = Position3(start.x + other.x, start.y + other.y, max(10.0, start.z + other.z))
         _planned(start, near, 2 * residual, grant_from_mask(other_mask), 1, cache)
         _planned(start, end, 0.5 * residual, None, 0, cache)
-        try:
-            drain_leg(start, residual, CP, KIN, grant_from_mask(other_mask), 1,
-                      max_slots=200, cache=cache)
-        except LegInfeasible:
-            pass
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trajectory, "_MAX_DRAIN_SLOTS", 200)
+            try:
+                drain_leg(start, residual, CP, KIN, grant_from_mask(other_mask), 1,
+                          cache=cache)
+            except LegInfeasible:
+                pass
         warm = _planned(start, end, residual, grant, first_slot, cache)
         assert warm == cold
         if cold != "infeasible":
