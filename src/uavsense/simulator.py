@@ -9,12 +9,22 @@ reaches a sensing location while still holding data hovers there in
 transmission slots until drained, then senses; the outer optimizer absorbs
 that slack on the next pass by re-planning against the observed grants.
 
-Completion projections, the greedy scheduler's priority, are made on
-demand: only when a scheduler reads a UAV's estimate in a slot, which in
-practice means only for the requesters of a contended slot.  Likewise a
-leg's rate is read only in a granted slot of a UAV holding data, and a
-waypoint only when a trace row is written, so a leg whose items are made
-on first read (``trajectory.initial_leg``) is rated only where it sends.
+Only what a run reads is worked out:
+- Completion projections, the greedy scheduler's priority, are made on
+  demand: only when a scheduler reads a UAV's estimate in a slot, which in
+  practice means only for the requesters of a contended slot.  A UAV's
+  completion chain, which the projections share, is built on its first
+  projection.
+- A leg's rate is read only in a granted slot of a UAV holding data, so a
+  leg whose items are made on first read (``trajectory.initial_leg``) is
+  rated only where it sends.
+- Waypoints are read only by a traced run, which makes each leg's
+  waypoints into a list once, when the UAV enters the leg.
+- Idle UAVs sleep in untraced runs: a UAV with nothing to send on a leg
+  to a sensing location skips the empty slots left on that leg and is
+  back in the slot loop to sense.  A traced run steps every UAV in every
+  slot, since each slot needs a row; ``itsso.run_itsso`` checks on every
+  traced run that its stepped replay matches the untraced run.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .channel import ChannelParams, Position3
@@ -112,21 +123,24 @@ class SimOutcome:
 class _Runtime:
     """Mutable per-UAV execution state (one leg pointer plus residual).
 
-    The waypoints, rates and length of the leg being walked are bound when
-    the UAV enters it, so the slot loop reads them without a plan lookup.
-    The UAV is at waypoint ``w - 1`` of that leg, or, while ``w`` is 0, where
-    the last leg left it; ``position`` is kept up to date only in traced runs.
+    The rates and length of the leg being walked are bound when the UAV
+    enters it, so the slot loop reads them without a plan lookup; a traced
+    run also binds the leg's waypoints, as a list.  The UAV is at waypoint
+    ``w - 1`` of that leg, or, while ``w`` is 0, where the last leg left it;
+    ``position`` is kept up to date only in traced runs.  A UAV asleep in
+    an untraced run (see ``run``) is back in the slot loop at slot ``wake``.
     """
 
     __slots__ = (
-        "uav", "plan", "n_tasks", "cur", "wps", "rates", "leg_slots", "w",
+        "uav", "plan", "traced", "n_tasks", "cur", "wps", "rates", "leg_slots", "w",
         "residual", "position", "stype", "pending_sense", "done",
-        "t_done", "taus", "chain",
+        "t_done", "taus", "chain", "wake",
     )
 
-    def __init__(self, plan: UavPlan):
+    def __init__(self, plan: UavPlan, traced: bool):
         self.uav = plan.uav
         self.plan = plan
+        self.traced = traced
         self.n_tasks = plan.n_tasks
         self.cur = 0  # leg being walked; n_tasks means the drain leg
         self.enter_leg()
@@ -137,8 +151,10 @@ class _Runtime:
         self.done = self.n_tasks == 0
         self.t_done = 0
         self.taus: list[int] = []
-        # chain[j]: all-granted slots from "about to walk leg j" to completion
-        self.chain = _completion_chain(plan)
+        # chain[j]: all-granted slots from "about to walk leg j" to
+        # completion, built on the first projection
+        self.chain: list[float] | None = None
+        self.wake = 0
         if not self.done and self.leg_slots == 0:
             self.pending_sense = True
 
@@ -146,22 +162,31 @@ class _Runtime:
         """Start walking leg ``cur`` (the drain leg once every task is sensed)."""
         p = self.plan
         leg = p.drain if self.cur >= self.n_tasks else p.legs[self.cur]
-        self.wps = leg.waypoints
+        self.wps = list(leg.waypoints) if self.traced else None
         self.rates = leg.rates
         self.leg_slots = len(leg.waypoints)
         self.w = 0  # waypoints consumed on the current leg
+
+    def sleep(self, slot: int) -> None:
+        """Skip the empty slots left on this leg after ``slot``, at least one;
+        the UAV is back at slot ``wake``, to sense."""
+        self.wake = slot + max(1, self.leg_slots - self.w) + 1
+        self.pending_sense = True
 
     def projected_completion(self, slot: int) -> float:
         """Completion slot if every transmission slot after ``slot`` were granted."""
         if self.done:
             return float(self.t_done)
+        chain = self.chain
+        if chain is None:
+            chain = self.chain = _completion_chain(self.plan)
         if self.pending_sense:
-            return slot + 1 + self.chain[self.cur + 1]
+            return slot + 1 + chain[self.cur + 1]
         drain_slots = _slots_to_drain(self.rates, self.residual, self.w)
         if self.cur >= self.n_tasks:
             return slot + drain_slots
         rem = max(self.leg_slots - self.w, drain_slots)
-        return slot + rem + 1 + self.chain[self.cur + 1]
+        return slot + rem + 1 + chain[self.cur + 1]
 
 
 def _slots_to_drain(rates: Sequence[float], residual: float, w: int) -> int:
@@ -212,8 +237,14 @@ def run(
     that ranks nobody, as in every uncontended slot, projects nobody.
     A run still going after ``_MAX_SLOTS`` slots raises ``RuntimeError``
     naming the UAV that holds the most data.
+
+    Without a trace, a UAV with nothing to send on a leg to a sensing
+    location sleeps through the empty slots left on that leg: it would
+    request nothing and be read by nobody there, so it leaves the slot loop
+    and comes back in the slot it senses.  A traced run steps it, since
+    every slot needs its row.
     """
-    states = [_Runtime(p) for p in plans]
+    states = [_Runtime(p, record_trace) for p in plans]
     by_id = {s.uav: s for s in states}
     if len(by_id) != len(states):
         raise ValueError("duplicate UAV ids in plans")
@@ -225,17 +256,32 @@ def run(
     grants_log: list[frozenset[int]] = []
     requests_log: list[frozenset[int]] = []
     trace: list[TraceRow] | None = [] if record_trace else None
+    asleep: dict[int, list[_Runtime]] = {}  # wake slot -> UAVs back then
+
+    def sleep(st: _Runtime, slot: int) -> None:
+        st.sleep(slot)
+        asleep.setdefault(st.wake, []).append(st)
 
     active = [by_id[i] for i in order if not by_id[i].done]
+    if not record_trace:
+        for st in active:
+            if not st.pending_sense:  # a first leg, with waypoints and nothing to send
+                sleep(st, 0)
+        active = [st for st in active if not st.wake]
     t = 0
-    while active:
+    while active or asleep:
         t += 1
         if t > _MAX_SLOTS:
-            worst = max(active, key=lambda s: s.residual)
+            worst = max((by_id[i] for i in order if not by_id[i].done),
+                        key=lambda s: s.residual)
             raise RuntimeError(
                 f"simulation exceeded {_MAX_SLOTS} slots; UAV {worst.uav} still "
                 f"holds {worst.residual:.3g} bits on leg {worst.cur}"
             )
+        woken = asleep.pop(t, None)
+        if woken:
+            active += woken
+            active.sort(key=attrgetter("uav"))
         requests: list[int] = []
         for st in active:
             if st.pending_sense:
@@ -270,7 +316,7 @@ def run(
         requests_log.append(frozenset(requests))
         grants_log.append(frozenset(granted))
 
-        finished = False
+        left = False  # whether a UAV finished or fell asleep
         for st in active:
             uav = st.uav
             stype = st.stype
@@ -296,11 +342,14 @@ def run(
                     if stype != SENSING or applied > 0.0:
                         st.done = True
                         st.t_done = t
-                        finished = True
+                        left = True
                 elif stype != SENSING and st.w >= st.leg_slots:
                     st.pending_sense = True
-        if finished:
-            active = [s for s in active if not s.done]
+                elif trace is None:
+                    sleep(st, t)
+                    left = True
+        if left:
+            active = [s for s in active if not s.done and s.wake <= t]
 
     completion = {i: by_id[i].t_done for i in order}
     return SimOutcome(

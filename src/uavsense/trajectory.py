@@ -40,6 +40,10 @@ on geometry; the mask and the residual only decide which rates are summed.
   partly rated by one call is completed by the next that needs it.
   ``run_itsso`` makes one per call and drops it on return; a call without
   one starts cold.  There is no module-level cache.
+- Waypoints are made on read.  An ``optimize_leg`` leg's waypoints are a
+  read-only ``_Path`` view over the walk prefix and the route ``_Line``;
+  only a traced simulator run and a dump read them, in bulk.  Its rates
+  are a fresh list.
 - ``initial_leg`` builds nothing up front: its waypoints and rates are
   ``_Line`` sequences whose items are made on first read.  Its stretch
   test rates the line up to the point where the all-granted upload fits;
@@ -113,8 +117,10 @@ class Leg:
     ``waypoints[k]`` is the position in leg slot k+1; the last waypoint is
     the leg's end point.  ``rates[k]`` is the scheduled rate at
     ``waypoints[k]``, so the simulator and schedulers never re-evaluate the
-    channel.  Both are read-only sequences: lists for planned legs, and for
-    ``initial_leg`` lines whose items are made on first read.
+    channel.  Both are read-only sequences.  Waypoints are views made on
+    read (``_Path`` for ``optimize_leg``, ``_Line`` for ``initial_leg``)
+    except for ``drain_leg``, whose waypoints are a list.  Rates are
+    lists, except for ``initial_leg``, whose rates are made on first read.
     ``detour_slots + route_slots == len(waypoints)``.
     """
 
@@ -319,6 +325,51 @@ class _Line(Sequence):
         return f"_Line({what} of {self.a} -> {self.b} in {self.n} slots, {pace})"
 
 
+class _Path(Sequence):
+    """An ``optimize_leg`` leg's waypoints: the first ``d1`` points of a
+    gradient walk, ``hover`` copies of the last of them, the points of the
+    route ``_Line`` and ``tail`` copies of the route's end.
+
+    A read-only view made on read: reading it builds the list of its items,
+    and it compares equal to, and prints as, that list.  ``walk`` is a
+    gradient walk's point list; a walk only ever grows, so its first ``d1``
+    points never change.
+    """
+
+    __slots__ = ("walk", "d1", "hover", "route", "tail", "n")
+
+    def __init__(self, walk: list[Position3], d1: int, hover: int, route: _Line,
+                 tail: int = 0):
+        self.walk, self.d1, self.hover, self.route, self.tail = walk, d1, hover, route, tail
+        self.n = d1 + hover + route.n + tail
+
+    def _list(self) -> list[Position3]:
+        d1 = self.d1
+        return (self.walk[:d1] + self.walk[d1 - 1:d1] * self.hover
+                + self.route.points() + [self.route.b] * self.tail)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j):
+        return self._list()[j]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        if isinstance(other, _Path):
+            other = other._list()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._list() == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
 class _Walk:
     """Rate-gradient walk from one start at full speed.
 
@@ -433,14 +484,13 @@ def optimize_leg(
     else:
         cache.check(cp, kin)
     straight = cache.line(start, end, dlb, False)
-    line = straight.points()
     rates = straight.filled()
     if residual_data <= 0:
-        return Leg(start, end, residual_data, line, rates, start, 0, dlb)
+        return Leg(start, end, residual_data, _Path([], 0, 0, straight), rates, start, 0, dlb)
     granted = _grant_window(is_granted, first_slot, dlb)
     line_total = _granted_total(rates, granted)  # the hover-at-end family continues it
     if line_total >= residual_data:
-        return Leg(start, end, residual_data, line, rates, start, 0, dlb)
+        return Leg(start, end, residual_data, _Path([], 0, 0, straight), rates, start, 0, dlb)
 
     cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
     granted += _grant_window(is_granted, first_slot + dlb, cap)
@@ -486,7 +536,7 @@ def optimize_leg(
                 line_total += rates[-1]
             if line_total >= residual_data:
                 hover_end = n - dlb
-                return Leg(start, end, residual_data, line + [end] * hover_end,
+                return Leg(start, end, residual_data, _Path([], 0, 0, straight, hover_end),
                            rates + [rates[-1]] * hover_end, start, 0, n)
         if dlb and count[n]:
             # or spread the slots evenly along the segment, unless even the
@@ -496,8 +546,8 @@ def optimize_leg(
             if not count[n] * line_ceiling < residual_data:
                 paced = cache.line(start, end, n, True)
                 if covers(paced, 0, 0.0):
-                    return Leg(start, end, residual_data, paced.points(), paced.filled(),
-                               start, 0, n)
+                    return Leg(start, end, residual_data, _Path([], 0, 0, paced),
+                               paced.filled(), start, 0, n)
         if len(detour) < n:
             walk.extend(n)
         while len(d2s) < n:
@@ -537,8 +587,7 @@ def optimize_leg(
             for even in ((False, True) if d2 else (False,)):
                 route = cache.line(tp, end, d2, even)
                 if h >= residual_data or covers(route, k0, h):
-                    return Leg(start, end, residual_data,
-                               detour[:d1] + [tp] * hover + route.points(),
+                    return Leg(start, end, residual_data, _Path(detour, d1, hover, route),
                                detour_rates[:d1] + [r_tp] * hover + route.filled(),
                                tp, d1 + hover, d2)
     raise LegInfeasible(

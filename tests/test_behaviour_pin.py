@@ -1,0 +1,58 @@
+"""Behaviour pin for speed changes: a speed change must not move any output.
+
+One digest covers everything a run returns: the solution dump, the slot
+trace and the convergence record, over three seeded instances of each
+scheme family.  The golden was computed before the change it guards and is
+updated only by a change that says why the behaviour moved.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from uavsense.bench import (
+    _ITSSO_SEED_OFFSET,
+    ScenarioConfig,
+    generate_scenario,
+    nc_config,
+    run_scheme,
+)
+from uavsense.itsso import ItssoConfig, solution_to_json
+
+_SMALL = dict(m=10, n=10)
+FAMILIES = {
+    "table": ScenarioConfig(),
+    "k2": ScenarioConfig(k=2, **_SMALL),
+    "fsl": ScenarioConfig(scheme="fsl"),
+    "nc": nc_config(ScenarioConfig()),
+    "k1": ScenarioConfig(k=1, **_SMALL),
+}
+SEEDS = (7_130_000, 7_130_001, 7_130_002)
+
+GOLDEN = {
+    "table": "0e5a217b992025d8",
+    "k2": "e2b8f4ad79f0e27a",
+    "fsl": "968a6fdb084d5465",
+    "nc": "f1a0eca35b204ca8",
+    "k1": "27c11838d1eabc16",
+}
+
+
+def family_digest(base: ScenarioConfig) -> str:
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        sc = generate_scenario(replace(base, seed=seed))
+        sol = run_scheme(sc, ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET),
+                         record_trace=True)
+        h.update(solution_to_json(sol).encode())
+        for row in sol.outcome.trace:
+            h.update(repr(row).encode())
+        h.update(repr((sol.history, sol.candidate_history, sol.iterations,
+                       sol.placement_passes)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_outputs_match_the_golden(family):
+    assert family_digest(FAMILIES[family]) == GOLDEN[family]

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from uavsense import simulator
+from uavsense.bench import ScenarioConfig, nc_config
 from uavsense.channel import ChannelParams, Position3, rate_at
-from uavsense.scheduler import GreedyScheduler, OnDemand
+from uavsense.scheduler import GreedyScheduler, OnDemand, RandomScheduler
 from uavsense.sensing import Task
 from uavsense.simulator import (
     EMPTY,
@@ -299,3 +300,143 @@ class TestTraceIo:
         write_trace(out.trace, path)
         back = read_trace(path)
         assert back == out.trace
+
+
+def _initial_plans(sc):
+    """The initial plans of a seeded scheme run (``fsl`` pins its locations)."""
+    from uavsense.bench import _ITSSO_SEED_OFFSET
+    from uavsense.itsso import ItssoConfig, initial_solution
+
+    cfg = sc.config
+    fixed = None
+    if cfg.scheme == "fsl":
+        fixed = {(uav, idx): Position3(sc.tasks[tid].location.x, sc.tasks[tid].location.y,
+                                       cfg.fsl_height)
+                 for uav, route in sc.routes.items() for idx, tid in enumerate(route)}
+    icfg = ItssoConfig(rng_seed=cfg.seed + _ITSSO_SEED_OFFSET)
+    return initial_solution(sc, icfg, locations=fixed).plans
+
+
+class TestIdleUavsSleep:
+    """Untraced runs skip the empty slots of UAVs with nothing to send; a
+    traced run steps every UAV, so the two must agree."""
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(seed=7_150_000),  # itsso at the table point
+        ScenarioConfig(seed=7_150_001, scheme="fsl"),
+        nc_config(ScenarioConfig(seed=7_150_002)),
+        ScenarioConfig(seed=7_150_003, m=10, n=10, k=1),
+    ], ids=["itsso", "fsl", "nc", "k1"])
+    def test_untraced_run_matches_the_traced_run(self, cfg, monkeypatch):
+        sc, final = _final_plans(cfg)
+        initial = _initial_plans(sc)
+        sleeps = []
+        real_sleep = simulator._Runtime.sleep
+        monkeypatch.setattr(simulator._Runtime, "sleep",
+                            lambda st, slot: sleeps.append(slot) or real_sleep(st, slot))
+        for plans in (initial, final):
+            for make in (lambda: GreedyScheduler(sc.k), lambda: RandomScheduler(sc.k, 3)):
+                del sleeps[:]
+                fast = run(plans, make(), sc.tasks, sc.channel, sc.kinematics,
+                           record_trace=False)
+                assert sleeps and 0 in sleeps  # idle UAVs slept, from slot 0 on
+                del sleeps[:]
+                slow = run(plans, make(), sc.tasks, sc.channel, sc.kinematics)
+                assert not sleeps
+                assert any(row.slot_type == EMPTY for row in slow.trace)
+                assert fast.completion_times == slow.completion_times
+                assert fast.tau == slow.tau
+                assert fast.grants == slow.grants
+                assert fast.requests == slow.requests
+
+    def test_untraced_run_reads_no_waypoint(self):
+        from dataclasses import replace
+
+        class Unread(list):
+            def __getitem__(self, j):
+                raise AssertionError("a waypoint was read")
+
+            def __iter__(self):
+                raise AssertionError("the waypoints were read")
+
+        sc, plans = _final_plans(ScenarioConfig(seed=7_150_004))
+        unread = [UavPlan(p.uav, p.start, p.task_ids, p.sensing_locations,
+                          [replace(leg, waypoints=Unread(leg.waypoints)) for leg in p.legs],
+                          replace(p.drain, waypoints=Unread(p.drain.waypoints)))
+                  for p in plans]
+        got = run(unread, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
+                  record_trace=False)
+        want = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
+                   record_trace=False)
+        assert (got.completion_times, got.tau, got.grants) == \
+            (want.completion_times, want.tau, want.grants)
+        with pytest.raises(AssertionError, match="waypoints were read"):
+            run(unread, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
+
+    def test_empty_payload_then_a_leg_without_waypoints(self):
+        # sensing a 0-bit payload starts a leg with no waypoints: the UAV
+        # idles one slot, as a traced run steps it, then senses again
+        from types import SimpleNamespace
+
+        loc = Position3(100, 0, 10)
+        tasks = {0: SimpleNamespace(data_size=0.0), 1: SimpleNamespace(data_size=20e6)}
+        leg0 = optimize_leg(Position3(0, 0, 40), loc, 0.0, CP, KIN)
+        plan = UavPlan(0, Position3(0, 0, 40), [0, 1], [loc, loc],
+                       [leg0, optimize_leg(loc, loc, 0.0, CP, KIN)],
+                       drain_leg(loc, 20e6, CP, KIN))
+        assert plan.legs[1].slots == 0
+        fast = run([plan], GreedyScheduler(1), tasks, CP, KIN, record_trace=False)
+        slow = run([plan], GreedyScheduler(1), tasks, CP, KIN)
+        sensed = leg0.slots + 1
+        assert slow.tau[0] == [sensed, sensed + 2]
+        assert [r.slot_type for r in slow.trace[sensed - 1:sensed + 2]] == \
+            [SENSING, EMPTY, SENSING]
+        assert fast.tau == slow.tau
+        assert fast.completion_times == slow.completion_times
+        assert fast.grants == slow.grants and fast.requests == slow.requests
+
+    def test_slot_cap_while_every_uav_sleeps(self, monkeypatch):
+        # the cap falls inside the first leg, which the UAV sleeps through
+        tasks = {0: Task(0, Position3(400, 0, 0), 20e6, (0,))}
+        plan = make_plan(0, Position3(0, 0, 40), [Position3(400, 0, 15)], [0], tasks)
+        assert plan.legs[0].slots > 5
+        monkeypatch.setattr(simulator, "_MAX_SLOTS", 5)
+        for record_trace in (False, True):
+            with pytest.raises(RuntimeError, match="UAV 0 still holds 0 bits on leg 0"):
+                run([plan], GreedyScheduler(1), tasks, CP, KIN, record_trace=record_trace)
+
+
+class _ReadsEveryEstimate(GreedyScheduler):
+    """Grants like ``GreedyScheduler`` and keeps every requester's estimate."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.reads: list[tuple[int, float]] = []
+
+    def grant(self, slot, requests, estimates, residuals):
+        self.reads += [(uav, estimates[uav]) for uav in requests]
+        return super().grant(slot, requests, estimates, residuals)
+
+
+class TestProjectionRelation:
+    def test_projection_never_undershoots_the_realized_completion(self):
+        # each UAV of a final plan replayed alone, every slot granted: the
+        # projection read in any slot is at or above the completion slot,
+        # above it by a few slots at most
+        below = equal = above = 0
+        for overrides in (dict(), dict(m=10, n=10, k=2), dict(scheme="fsl")):
+            for i in range(6):
+                cfg = ScenarioConfig(seed=7_095_000 + i, **overrides)
+                sc, plans = _final_plans(cfg)
+                for plan in plans:
+                    sched = _ReadsEveryEstimate(1)
+                    out = run([plan], sched, sc.tasks, sc.channel, sc.kinematics,
+                              record_trace=False)
+                    done = out.completion_times[plan.uav]
+                    for uav, est in sched.reads:
+                        assert uav == plan.uav
+                        assert done <= est <= done + 5
+                        below += est < done
+                        equal += est == done
+                        above += est > done
+        assert (below, equal, above) == (0, 2035, 1370)

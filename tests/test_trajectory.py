@@ -623,11 +623,21 @@ class TestLegCache:
             for plan, want in zip(plans, expected):
                 got = plan(cache)
                 assert got == want
-                got.waypoints.reverse()
-                got.waypoints[0] = Position3(0.0, 0.0, 99.0)
-                got.waypoints.append(start)
+                if isinstance(got.waypoints, list):  # a drain's walk prefix
+                    got.waypoints.reverse()
+                    got.waypoints[0] = Position3(0.0, 0.0, 99.0)
+                    got.waypoints.append(start)
+                else:  # optimize_leg's read-only view
+                    with pytest.raises(AttributeError):
+                        got.waypoints.reverse()
+                    with pytest.raises(TypeError):
+                        got.waypoints[0] = Position3(0.0, 0.0, 99.0)
+                    with pytest.raises(AttributeError):
+                        got.waypoints.append(start)
                 got.rates[:] = [0.0] * len(got.rates)
                 got.rates.append(1.0)
+        assert isinstance(expected[0].waypoints, list)
+        assert not isinstance(expected[2].waypoints, list)
 
     def test_drain_is_a_prefix_of_the_gradient_walk(self):
         start = Position3(400, 300, 60)
