@@ -475,21 +475,29 @@ def _write_experiment(result: ExperimentResult, out_dir: Path) -> None:
 # config-file ingestion
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS: dict[str, Callable[[str], object]] = {
-    "M": int, "N": int, "K": int, "q": int, "seed": int,
-    "scheme": str, "data_size": float, "fsl_height": float,
-    "area.x": float, "area.y": float, "area.z": float,
-    "channel.bs_height": float, "channel.carrier_freq": float,
-    "channel.subcarrier_bandwidth": float, "channel.noise_power": float,
-    "channel.tx_power": float, "channel.slot_duration": float,
-    "sensing.lambda": float, "sensing.pr_th": float,
-    "kinematics.v_max": float, "kinematics.h_min": float,
+# config key -> (ScenarioConfig part, or None for a top-level field; field; parser)
+_CONFIG_KEYS: dict[str, tuple[Optional[str], str, Callable[[str], object]]] = {
+    "M": (None, "m", int), "N": (None, "n", int), "K": (None, "k", int),
+    "q": (None, "q", int), "seed": (None, "seed", int), "scheme": (None, "scheme", str),
+    "data_size": (None, "data_size", float), "fsl_height": (None, "fsl_height", float),
+    "area.x": ("area", "x", float), "area.y": ("area", "y", float),
+    "area.z": ("area", "z", float),
+    "channel.bs_height": ("channel", "bs_height", float),
+    "channel.carrier_freq": ("channel", "carrier_freq", float),
+    "channel.subcarrier_bandwidth": ("channel", "subcarrier_bandwidth", float),
+    "channel.noise_power": ("channel", "noise_power", float),
+    "channel.tx_power": ("channel", "tx_power", float),
+    "channel.slot_duration": ("channel", "slot_duration", float),
+    "sensing.lambda": ("sensing", "lam", float), "sensing.pr_th": ("sensing", "pr_th", float),
+    "kinematics.v_max": ("kinematics", "v_max", float),
+    "kinematics.h_min": ("kinematics", "h_min", float),
 }
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Key-value scenario config; '#' starts a comment; unknown keys refuse."""
-    values: dict[str, object] = {}
+    parts: dict[Optional[str], dict[str, object]] = {
+        part: {} for part in (None, "area", "channel", "sensing", "kinematics")}
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -501,50 +509,20 @@ def parse_config_text(text: str) -> ScenarioConfig:
         raw = raw.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key in values:
+        part, name, parse = _CONFIG_KEYS[key]
+        if name in parts[part]:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](raw)
+            parts[part][name] = parse(raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {raw!r}") from exc
 
     base = ScenarioConfig()
-    area = (
-        values.get("area.x", base.area[0]),
-        values.get("area.y", base.area[1]),
-        values.get("area.z", base.area[2]),
-    )
-    channel = ChannelParams(
-        bs_height=values.get("channel.bs_height", base.channel.bs_height),
-        carrier_freq=values.get("channel.carrier_freq", base.channel.carrier_freq),
-        subcarrier_bandwidth=values.get(
-            "channel.subcarrier_bandwidth", base.channel.subcarrier_bandwidth),
-        noise_power=values.get("channel.noise_power", base.channel.noise_power),
-        tx_power=values.get("channel.tx_power", base.channel.tx_power),
-        slot_duration=values.get("channel.slot_duration", base.channel.slot_duration),
-    )
-    sensing = SensingParams(
-        lam=values.get("sensing.lambda", base.sensing.lam),
-        pr_th=values.get("sensing.pr_th", base.sensing.pr_th),
-    )
-    kin = KinematicParams(
-        v_max=values.get("kinematics.v_max", base.kinematics.v_max),
-        h_min=values.get("kinematics.h_min", base.kinematics.h_min),
-    )
-    return ScenarioConfig(
-        m=values.get("M", base.m),
-        n=values.get("N", base.n),
-        k=values.get("K", base.k),
-        q=values.get("q", base.q),
-        area=area,
-        channel=channel,
-        sensing=sensing,
-        kinematics=kin,
-        data_size=values.get("data_size", base.data_size),
-        seed=values.get("seed", base.seed),
-        scheme=values.get("scheme", base.scheme),
-        fsl_height=values.get("fsl_height", base.fsl_height),
-    )
+    area = parts.pop("area")
+    fields = parts.pop(None)
+    fields["area"] = tuple(area.get(axis, v) for axis, v in zip("xyz", base.area))
+    return replace(base, **fields,
+                   **{part: replace(getattr(base, part), **f) for part, f in parts.items()})
 
 
 def load_config(path) -> ScenarioConfig:

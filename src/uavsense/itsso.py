@@ -27,6 +27,7 @@ from .sensing import SensingParams, Task, sensing_success_coop
 from .simulator import SimOutcome, UavPlan, run
 from .trajectory import (
     KinematicParams,
+    Leg,
     LegCache,
     drain_leg,
     grant_from_mask,
@@ -272,9 +273,7 @@ def _leg_to_dict(leg) -> dict:
     }
 
 
-def _leg_from_dict(d) -> "Leg":
-    from .trajectory import Leg
-
+def _leg_from_dict(d) -> Leg:
     return Leg(
         Position3(*d["start"]), Position3(*d["end"]), d["residual_data"],
         [Position3(*p) for p in d["waypoints"]], list(d["rates"]),

@@ -15,9 +15,10 @@ Only what a run reads is worked out:
   practice means only for the requesters of a contended slot.  A UAV's
   completion chain, which the projections share, is built on its first
   projection.
-- A leg's rate is read only in a granted slot of a UAV holding data, so a
-  leg whose items are made on first read (``trajectory.initial_leg``) is
-  rated only where it sends.
+- A leg's rate is read only in a granted slot of a UAV holding data or
+  by a projection.  Every planned leg's rates are made on first read
+  (``trajectory``), so a point that planning did not rate is rated only
+  where the run reads it.
 - Waypoints are read only by a traced run, which makes each leg's
   waypoints into a list once, when the UAV enters the leg.
 - Idle UAVs sleep in untraced runs: a UAV with nothing to send on a leg
@@ -114,7 +115,6 @@ class SimOutcome:
 
     completion_times: dict[int, int]
     t_max: int
-    tau: dict[int, list[int]]
     grants: list[frozenset[int]]
     requests: list[frozenset[int]]
     trace: list[TraceRow] | None
@@ -134,7 +134,7 @@ class _Runtime:
     __slots__ = (
         "uav", "plan", "traced", "n_tasks", "cur", "wps", "rates", "leg_slots", "w",
         "residual", "position", "stype", "pending_sense", "done",
-        "t_done", "taus", "chain", "wake",
+        "t_done", "chain", "wake",
     )
 
     def __init__(self, plan: UavPlan, traced: bool):
@@ -150,7 +150,6 @@ class _Runtime:
         self.pending_sense = False
         self.done = self.n_tasks == 0
         self.t_done = 0
-        self.taus: list[int] = []
         # chain[j]: all-granted slots from "about to walk leg j" to
         # completion, built on the first projection
         self.chain: list[float] | None = None
@@ -286,7 +285,6 @@ def run(
         for st in active:
             if st.pending_sense:
                 # hover and collect: the position stays, data arrives in full
-                st.taus.append(t)
                 task = tasks[st.plan.task_ids[st.cur]]
                 st.residual += task.data_size
                 st.pending_sense = False
@@ -355,7 +353,6 @@ def run(
     return SimOutcome(
         completion_times=completion,
         t_max=max(completion.values(), default=0),
-        tau={i: list(by_id[i].taus) for i in order},
         grants=grants_log,
         requests=requests_log,
         trace=trace,

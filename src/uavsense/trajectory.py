@@ -32,23 +32,22 @@ on geometry; the mask and the residual only decide which rates are summed.
 - Every straight line, full speed or evenly paced, is one ``_Line``, the
   only place a line point is worked out.  It keeps its rates in an
   ``array('d')``, NaN until rated.  A capacity check rates only the
-  granted points it sums, and stops at the residual; the winning leg and
-  the straight line at the kinematic minimum rate the rest.
+  granted points it sums, and stops at the residual; the straight line at
+  the kinematic minimum rates the rest, which the hover-at-end family sums.
 - A ``LegCache`` keeps the rate-gradient walk (positions and rates) from
   each leg start, which ``optimize_leg`` and ``drain_leg`` extend and
   share, and those lines (their rates, not their waypoints), so a line
   partly rated by one call is completed by the next that needs it.
   ``run_itsso`` makes one per call and drops it on return; a call without
   one starts cold.  There is no module-level cache.
-- Waypoints are made on read.  An ``optimize_leg`` leg's waypoints are a
-  read-only ``_Path`` view over the walk prefix and the route ``_Line``;
-  only a traced simulator run and a dump read them, in bulk.  Its rates
-  are a fresh list.
-- ``initial_leg`` builds nothing up front: its waypoints and rates are
-  ``_Line`` sequences whose items are made on first read.  Its stretch
-  test rates the line up to the point where the all-granted upload fits;
-  the simulator rates the points it sums in granted slots, and a dump
-  rates the rest.
+- A leg builds nothing up front.  Every planner returns its waypoints
+  and its rates as read-only ``_Path`` views over the walk prefix it
+  uses and its route ``_Line``: a waypoint is made when read, and a route
+  point is rated on its first read and kept in the line.  Only a traced
+  simulator run and a dump read waypoints; the simulator rates the points
+  it sums in granted slots, and a dump rates the rest.  ``initial_leg``'s
+  stretch test rates its line up to the point where the all-granted
+  upload fits.
 Capacities are summed left to right over granted slots, exactly as a
 plain loop over every slot would, so a plan is bit-identical to the one a
 dense scan of every point gives, with or without a cache.
@@ -60,7 +59,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from typing import Callable, Optional
 
 from .channel import (
@@ -117,10 +116,11 @@ class Leg:
     ``waypoints[k]`` is the position in leg slot k+1; the last waypoint is
     the leg's end point.  ``rates[k]`` is the scheduled rate at
     ``waypoints[k]``, so the simulator and schedulers never re-evaluate the
-    channel.  Both are read-only sequences.  Waypoints are views made on
-    read (``_Path`` for ``optimize_leg``, ``_Line`` for ``initial_leg``)
-    except for ``drain_leg``, whose waypoints are a list.  Rates are
-    lists, except for ``initial_leg``, whose rates are made on first read.
+    channel.  Both are read-only ``_Path`` views made on read for every
+    leg a planner returns (plain lists for ``constant_speed_leg`` and a
+    loaded dump).  A route point that no capacity check summed is rated
+    when its rate is first read, so a ``ChannelDomainError`` for such a
+    point surfaces there, not when the leg is planned.
     ``detour_slots + route_slots == len(waypoints)``.
     """
 
@@ -225,16 +225,13 @@ def _gradient_step(pos: Position3, speed: float, cp: ChannelParams,
     return nxt
 
 
-class _Line(Sequence):
+class _Line:
     """The n-slot straight line a -> b, evenly paced or at ``speed`` with the
     remainder on the last step; the last point is exactly b.
 
-    The one place a line point is worked out.  Without ``rates`` it is the
-    read-only sequence of its waypoints, each made when read.  With
-    ``rates``, an ``array('d')`` of n NaNs, it is the sequence of their
-    rates: a point is rated on its first read and kept there.  Either
-    compares equal to a list of the same items.  ``points`` and ``filled``
-    give a winning leg's lists in bulk.
+    The one place a line point is worked out.  ``rates``, an ``array('d')``
+    of n NaNs, keeps each point's rate once rated; ``points`` and
+    ``filled`` give the lists in bulk.
     """
 
     __slots__ = ("a", "b", "n", "even", "speed", "cp", "rates", "_d", "_dx", "_dy", "_dz")
@@ -253,7 +250,7 @@ class _Line(Sequence):
         self._dx, self._dy, self._dz = dx, dy, dz
 
     def _xyz(self, j: int) -> tuple[float, float, float]:
-        """Waypoint j (0-based)."""
+        """Coordinates of waypoint j (0-based)."""
         k = j + 1
         n = self.n
         if k == n:
@@ -261,6 +258,10 @@ class _Line(Sequence):
         f = k / n if self.even else min(k * self.speed, self._d)
         a = self.a
         return a.x + f * self._dx, a.y + f * self._dy, a.z + f * self._dz
+
+    def point(self, j: int) -> Position3:
+        """Waypoint j (0-based)."""
+        return Position3(*self._xyz(j))
 
     def points(self) -> list[Position3]:
         """Every waypoint, as ``_xyz`` makes it."""
@@ -278,9 +279,11 @@ class _Line(Sequence):
         return pts
 
     def rate(self, j: int) -> float:
-        """Rate waypoint j (0-based) and keep it."""
-        x, y, z = self._xyz(j)
-        r = self.rates[j] = rate_at(x, y, z, self.cp)
+        """Waypoint j's (0-based) rate, rated on first read and kept."""
+        r = self.rates[j]
+        if r != r:
+            x, y, z = self._xyz(j)
+            r = self.rates[j] = rate_at(x, y, z, self.cp)
         return r
 
     def filled(self) -> list[float]:
@@ -291,83 +294,72 @@ class _Line(Sequence):
                 self.rate(j)
         return rates.tolist()
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, j):
-        n = self.n
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(n))]
-        if j < 0:
-            j += n
-        if not 0 <= j < n:
-            raise IndexError("line index out of range")
-        rates = self.rates
-        if rates is None:
-            return Position3(*self._xyz(j))
-        r = rates[j]
-        return self.rate(j) if r != r else r
-
-    def __iter__(self):
-        for j in range(self.n):
-            yield self[j]
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Line, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        what = "waypoints" if self.rates is None else "rates"
-        pace = "evenly paced" if self.even else f"at {self.speed}"
-        return f"_Line({what} of {self.a} -> {self.b} in {self.n} slots, {pace})"
-
 
 class _Path(Sequence):
-    """An ``optimize_leg`` leg's waypoints: the first ``d1`` points of a
-    gradient walk, ``hover`` copies of the last of them, the points of the
-    route ``_Line`` and ``tail`` copies of the route's end.
+    """A leg's waypoints or its rates: a read-only view made on read.
 
-    A read-only view made on read: reading it builds the list of its items,
-    and it compares equal to, and prints as, that list.  ``walk`` is a
-    gradient walk's point list; a walk only ever grows, so its first ``d1``
-    points never change.
+    Its ``n`` items are, in order: the first ``d1`` items of ``head`` (a
+    gradient walk's points or rates), copies of the last of them up to
+    item ``r0``, ``item(k - r0)`` for items ``r0..r1-1`` (the route line's
+    ``point`` or ``rate``) and copies of the route's last item.  A walk
+    only ever grows, so its first ``d1`` items never change.  Compares
+    equal to, and prints as, the list of its items.
     """
 
-    __slots__ = ("walk", "d1", "hover", "route", "tail", "n")
+    __slots__ = ("head", "d1", "r0", "r1", "n", "item")
 
-    def __init__(self, walk: list[Position3], d1: int, hover: int, route: _Line,
-                 tail: int = 0):
-        self.walk, self.d1, self.hover, self.route, self.tail = walk, d1, hover, route, tail
-        self.n = d1 + hover + route.n + tail
-
-    def _list(self) -> list[Position3]:
-        d1 = self.d1
-        return (self.walk[:d1] + self.walk[d1 - 1:d1] * self.hover
-                + self.route.points() + [self.route.b] * self.tail)
+    def __init__(self, head: Sequence, d1: int, r0: int, r1: int, n: int, item: Callable):
+        self.head, self.d1, self.r0, self.r1, self.n, self.item = head, d1, r0, r1, n, item
 
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, j):
-        return self._list()[j]
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self.n))]
+        if k < 0:
+            k += self.n
+        r0 = self.r0
+        if r0 <= k < self.r1:
+            return self.item(k - r0)
+        d1 = self.d1
+        if 0 <= k < d1:
+            return self.head[k]
+        if not 0 <= k < self.n:
+            raise IndexError("leg index out of range")
+        return self.head[d1 - 1] if k < r0 else self.item(self.r1 - r0 - 1)
 
     def __iter__(self):
-        return iter(self._list())
+        head, d1, r0, r1, item = self.head, self.d1, self.r0, self.r1, self.item
+        yield from islice(head, d1)
+        yield from head[d1 - 1:d1] * (r0 - d1)
+        yield from map(item, range(r1 - r0))
+        if self.n > r1:
+            yield from repeat(item(r1 - r0 - 1), self.n - r1)
 
     def __eq__(self, other):
-        if isinstance(other, _Path):
-            other = other._list()
-        elif not isinstance(other, list):
+        if not isinstance(other, (_Path, list)):
             return NotImplemented
-        return self._list() == other
+        return list(self) == list(other)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return repr(self._list())
+        return repr(list(self))
+
+
+def _leg(start: Position3, end: Position3, residual_data: float, route: _Line, tail: int = 0,
+         walk: Optional[_Walk] = None, d1: int = 0, hover: int = 0) -> Leg:
+    """The leg that walks the first ``d1`` steps of ``walk``, pauses
+    ``hover`` slots there, flies ``route`` and pauses ``tail`` slots at its
+    end; its waypoints and rates are ``_Path`` views."""
+    pts, rates = (walk.pts, walk.rates) if d1 else ((), ())
+    r0 = d1 + hover
+    r1 = r0 + route.n
+    n = r1 + tail
+    return Leg(start, end, residual_data,
+               _Path(pts, d1, r0, r1, n, route.point), _Path(rates, d1, r0, r1, n, route.rate),
+               pts[d1 - 1] if d1 else start, r0, n - r0)
 
 
 class _Walk:
@@ -375,7 +367,7 @@ class _Walk:
 
     ``pts[k]`` is the position after k+1 steps and ``rates[k]`` its rate.
     The walk is a pure function of the start, the channel and the
-    kinematics, so it only ever grows; legs copy the prefix they use.
+    kinematics, so it only ever grows; legs view the prefix they use.
     """
 
     __slots__ = ("start", "cp", "kin", "pts", "rates")
@@ -486,11 +478,11 @@ def optimize_leg(
     straight = cache.line(start, end, dlb, False)
     rates = straight.filled()
     if residual_data <= 0:
-        return Leg(start, end, residual_data, _Path([], 0, 0, straight), rates, start, 0, dlb)
+        return _leg(start, end, residual_data, straight)
     granted = _grant_window(is_granted, first_slot, dlb)
     line_total = _granted_total(rates, granted)  # the hover-at-end family continues it
     if line_total >= residual_data:
-        return Leg(start, end, residual_data, _Path([], 0, 0, straight), rates, start, 0, dlb)
+        return _leg(start, end, residual_data, straight)
 
     cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
     granted += _grant_window(is_granted, first_slot + dlb, cap)
@@ -535,9 +527,7 @@ def optimize_leg(
             if granted[n - 1]:
                 line_total += rates[-1]
             if line_total >= residual_data:
-                hover_end = n - dlb
-                return Leg(start, end, residual_data, _Path([], 0, 0, straight, hover_end),
-                           rates + [rates[-1]] * hover_end, start, 0, n)
+                return _leg(start, end, residual_data, straight, n - dlb)
         if dlb and count[n]:
             # or spread the slots evenly along the segment, unless even the
             # segment's rate ceiling in every granted slot falls short
@@ -546,8 +536,7 @@ def optimize_leg(
             if not count[n] * line_ceiling < residual_data:
                 paced = cache.line(start, end, n, True)
                 if covers(paced, 0, 0.0):
-                    return Leg(start, end, residual_data, _Path([], 0, 0, paced),
-                               paced.filled(), start, 0, n)
+                    return _leg(start, end, residual_data, paced)
         if len(detour) < n:
             walk.extend(n)
         while len(d2s) < n:
@@ -587,9 +576,7 @@ def optimize_leg(
             for even in ((False, True) if d2 else (False,)):
                 route = cache.line(tp, end, d2, even)
                 if h >= residual_data or covers(route, k0, h):
-                    return Leg(start, end, residual_data, _Path(detour, d1, hover, route),
-                               detour_rates[:d1] + [r_tp] * hover + route.filled(),
-                               tp, d1 + hover, d2)
+                    return _leg(start, end, residual_data, route, 0, walk, d1, hover)
     raise LegInfeasible(
         f"no feasible leg from {start} to {end} within {cap} extra slots "
         f"(residual {residual_data:.3g} bits)"
@@ -689,7 +676,7 @@ def drain_leg(
     if cache is not None:
         cache.check(cp, kin)
     if residual_data <= 0:
-        return Leg(start, start, 0.0, [], [], start, 0, 0)
+        return _leg(start, start, 0.0, _Line(start, start, 0, True))
     walk = _Walk(start, cp, kin) if cache is None else cache.walk(start)
     rates = walk.rates
     total = 0.0
@@ -700,7 +687,7 @@ def drain_leg(
             total += rates[k - 1]
         if total >= residual_data:
             pos = walk.pts[k - 1]
-            return Leg(start, pos, residual_data, walk.pts[:k], rates[:k], pos, k, 0)
+            return _leg(start, pos, residual_data, _Line(pos, pos, 0, True), 0, walk, k)
     raise LegInfeasible(
         f"drain from {start} cannot deliver {residual_data:.3g} bits in {_MAX_DRAIN_SLOTS} slots"
     )
@@ -730,17 +717,17 @@ def initial_leg(
 
     The pace starts at v0 and the leg is stretched (more slots along the
     same segment) until the all-granted upload fits, which guarantees the
-    data constraint for the initial iterate.  Waypoints and rates are made
-    on first read (``_Line``): the stretch test rates the points up to
-    the one where the upload fits, the simulator only those it sums.
+    data constraint for the initial iterate.  The stretch test rates the
+    points up to the one where the upload fits, the simulator only those
+    it sums.
     """
     d = start.dist(end)
     slots = 0 if d <= 0 else max(1, math.ceil(d / v0 - _CEIL_EPS))
     while True:
-        rates = _Line(start, end, slots, True, cp=cp, rates=_NAN * slots)
-        if residual_data <= 0 or _reaches(rates, residual_data):
-            return Leg(start, end, residual_data, _Line(start, end, slots, True), rates,
-                       start, 0, slots)
+        leg = _leg(start, end, residual_data,
+                   _Line(start, end, slots, True, cp=cp, rates=_NAN * slots))
+        if residual_data <= 0 or _reaches(leg.rates, residual_data):
+            return leg
         if slots >= _MAX_STRETCH:
             raise LegInfeasible(
                 f"initial leg from {start} to {end} cannot carry "

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uavsense import bench
 from uavsense.bench import (
     EXPERIMENT_IDS,
     Scenario,
@@ -163,7 +164,44 @@ class TestExperiments:
         assert a.rows == b.rows and a.raw == b.raw
 
 
+# (config key, value, ScenarioConfig field it sets, the field's value)
+_KEY_CASES = [
+    ("M", "10", "m", 10), ("N", "10", "n", 10), ("K", "3", "k", 3), ("q", "2", "q", 2),
+    ("seed", "99", "seed", 99), ("scheme", "fsl", "scheme", "fsl"),
+    ("data_size", "1.5e7", "data_size", 1.5e7), ("fsl_height", "60", "fsl_height", 60.0),
+    ("area.x", "400", "area", (400.0, 500.0, 100.0)),
+    ("area.y", "300", "area", (500.0, 300.0, 100.0)),
+    ("area.z", "90", "area", (500.0, 500.0, 90.0)),
+    ("channel.bs_height", "30", "channel.bs_height", 30.0),
+    ("channel.carrier_freq", "2.5", "channel.carrier_freq", 2.5),
+    ("channel.subcarrier_bandwidth", "2e6", "channel.subcarrier_bandwidth", 2e6),
+    ("channel.noise_power", "-100", "channel.noise_power", -100.0),
+    ("channel.tx_power", "20", "channel.tx_power", 20.0),
+    ("channel.slot_duration", "0.5", "channel.slot_duration", 0.5),
+    ("sensing.lambda", "0.02", "sensing.lam", 0.02),
+    ("sensing.pr_th", "0.8", "sensing.pr_th", 0.8),
+    ("kinematics.v_max", "40", "kinematics.v_max", 40.0),
+    ("kinematics.h_min", "15", "kinematics.h_min", 15.0),
+]
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("key, raw, field, value", _KEY_CASES,
+                             ids=[case[0] for case in _KEY_CASES])
+    def test_each_key_reaches_its_field(self, key, raw, field, value):
+        # the key sets its field, and no other field moves
+        base = ScenarioConfig()
+        part, _, name = field.rpartition(".")
+        if part:
+            want = replace(base, **{part: replace(getattr(base, part), **{name: value})})
+        else:
+            want = replace(base, **{name: value})
+        assert want != base
+        assert parse_config_text(f"{key} = {raw}\n") == want
+
+    def test_every_key_has_a_case(self):
+        assert sorted(case[0] for case in _KEY_CASES) == sorted(bench._CONFIG_KEYS)
+
     def test_defaults_from_empty(self):
         cfg = parse_config_text("# only a comment\n")
         assert cfg == ScenarioConfig()

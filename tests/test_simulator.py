@@ -44,6 +44,11 @@ def make_plan(uav, start, locations, task_ids, tasks):
     return UavPlan(uav, start, list(task_ids), list(locations), legs, drain)
 
 
+def sensing_slots(out, uav):
+    """The slots in which ``uav`` senses, from a traced run's rows."""
+    return [r.slot for r in out.trace if r.uav == uav and r.slot_type == SENSING]
+
+
 class TestSingleUav:
     def test_completion_bookkeeping(self):
         task = Task(0, Position3(100, 100, 0), 20e6, (0,))
@@ -54,8 +59,8 @@ class TestSingleUav:
         out = run([plan], GreedyScheduler(10), tasks, CP, KIN)
         # the sensing slot is right after the first leg, completion when the
         # payload drains
-        assert out.tau[0] == [plan.legs[0].slots + 1]
-        t_tran = out.completion_times[0] - out.tau[0][-1]
+        assert sensing_slots(out, 0) == [plan.legs[0].slots + 1]
+        t_tran = out.completion_times[0] - sensing_slots(out, 0)[-1]
         assert t_tran >= 1
         assert out.t_max == out.completion_times[0]
         # all payload delivered: residual on the last row is zero
@@ -70,10 +75,10 @@ class TestSingleUav:
                          [Position3(100, 100, 12), Position3(350, 250, 12)],
                          [0, 1], tasks)
         out = run([plan], GreedyScheduler(10), tasks, CP, KIN)
-        assert len(out.tau[0]) == 2
-        assert out.tau[0][1] > out.tau[0][0]
-        assert out.completion_times[0] == out.tau[0][1] + (
-            out.completion_times[0] - out.tau[0][1])
+        sensed = sensing_slots(out, 0)
+        assert len(sensed) == 2
+        assert sensed[1] > sensed[0]
+        assert out.completion_times[0] > sensed[1]
 
     def test_hover_drain_when_leg_capacity_missing(self):
         # schedule denies every slot via a k=1 contention with a dummy rival:
@@ -96,12 +101,12 @@ class TestSingleUav:
         out = run([plan], GreedyScheduler(10), tasks, CP, KIN)
         # arrival at slot tau0 + 1; hover-drain until the payload fits;
         # second sensing right after
-        assert out.tau[0][1] == out.tau[0][0] + leg1.slots + 1 + (
+        tau0, tau1 = sensing_slots(out, 0)
+        assert tau1 == tau0 + leg1.slots + 1 + (
             need - leg1.slots if need > leg1.slots else 0)
         # trace shows motionless transmission slots at loc1 before sensing
         rows = [r for r in out.trace if r.uav == 0]
-        pre_sense = [r for r in rows
-                     if out.tau[0][0] < r.slot < out.tau[0][1]]
+        pre_sense = [r for r in rows if tau0 < r.slot < tau1]
         assert all(r.slot_type == TRANSMISSION for r in pre_sense)
         assert all((r.x, r.y, r.z) == (loc1.x, loc1.y, loc1.z)
                    for r in pre_sense[-max(need - leg1.slots, 0):])
@@ -345,7 +350,6 @@ class TestIdleUavsSleep:
                 assert not sleeps
                 assert any(row.slot_type == EMPTY for row in slow.trace)
                 assert fast.completion_times == slow.completion_times
-                assert fast.tau == slow.tau
                 assert fast.grants == slow.grants
                 assert fast.requests == slow.requests
 
@@ -368,8 +372,8 @@ class TestIdleUavsSleep:
                   record_trace=False)
         want = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
                    record_trace=False)
-        assert (got.completion_times, got.tau, got.grants) == \
-            (want.completion_times, want.tau, want.grants)
+        assert (got.completion_times, got.requests, got.grants) == \
+            (want.completion_times, want.requests, want.grants)
         with pytest.raises(AssertionError, match="waypoints were read"):
             run(unread, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
 
@@ -388,10 +392,9 @@ class TestIdleUavsSleep:
         fast = run([plan], GreedyScheduler(1), tasks, CP, KIN, record_trace=False)
         slow = run([plan], GreedyScheduler(1), tasks, CP, KIN)
         sensed = leg0.slots + 1
-        assert slow.tau[0] == [sensed, sensed + 2]
+        assert sensing_slots(slow, 0) == [sensed, sensed + 2]
         assert [r.slot_type for r in slow.trace[sensed - 1:sensed + 2]] == \
             [SENSING, EMPTY, SENSING]
-        assert fast.tau == slow.tau
         assert fast.completion_times == slow.completion_times
         assert fast.grants == slow.grants and fast.requests == slow.requests
 

@@ -345,10 +345,10 @@ class TestSegmentRateCeiling:
                     # on (or within float underflow of) the BS: outside the
                     # channel model's domain, for the line as well
                     with pytest.raises(ChannelDomainError):
-                        line[j]
+                        line.rate(j)
                     continue
                 assert r <= ceiling
-                assert line[j] == r
+                assert line.rate(j) == r
 
     def test_is_tight_far_from_the_bs(self):
         a = b = Position3(300.0, -200.0, 60.0)
@@ -366,9 +366,9 @@ class TestLine:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(seg=_segment(), n=st.integers(1, 40), even=st.booleans(), data=st.data())
     def test_matches_the_eager_reference_bit_for_bit(self, seg, n, even, data):
-        # waypoints, slices, negative indices and rates of both pacings equal
-        # the eagerly built line's, whatever order they are read in, and a
-        # cached line rated halfway by those reads fills to the same rates
+        # waypoints and rates of both pacings equal the eagerly built
+        # line's, and a cached line rated in any order by single reads
+        # fills to the same rates
         cp, a, b = seg
         assume(even or a.dist(b) > 0.0)  # a full-speed line has a direction
         ref = even_waypoints(a, b, n) if even else frontload_waypoints(a, b, KIN.v_max, n)
@@ -377,34 +377,120 @@ class TestLine:
         except ChannelDomainError:
             assume(False)  # a waypoint on the BS
         pts = _Line(a, b, n, even, KIN.v_max)
-        assert repr(pts.points()) == repr(ref) and repr(list(pts)) == repr(ref)
-        assert pts == ref and ref == pts and len(pts) == n
-        assert pts.points()[-1] == b and pts[-1] == b
-        index = st.integers(-n, n - 1)
-        cut = st.one_of(st.none(), st.integers(-n - 2, n + 2))
-        step = st.sampled_from([None, 1, 2, -1, -3])
-        for sl in data.draw(st.lists(st.builds(slice, cut, cut, step),
-                                     max_size=4)):
-            assert repr(pts[sl]) == repr(ref[sl])
-        with pytest.raises(IndexError):
-            pts[n]
-        with pytest.raises(IndexError):
-            pts[-n - 1]
+        assert repr(pts.points()) == repr(ref) and pts.points()[-1] == b
         cache = LegCache(cp, KIN)
         line = cache.line(a, b, n, even)
-        for j in data.draw(st.lists(index, max_size=n)):
-            assert repr(pts[j]) == repr(ref[j])
-            assert repr(line[j]) == repr(ref_rates[j])
+        for j in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            assert repr(line.point(j)) == repr(ref[j])
+            assert repr(line.rate(j)) == repr(ref_rates[j])
         assert cache.line(a, b, n, even) is line
         assert repr(line.filled()) == repr(ref_rates)
         assert repr(line.points()) == repr(ref)
-        assert line == ref_rates and list(line) == ref_rates
 
     def test_no_slots_is_empty(self):
         a, b = Position3(0, 0, 10), Position3(0, 0, 10)
         for even in (False, True):
             line = _Line(a, b, 0, even, KIN.v_max, CP, NAN * 0)
-            assert line.points() == [] and line.filled() == [] and line == []
+            assert line.points() == [] and line.filled() == []
+
+
+def _family_legs():
+    """One fresh leg of every family the planners return, each with its
+    waypoints built eagerly and independently of the planners."""
+    v = KIN.v_max
+    start, end = Position3(400, 400, 40), Position3(350, 420, 30)
+    dlb = delta_lower_bound(start, end, KIN)
+    heavy = 84e6  # about six times the straight line's capacity
+
+    def walked(n):
+        walk = LegCache(CP, KIN).walk(start)
+        walk.extend(n)
+        return walk
+
+    def detour():
+        leg = optimize_leg(start, end, heavy, CP, KIN, grant_from_mask(mask_of("1101" * 10)), 1)
+        walk = walked(leg.detour_slots)
+        tp = leg.turning_point
+        d1 = walk.pts.index(tp) + 1  # 3 walk steps, 7 pauses, an evenly paced route
+        return leg, (walk.pts[:d1] + [tp] * (leg.detour_slots - d1)
+                     + even_waypoints(tp, end, leg.route_slots))
+
+    def hover_at_end():
+        a, b = Position3(-222.0, 31.0, 94.0), Position3(-306.0, -18.0, 105.0)
+        mask = mask_of("100000111001000100001011011100")
+        leg = optimize_leg(a, b, 34.1e6, CP, KIN, grant_from_mask(mask), 1)
+        return leg, frontload_waypoints(a, b, v, 2) + [b] * (leg.slots - 2)
+
+    def even_line():
+        a, b = Position3(191.0, 138.0, 104.0), Position3(206.0, 182.0, 75.0)
+        mask = mask_of("101000010000110010011000000100")
+        leg = optimize_leg(a, b, 31.1e6, CP, KIN, grant_from_mask(mask), 1)
+        return leg, even_waypoints(a, b, leg.slots)
+
+    def drain():
+        leg = drain_leg(start, heavy, CP, KIN, grant_from_mask(mask_of("0110")), 1)
+        return leg, walked(leg.slots).pts
+
+    return {
+        "straight": lambda: (optimize_leg(start, end, 0.0, CP, KIN),
+                             frontload_waypoints(start, end, v, dlb)),
+        "hover_at_end": hover_at_end,
+        "even_line": even_line,
+        "detour": detour,
+        "drain": drain,
+        "no_drain": lambda: (drain_leg(start, 0.0, CP, KIN), []),
+        "initial": lambda: (initial_leg(start, end, heavy, 5.0, CP, KIN),
+                            eager_initial_leg(start, end, heavy, 5.0, CP).waypoints),
+    }
+
+
+class TestPathViews:
+    """Every planner's waypoints and rates are read-only ``_Path`` views."""
+
+    @settings(max_examples=140, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(sorted(_family_legs())), data=st.data())
+    def test_reads_in_any_order_match_the_eager_lists(self, family, data):
+        # single items in random order, negative indices and slices read
+        # from a fresh leg equal the eager lists bit for bit; rates are
+        # the channel's at each eager waypoint
+        leg, ref = _family_legs()[family]()
+        ref_rates = [rate_at(p.x, p.y, p.z, CP) for p in ref]
+        n = len(ref)
+        assert (leg.slots, leg.detour_slots + leg.route_slots) == (n, n)
+        index = st.integers(-n, n - 1) if n else st.nothing()
+        cut = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+        step = st.sampled_from([None, 1, 2, -1, -3])
+        for view, eager in ((leg.rates, ref_rates), (leg.waypoints, ref)):
+            assert isinstance(view, trajectory._Path) and len(view) == n
+            for j in data.draw(st.lists(index, max_size=2 * n)):
+                assert repr(view[j]) == repr(eager[j])
+            for sl in data.draw(st.lists(st.builds(slice, cut, cut, step), max_size=4)):
+                assert repr(view[sl]) == repr(eager[sl])
+            with pytest.raises(IndexError):
+                view[n]
+            with pytest.raises(IndexError):
+                view[-n - 1]
+            assert view == eager and eager == view
+            assert repr(view) == repr(eager) and list(view) == eager
+        assert leg == Leg(leg.start, leg.end, leg.residual_data, ref, ref_rates,
+                          leg.turning_point, leg.detour_slots, leg.route_slots)
+
+    def test_unread_rates_stay_unrated(self):
+        # a masked detour leg sums only the route points in granted slots;
+        # the others stay NaN in the cache until the leg's rates are read
+        start, end = Position3(400, 400, 40), Position3(350, 420, 30)
+        grant = grant_from_mask(mask_of("00011" * 15))
+        cache = LegCache(CP, KIN)
+        leg = optimize_leg(start, end, 60e6, CP, KIN, grant, 1, cache=cache)
+        assert (leg.detour_slots, leg.route_slots) == (10, 8)
+        waypoints = list(leg.waypoints)  # reading waypoints rates nothing
+        route = cache.lines[(leg.turning_point, end, 8, False)]
+        assert route.points() == waypoints[10:]
+        assert sum(math.isnan(r) for r in route.rates) == 4
+        rates = list(leg.rates)
+        assert not any(math.isnan(r) for r in route.rates)
+        assert repr(rates) == repr([rate_at(p.x, p.y, p.z, CP) for p in waypoints])
+        assert repr(rates) == repr(list(optimize_leg(start, end, 60e6, CP, KIN, grant, 1).rates))
 
 
 class TestOptimizeLeg:
@@ -607,37 +693,35 @@ class TestLegCache:
         assert _planned(start, end, residual, grant, first_slot, cache) == cold
 
     def test_mutating_a_leg_leaves_later_plans_intact(self):
+        # every planner's legs, drains included, are read-only views: a
+        # leg cannot be changed, so later plans from the cache are intact
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
         straight = optimize_leg(start, end, 0.0, CP, KIN)
         grant = grant_from_mask(mask_of("1101" * 10))
         heavy = 6.0 * sum(straight.rates)
-        plans = [  # a drain, the straight line and a detoured leg
+        plans = [  # a drain, the straight line, a detoured leg and an initial leg
             lambda cache: drain_leg(start, heavy, CP, KIN, grant, 1, cache=cache),
             lambda cache: optimize_leg(start, end, 0.0, CP, KIN, grant, 1, cache=cache),
             lambda cache: optimize_leg(start, end, heavy, CP, KIN, grant, 1, cache=cache),
+            lambda cache: initial_leg(start, end, heavy, 5.0, CP, KIN),
         ]
         expected = [plan(None) for plan in plans]
-        assert expected[2].detour_slots >= 1
+        assert expected[0].slots >= 1 and expected[2].detour_slots >= 1
         cache = LegCache(CP, KIN)
         for _ in range(2):
             for plan, want in zip(plans, expected):
                 got = plan(cache)
                 assert got == want
-                if isinstance(got.waypoints, list):  # a drain's walk prefix
-                    got.waypoints.reverse()
-                    got.waypoints[0] = Position3(0.0, 0.0, 99.0)
-                    got.waypoints.append(start)
-                else:  # optimize_leg's read-only view
+                for view in (got.waypoints, got.rates):
+                    first = view[0]
                     with pytest.raises(AttributeError):
-                        got.waypoints.reverse()
+                        view.reverse()
                     with pytest.raises(TypeError):
-                        got.waypoints[0] = Position3(0.0, 0.0, 99.0)
+                        view[0] = first
+                    with pytest.raises(TypeError):
+                        del view[0]
                     with pytest.raises(AttributeError):
-                        got.waypoints.append(start)
-                got.rates[:] = [0.0] * len(got.rates)
-                got.rates.append(1.0)
-        assert isinstance(expected[0].waypoints, list)
-        assert not isinstance(expected[2].waypoints, list)
+                        view.append(first)
 
     def test_drain_is_a_prefix_of_the_gradient_walk(self):
         start = Position3(400, 300, 60)
