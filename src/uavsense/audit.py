@@ -12,7 +12,6 @@ with the simulator's bookkeeping except the channel definition itself.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from typing import Mapping, Sequence
 

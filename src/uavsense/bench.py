@@ -17,12 +17,11 @@ resolved.  The RNG is numpy's default PCG64, seeded with 64-bit integers.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,7 +73,6 @@ class ScenarioConfig:
     seed: int = 0
     scheme: str = "itsso"
     fsl_height: float = 50.0
-    uneven_split: bool = False  # derived configs may round the per-UAV load
 
     def __post_init__(self):
         if min(self.m, self.n, self.k, self.q) < 1:
@@ -85,12 +83,17 @@ class ScenarioConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.data_size <= 0:
             raise ValueError("data_size must be positive")
-        if not self.uneven_split and (self.n * self.q) % self.m != 0:
+        if self.scheme == "nc" and self.q != 1:
+            raise ValueError(
+                f"scheme 'nc' runs q=1, got q={self.q}; derive it with nc_config")
+        if self.scheme != "nc" and (self.n * self.q) % self.m != 0:
             raise ValueError(
                 f"equal split impossible: n*q={self.n * self.q} not divisible by m={self.m}")
 
     @property
     def n_per_uav(self) -> int:
+        """Tasks per UAV; an nc config splits its load near-equally, and
+        this is the smaller share."""
         return (self.n * self.q) // self.m
 
 
@@ -168,8 +171,8 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     task_xy = rng.uniform((0.0, 0.0), (ax, ay), size=(config.n, 2))
     start_xyz = rng.uniform((0.0, 0.0, 0.0), (ax, ay, az), size=(config.m, 3))
 
-    if config.uneven_split:
-        base, rem = divmod(config.n * config.q, config.m)
+    if config.scheme == "nc":
+        base, rem = divmod(config.n, config.m)
         sizes = [base + (1 if i < rem else 0) for i in range(config.m)]
     else:
         sizes = [config.n_per_uav] * config.m
@@ -206,15 +209,12 @@ def nc_config(base: ScenarioConfig, seed: int | None = None) -> ScenarioConfig:
     """Non-cooperative variant: q = 1, same tasks and per-UAV load.
 
     The UAV count scales to n / n_per_uav; when that is fractional the
-    closest integer is used with a near-equal load split.
+    closest integer, halves rounded up, is used with a near-equal load
+    split.
     """
     n_i = base.n_per_uav
-    m = max(1, round(base.n / n_i))
-    return replace(
-        base, m=m, q=1, scheme="nc",
-        uneven_split=(m * n_i != base.n),
-        seed=base.seed if seed is None else seed,
-    )
+    m = max(1, (2 * base.n + n_i) // (2 * n_i))
+    return replace(base, m=m, q=1, scheme="nc", seed=base.seed if seed is None else seed)
 
 
 def fsl_plan(scenario: Scenario, cfg: ItssoConfig | None = None,
@@ -281,7 +281,7 @@ class ExperimentResult:
 
 
 def _table_point(base: ScenarioConfig, *, m: int, n: int, q: int, **kw) -> ScenarioConfig:
-    return replace(base, m=m, n=n, q=q, scheme="itsso", uneven_split=False, **kw)
+    return replace(base, m=m, n=n, q=q, scheme="itsso", **kw)
 
 
 def _fig4_points(base: ScenarioConfig):
@@ -370,7 +370,7 @@ def _min_q_simulated(base: ScenarioConfig, pr_th: float, q_cap: int = 16) -> int
     feasibility of a one-task scenario at each q."""
     sensing = SensingParams(lam=base.sensing.lam, pr_th=pr_th)
     for q in range(1, q_cap + 1):
-        cfg = replace(base, m=q, n=1, q=q, sensing=sensing, uneven_split=False)
+        cfg = replace(base, m=q, n=1, q=q, sensing=sensing, scheme="itsso")
         scenario = generate_scenario(cfg)
         try:
             initial_solution(scenario, ItssoConfig(rng_seed=cfg.seed))

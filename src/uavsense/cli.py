@@ -21,14 +21,16 @@ from .simulator import read_trace, write_trace
 
 
 def _config_from_args(args) -> bench.ScenarioConfig:
-    """The ``--config`` file (or the defaults) with ``--seed``/``--scheme`` applied."""
+    """The ``--config`` file (or the defaults) with ``--seed``/``--scheme`` applied;
+    ``--scheme nc`` derives the non-cooperative variant (``bench.nc_config``)."""
     config = bench.load_config(args.config) if args.config else bench.ScenarioConfig()
-    patch = {}
     if args.seed is not None:
-        patch["seed"] = args.seed
+        config = replace(config, seed=args.seed)
+    if args.scheme == "nc":
+        return bench.nc_config(config)
     if args.scheme is not None:
-        patch["scheme"] = args.scheme
-    return replace(config, **patch) if patch else config
+        config = replace(config, scheme=args.scheme)
+    return config
 
 
 def _cmd_simulate(args) -> int:

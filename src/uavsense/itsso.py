@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .channel import ChannelParams, Position3
 from .placement import optimize_sensing_locations
 from .scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
-from .sensing import SensingParams, Task, sensing_success_coop
+from .sensing import SensingParams, sensing_success_coop
 from .simulator import SimOutcome, UavPlan, run
 from .trajectory import (
     KinematicParams,
@@ -266,7 +266,7 @@ def _leg_to_dict(leg) -> dict:
         "end": list(leg.end),
         "residual_data": leg.residual_data,
         "waypoints": [list(p) for p in leg.waypoints],
-        "rates": list(leg.rates),
+        "rates": leg.rates,
         "turning_point": list(leg.turning_point),
         "detour_slots": leg.detour_slots,
         "route_slots": leg.route_slots,

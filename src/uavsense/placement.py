@@ -23,8 +23,8 @@ budget sphere, a root of a quadratic in closed form (``_retreat``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 from .channel import ChannelParams, Position3
 from .sensing import SensingParams, Task, required_sensing_radius, sensing_success_coop
@@ -281,7 +281,10 @@ class _Search:
         return True
 
     def _repair(self, task: Task, t_ref: int, snaps: dict) -> bool:
-        """Advance slack workers toward the task until the threshold holds."""
+        """Advance slack workers toward the task until the threshold holds.
+
+        A move replans only the moved worker, so each member's candidate
+        stays as the filter found it."""
         while self.coop_prob(task) < self.sp.pr_th:
             members = []
             for m in task.workers:
@@ -290,17 +293,13 @@ class _Search:
                 idx_m = self.route_index[(m, task.id)]
                 if self.plans[m].legs[idx_m].slots > self.upper_bound(m, idx_m, task):
                     continue
-                if self._grow_location(m, idx_m, task) is None:
-                    continue
-                members.append(m)
+                cand = self._grow_location(m, idx_m, task)
+                if cand is not None:
+                    members.append((self.t[m], m, idx_m, cand))
             if not members:
                 return False
-            members.sort(key=lambda m: (self.t[m], m))
-            for m in members:
-                idx_m = self.route_index[(m, task.id)]
-                cand = self._grow_location(m, idx_m, task)
-                if cand is None:
-                    continue
+            members.sort(key=lambda member: member[:2])
+            for _, m, idx_m, cand in members:
                 if m not in snaps:
                     snaps[m] = self.snapshot(m)
                 self.move(m, idx_m, cand)

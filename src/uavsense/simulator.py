@@ -16,11 +16,11 @@ Only what a run reads is worked out:
   completion chain, which the projections share, is built on its first
   projection.
 - A leg's rate is read only in a granted slot of a UAV holding data or
-  by a projection.  Every planned leg's rates are made on first read
-  (``trajectory``), so a point that planning did not rate is rated only
-  where the run reads it.
-- Waypoints are read only by a traced run, which makes each leg's
-  waypoints into a list once, when the UAV enters the leg.
+  by a projection, one slot at a time through ``Leg.rate``.  A planned
+  leg rates a route point on its first read (``trajectory``), so a point
+  that planning did not rate is rated only where the run reads it.
+- Waypoints are read only by a traced run, which lists each leg's
+  waypoints once, when the UAV enters the leg.
 - Idle UAVs sleep in untraced runs: a UAV with nothing to send on a leg
   to a sensing location skips the empty slots left on that leg and is
   back in the slot loop to sense.  A traced run steps every UAV in every
@@ -123,16 +123,16 @@ class SimOutcome:
 class _Runtime:
     """Mutable per-UAV execution state (one leg pointer plus residual).
 
-    The rates and length of the leg being walked are bound when the UAV
-    enters it, so the slot loop reads them without a plan lookup; a traced
-    run also binds the leg's waypoints, as a list.  The UAV is at waypoint
+    The leg being walked and its length are bound when the UAV enters it,
+    so the slot loop reads its rates without a plan lookup; a traced run
+    also binds the leg's waypoints, as a list.  The UAV is at waypoint
     ``w - 1`` of that leg, or, while ``w`` is 0, where the last leg left it;
     ``position`` is kept up to date only in traced runs.  A UAV asleep in
     an untraced run (see ``run``) is back in the slot loop at slot ``wake``.
     """
 
     __slots__ = (
-        "uav", "plan", "traced", "n_tasks", "cur", "wps", "rates", "leg_slots", "w",
+        "uav", "plan", "traced", "n_tasks", "cur", "leg", "wps", "leg_slots", "w",
         "residual", "position", "stype", "pending_sense", "done",
         "t_done", "chain", "wake",
     )
@@ -160,10 +160,9 @@ class _Runtime:
     def enter_leg(self) -> None:
         """Start walking leg ``cur`` (the drain leg once every task is sensed)."""
         p = self.plan
-        leg = p.drain if self.cur >= self.n_tasks else p.legs[self.cur]
-        self.wps = list(leg.waypoints) if self.traced else None
-        self.rates = leg.rates
-        self.leg_slots = len(leg.waypoints)
+        leg = self.leg = p.drain if self.cur >= self.n_tasks else p.legs[self.cur]
+        self.wps = leg.waypoints if self.traced else None
+        self.leg_slots = leg.slots
         self.w = 0  # waypoints consumed on the current leg
 
     def sleep(self, slot: int) -> None:
@@ -181,29 +180,29 @@ class _Runtime:
             chain = self.chain = _completion_chain(self.plan)
         if self.pending_sense:
             return slot + 1 + chain[self.cur + 1]
-        drain_slots = _slots_to_drain(self.rates, self.residual, self.w)
+        drain_slots = _slots_to_drain(self.leg, self.residual, self.w)
         if self.cur >= self.n_tasks:
             return slot + drain_slots
         rem = max(self.leg_slots - self.w, drain_slots)
         return slot + rem + 1 + chain[self.cur + 1]
 
 
-def _slots_to_drain(rates: Sequence[float], residual: float, w: int) -> int:
+def _slots_to_drain(leg: Leg, residual: float, w: int) -> int:
     """Additional all-granted slots until ``residual`` bits are delivered,
-    starting just after waypoint ``w`` of a leg with per-waypoint ``rates``
-    (hovering at the leg end once waypoints run out)."""
+    starting just after waypoint ``w`` of ``leg`` (hovering at the leg end
+    once waypoints run out)."""
     if residual <= 0:
         return 0
+    n, rate = leg.slots, leg.rate
     total = 0.0
-    for j in range(w, len(rates)):
-        total += rates[j]
+    for j in range(w, n):
+        total += rate(j)
         if total >= residual:
             return j - w + 1
-    if not rates:
+    if not n:
         raise RuntimeError("a leg carrying data must have waypoints")
-    end_rate = rates[-1]
-    extra = math.ceil((residual - total) / end_rate - 1e-12)
-    return (len(rates) - w) + max(extra, 1 if total < residual else 0)
+    extra = math.ceil((residual - total) / rate(n - 1) - 1e-12)
+    return (n - w) + max(extra, 1 if total < residual else 0)
 
 
 def _completion_chain(plan: UavPlan) -> list[float]:
@@ -211,10 +210,10 @@ def _completion_chain(plan: UavPlan) -> list[float]:
     chain = [0.0] * (n + 1)
     if n == 0:
         return chain
-    chain[n] = _slots_to_drain(plan.drain.rates, plan.drain.residual_data, 0)
+    chain[n] = _slots_to_drain(plan.drain, plan.drain.residual_data, 0)
     for j in range(n - 1, -1, -1):
         leg = plan.legs[j]
-        walk = max(leg.slots, _slots_to_drain(leg.rates, leg.residual_data, 0))
+        walk = max(leg.slots, _slots_to_drain(leg, leg.residual_data, 0))
         chain[j] = walk + 1 + chain[j + 1]
     return chain
 
@@ -323,7 +322,7 @@ def run(
             if got and st.residual > 0:
                 # a granted requester has walked a waypoint of its leg, as a
                 # leg carrying data has waypoints (checked on sensing)
-                applied = min(st.rates[st.w - 1], st.residual)
+                applied = min(st.leg.rate(st.w - 1), st.residual)
                 st.residual -= applied
                 if st.residual <= 1e-9:
                     st.residual = 0.0

@@ -40,14 +40,14 @@ on geometry; the mask and the residual only decide which rates are summed.
   partly rated by one call is completed by the next that needs it.
   ``run_itsso`` makes one per call and drops it on return; a call without
   one starts cold.  There is no module-level cache.
-- A leg builds nothing up front.  Every planner returns its waypoints
-  and its rates as read-only ``_Path`` views over the walk prefix it
-  uses and its route ``_Line``: a waypoint is made when read, and a route
-  point is rated on its first read and kept in the line.  Only a traced
-  simulator run and a dump read waypoints; the simulator rates the points
-  it sums in granted slots, and a dump rates the rest.  ``initial_leg``'s
-  stretch test rates its line up to the point where the all-granted
-  upload fits.
+- A leg builds nothing up front.  Every ``Leg`` stores its shape: the
+  walk prefix it uses, pauses, its route ``_Line`` and pauses at the end.
+  ``Leg.rate(k)`` reads one slot's rate, and a route point is rated on
+  its first read and kept in the line; ``waypoints`` and ``rates`` build
+  fresh lists in bulk.  Only a traced simulator run and a dump read
+  waypoints; the simulator rates the points it sums in granted slots, and
+  a dump rates the rest.  ``initial_leg``'s stretch test rates its line up
+  to the point where the all-granted upload fits.
 Capacities are summed left to right over granted slots, exactly as a
 plain loop over every slot would, so a plan is bit-identical to the one a
 dense scan of every point gives, with or without a cache.
@@ -59,7 +59,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .channel import (
@@ -109,33 +109,81 @@ class KinematicParams:
             raise ValueError("v_max and h_min must be positive")
 
 
-@dataclass
+_LEG_FIELDS = ("start", "end", "residual_data", "waypoints", "rates", "turning_point",
+               "detour_slots", "route_slots")
+
+
 class Leg:
-    """One planned leg: waypoints occupy the slots after the start's sensing slot.
+    """One planned leg: its ``slots`` follow the start's sensing slot.
 
     ``waypoints[k]`` is the position in leg slot k+1; the last waypoint is
-    the leg's end point.  ``rates[k]`` is the scheduled rate at
+    the leg's end point.  ``rate(k)`` is the scheduled rate at
     ``waypoints[k]``, so the simulator and schedulers never re-evaluate the
-    channel.  Both are read-only ``_Path`` views made on read for every
-    leg a planner returns (plain lists for ``constant_speed_leg`` and a
-    loaded dump).  A route point that no capacity check summed is rated
-    when its rate is first read, so a ``ChannelDomainError`` for such a
-    point surfaces there, not when the leg is planned.
-    ``detour_slots + route_slots == len(waypoints)``.
+    channel; ``rates`` lists them all.
+    ``detour_slots + route_slots == slots == len(waypoints)``.
+
+    A leg stores its shape, not its lists: the first ``d1`` items of a head
+    (a gradient walk's points and rates), pauses there up to
+    ``detour_slots``, a route ``_Line`` and pauses at its end; a leg made
+    from given lists (``constant_speed_leg``, a loaded dump) is all head.
+    ``waypoints`` and ``rates`` build fresh lists on every read.  A route point that no capacity check summed is rated on
+    its first read and kept in the line, so a ``ChannelDomainError`` for
+    such a point surfaces there, not when the leg is planned.  Legs compare
+    equal by content.
     """
 
-    start: Position3
-    end: Position3
-    residual_data: float
-    waypoints: Sequence[Position3]
-    rates: Sequence[float]
-    turning_point: Position3
-    detour_slots: int
-    route_slots: int
+    __slots__ = ("start", "end", "residual_data", "turning_point", "detour_slots",
+                 "route_slots", "slots", "_pts", "_rates", "_d1", "_r0", "_route")
+
+    def __init__(self, start: Position3, end: Position3, residual_data: float,
+                 waypoints: list[Position3], rates: list[float], turning_point: Position3,
+                 detour_slots: int, route_slots: int):
+        self.start, self.end, self.residual_data = start, end, residual_data
+        self.turning_point, self.detour_slots, self.route_slots = (
+            turning_point, detour_slots, route_slots)
+        n = self.slots = len(waypoints)
+        self._pts, self._rates, self._d1, self._r0, self._route = waypoints, rates, n, n, None
+
+    def rate(self, k: int) -> float:
+        """The rate in leg slot k+1 (0 <= k < slots)."""
+        j = k - self._r0
+        if j < 0:
+            d1 = self._d1
+            return self._rates[k if k < d1 else d1 - 1]
+        route = self._route
+        if j >= route.n:
+            j = route.n - 1
+        r = route.rates[j]
+        return route.rate(j) if r != r else r
+
+    def _spread(self, head: list, route: list) -> list:
+        """The leg's items from the head's and the route's."""
+        d1 = self._d1
+        items = head[:d1]
+        items += items[-1:] * (self._r0 - d1)
+        items += route
+        items += items[-1:] * (self.slots - len(items))
+        return items
 
     @property
-    def slots(self) -> int:
-        return len(self.waypoints)
+    def waypoints(self) -> list[Position3]:
+        route = self._route
+        return self._spread(self._pts, route.points() if route else [])
+
+    @property
+    def rates(self) -> list[float]:
+        route = self._route
+        return self._spread(self._rates, route.filled() if route else [])
+
+    def __eq__(self, other):
+        if not isinstance(other, Leg):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in _LEG_FIELDS)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "Leg(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in _LEG_FIELDS) + ")"
 
 
 def grant_from_mask(mask: Optional[Sequence[bool]]) -> GrantFn:
@@ -259,10 +307,6 @@ class _Line:
         a = self.a
         return a.x + f * self._dx, a.y + f * self._dy, a.z + f * self._dz
 
-    def point(self, j: int) -> Position3:
-        """Waypoint j (0-based)."""
-        return Position3(*self._xyz(j))
-
     def points(self) -> list[Position3]:
         """Every waypoint, as ``_xyz`` makes it."""
         n = self.n
@@ -295,71 +339,17 @@ class _Line:
         return rates.tolist()
 
 
-class _Path(Sequence):
-    """A leg's waypoints or its rates: a read-only view made on read.
-
-    Its ``n`` items are, in order: the first ``d1`` items of ``head`` (a
-    gradient walk's points or rates), copies of the last of them up to
-    item ``r0``, ``item(k - r0)`` for items ``r0..r1-1`` (the route line's
-    ``point`` or ``rate``) and copies of the route's last item.  A walk
-    only ever grows, so its first ``d1`` items never change.  Compares
-    equal to, and prints as, the list of its items.
-    """
-
-    __slots__ = ("head", "d1", "r0", "r1", "n", "item")
-
-    def __init__(self, head: Sequence, d1: int, r0: int, r1: int, n: int, item: Callable):
-        self.head, self.d1, self.r0, self.r1, self.n, self.item = head, d1, r0, r1, n, item
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(self.n))]
-        if k < 0:
-            k += self.n
-        r0 = self.r0
-        if r0 <= k < self.r1:
-            return self.item(k - r0)
-        d1 = self.d1
-        if 0 <= k < d1:
-            return self.head[k]
-        if not 0 <= k < self.n:
-            raise IndexError("leg index out of range")
-        return self.head[d1 - 1] if k < r0 else self.item(self.r1 - r0 - 1)
-
-    def __iter__(self):
-        head, d1, r0, r1, item = self.head, self.d1, self.r0, self.r1, self.item
-        yield from islice(head, d1)
-        yield from head[d1 - 1:d1] * (r0 - d1)
-        yield from map(item, range(r1 - r0))
-        if self.n > r1:
-            yield from repeat(item(r1 - r0 - 1), self.n - r1)
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Path, list)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-def _leg(start: Position3, end: Position3, residual_data: float, route: _Line, tail: int = 0,
-         walk: Optional[_Walk] = None, d1: int = 0, hover: int = 0) -> Leg:
+def _leg(start: Position3, end: Position3, residual_data: float, route: Optional[_Line],
+         tail: int = 0, walk: Optional[_Walk] = None, d1: int = 0, hover: int = 0) -> Leg:
     """The leg that walks the first ``d1`` steps of ``walk``, pauses
-    ``hover`` slots there, flies ``route`` and pauses ``tail`` slots at its
-    end; its waypoints and rates are ``_Path`` views."""
-    pts, rates = (walk.pts, walk.rates) if d1 else ((), ())
+    ``hover`` slots there, flies ``route`` (if any) and pauses ``tail``
+    slots at its end."""
+    pts, rates = (walk.pts, walk.rates) if d1 else ([], [])
     r0 = d1 + hover
-    r1 = r0 + route.n
-    n = r1 + tail
-    return Leg(start, end, residual_data,
-               _Path(pts, d1, r0, r1, n, route.point), _Path(rates, d1, r0, r1, n, route.rate),
-               pts[d1 - 1] if d1 else start, r0, n - r0)
+    n = r0 + route.n + tail if route else r0
+    leg = Leg(start, end, residual_data, pts, rates, pts[d1 - 1] if d1 else start, r0, n - r0)
+    leg.slots, leg._d1, leg._r0, leg._route = n, d1, r0, route
+    return leg
 
 
 class _Walk:
@@ -367,7 +357,7 @@ class _Walk:
 
     ``pts[k]`` is the position after k+1 steps and ``rates[k]`` its rate.
     The walk is a pure function of the start, the channel and the
-    kinematics, so it only ever grows; legs view the prefix they use.
+    kinematics, so it only ever grows; legs read the prefix they use.
     """
 
     __slots__ = ("start", "cp", "kin", "pts", "rates")
@@ -676,7 +666,7 @@ def drain_leg(
     if cache is not None:
         cache.check(cp, kin)
     if residual_data <= 0:
-        return _leg(start, start, 0.0, _Line(start, start, 0, True))
+        return _leg(start, start, 0.0, None)
     walk = _Walk(start, cp, kin) if cache is None else cache.walk(start)
     rates = walk.rates
     total = 0.0
@@ -687,19 +677,19 @@ def drain_leg(
             total += rates[k - 1]
         if total >= residual_data:
             pos = walk.pts[k - 1]
-            return _leg(start, pos, residual_data, _Line(pos, pos, 0, True), 0, walk, k)
+            return _leg(start, pos, residual_data, None, 0, walk, k)
     raise LegInfeasible(
         f"drain from {start} cannot deliver {residual_data:.3g} bits in {_MAX_DRAIN_SLOTS} slots"
     )
 
 
-def _reaches(rates: Sequence[float], target: float) -> bool:
-    """Whether the rates, summed left to right, reach ``target``; rates are
-    non-negative, so stopping once the sum gets there gives the full sum's
-    answer."""
+def _reaches(leg: Leg, target: float) -> bool:
+    """Whether the leg's rates, summed left to right, reach ``target``;
+    rates are non-negative, so stopping once the sum gets there gives the
+    full sum's answer."""
     total = 0.0
-    for r in rates:
-        total += r
+    for k in range(leg.slots):
+        total += leg.rate(k)
         if total >= target:
             return True
     return False
@@ -726,7 +716,7 @@ def initial_leg(
     while True:
         leg = _leg(start, end, residual_data,
                    _Line(start, end, slots, True, cp=cp, rates=_NAN * slots))
-        if residual_data <= 0 or _reaches(leg.rates, residual_data):
+        if residual_data <= 0 or _reaches(leg, residual_data):
             return leg
         if slots >= _MAX_STRETCH:
             raise LegInfeasible(

@@ -71,6 +71,21 @@ class TestGeneration:
         # paired instances share the task field
         assert all(a.tasks[j].location == b.tasks[j].location for j in a.tasks)
 
+    def test_nc_rounds_half_up_with_near_equal_loads(self):
+        # fig7's point: 8 tasks per UAV over 20 tasks is 2.5 UAVs, so 3
+        nc = nc_config(ScenarioConfig(m=10, n=20, q=4))
+        assert (nc.m, nc.q, nc.scheme) == (3, 1, "nc")
+        routes = generate_scenario(nc).routes
+        assert [len(routes[u]) for u in sorted(routes)] == [7, 7, 6]
+        assert sorted(t for r in routes.values() for t in r) == list(range(20))
+
+    def test_nc_scheme_needs_q1(self):
+        with pytest.raises(ValueError, match="nc_config"):
+            ScenarioConfig(scheme="nc")
+        with pytest.raises(ValueError, match="nc_config"):
+            parse_config_text("scheme = nc\n")
+        assert ScenarioConfig(m=5, q=1, scheme="nc") == nc_config(ScenarioConfig())
+
 
 class TestSchemes:
     def test_fsl_pins_altitude_and_skips_placement(self):
@@ -157,6 +172,12 @@ class TestExperiments:
         assert sim[1.0] == 1 and sim[6.0] == 6
         for x in sim:
             assert abs(sim[x] - theo[x]) <= 1
+
+    def test_process_pool_matches_inline(self):
+        inline = run_experiment("fig6", instances=1, seed=90)
+        pooled = run_experiment("fig6", instances=1, seed=90, workers=2)
+        assert len(inline.raw) == 15
+        assert pooled.rows == inline.rows and pooled.raw == inline.raw
 
     def test_deterministic_rerun(self, tmp_path):
         a = run_experiment("fig4", instances=1, seed=70)
@@ -288,6 +309,12 @@ class TestCli:
                        "--seed", "999"])
         out = capsys.readouterr().out
         assert rc == 1 and "FAIL" in out
+
+    def test_simulate_scheme_nc_derives_the_nc_config(self, capsys):
+        assert cli_main(["simulate", "--scheme", "nc", "--seed", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "scheme=nc seed=3 M=5 N=20 K=10 q=1"
+        assert "constraint audit: PASS" in out
 
     def test_analyze_ops(self, capsys):
         assert cli_main(["analyze", "--op", "dtdq"]) == 0

@@ -54,12 +54,16 @@ def test_removed_functions_are_gone(module):
 
 
 def test_removed_members_are_gone():
-    from uavsense.bench import ExperimentResult
+    from uavsense import trajectory
+    from uavsense.bench import ExperimentResult, ScenarioConfig
     from uavsense.channel import Position3
     from uavsense.scheduler import OnDemand, schedule_slot
     from uavsense.simulator import SimOutcome, run
     from uavsense.trajectory import drain_leg
 
+    assert not hasattr(trajectory, "_Path")  # a Leg reads its own rates
+    assert not hasattr(trajectory._Line, "point")
+    assert "uneven_split" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
     assert not hasattr(Position3, "is_finite")
     assert not hasattr(ExperimentResult, "mean")
     assert "tran_durations" not in {f.name for f in dataclasses.fields(SimOutcome)}
@@ -68,3 +72,22 @@ def test_removed_members_are_gone():
     assert "max_slots" not in inspect.signature(drain_leg).parameters
     residuals = inspect.signature(schedule_slot).parameters["residuals"]
     assert residuals.default is inspect.Parameter.empty
+
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_module_level_imports(name):
+    # no linter is installed, so this stands in for pyflakes' F401; the
+    # package's __init__, which imports only to re-export, is not a module here
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"uavsense.{name}")))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{n} (line {line})" for n, line in imported.items() if n not in used)
+    assert not unused, f"uavsense.{name} imports names it never uses: {unused}"

@@ -18,7 +18,7 @@ from uavsense.simulator import (
     run,
     write_trace,
 )
-from uavsense.trajectory import KinematicParams, drain_leg, optimize_leg
+from uavsense.trajectory import KinematicParams, Leg, drain_leg, optimize_leg
 
 CP = ChannelParams()
 KIN = KinematicParams()
@@ -353,29 +353,21 @@ class TestIdleUavsSleep:
                 assert fast.grants == slow.grants
                 assert fast.requests == slow.requests
 
-    def test_untraced_run_reads_no_waypoint(self):
-        from dataclasses import replace
-
-        class Unread(list):
-            def __getitem__(self, j):
-                raise AssertionError("a waypoint was read")
-
-            def __iter__(self):
-                raise AssertionError("the waypoints were read")
-
+    def test_untraced_run_reads_no_waypoint(self, monkeypatch):
         sc, plans = _final_plans(ScenarioConfig(seed=7_150_004))
-        unread = [UavPlan(p.uav, p.start, p.task_ids, p.sensing_locations,
-                          [replace(leg, waypoints=Unread(leg.waypoints)) for leg in p.legs],
-                          replace(p.drain, waypoints=Unread(p.drain.waypoints)))
-                  for p in plans]
-        got = run(unread, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
-                  record_trace=False)
         want = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
                    record_trace=False)
+
+        def unread(leg):
+            raise AssertionError("the waypoints were read")
+
+        monkeypatch.setattr(Leg, "waypoints", property(unread))
+        got = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
+                  record_trace=False)
         assert (got.completion_times, got.requests, got.grants) == \
             (want.completion_times, want.requests, want.grants)
         with pytest.raises(AssertionError, match="waypoints were read"):
-            run(unread, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
+            run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
 
     def test_empty_payload_then_a_leg_without_waypoints(self):
         # sensing a 0-bit payload starts a leg with no waypoints: the UAV

@@ -381,7 +381,6 @@ class TestLine:
         cache = LegCache(cp, KIN)
         line = cache.line(a, b, n, even)
         for j in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
-            assert repr(line.point(j)) == repr(ref[j])
             assert repr(line.rate(j)) == repr(ref_rates[j])
         assert cache.line(a, b, n, even) is line
         assert repr(line.filled()) == repr(ref_rates)
@@ -444,53 +443,51 @@ def _family_legs():
     }
 
 
-class TestPathViews:
-    """Every planner's waypoints and rates are read-only ``_Path`` views."""
+class TestLegReads:
+    """Every planner's leg reads its own rates, one slot at a time or as a list."""
 
     @settings(max_examples=140, deadline=None, derandomize=True, database=None)
     @given(family=st.sampled_from(sorted(_family_legs())), data=st.data())
     def test_reads_in_any_order_match_the_eager_lists(self, family, data):
-        # single items in random order, negative indices and slices read
-        # from a fresh leg equal the eager lists bit for bit; rates are
-        # the channel's at each eager waypoint
+        # rates read one slot at a time in random order from a fresh leg,
+        # then the lists, equal the eager lists bit for bit; rates are the
+        # channel's at each eager waypoint
         leg, ref = _family_legs()[family]()
         ref_rates = [rate_at(p.x, p.y, p.z, CP) for p in ref]
         n = len(ref)
         assert (leg.slots, leg.detour_slots + leg.route_slots) == (n, n)
-        index = st.integers(-n, n - 1) if n else st.nothing()
-        cut = st.one_of(st.none(), st.integers(-n - 2, n + 2))
-        step = st.sampled_from([None, 1, 2, -1, -3])
-        for view, eager in ((leg.rates, ref_rates), (leg.waypoints, ref)):
-            assert isinstance(view, trajectory._Path) and len(view) == n
-            for j in data.draw(st.lists(index, max_size=2 * n)):
-                assert repr(view[j]) == repr(eager[j])
-            for sl in data.draw(st.lists(st.builds(slice, cut, cut, step), max_size=4)):
-                assert repr(view[sl]) == repr(eager[sl])
-            with pytest.raises(IndexError):
-                view[n]
-            with pytest.raises(IndexError):
-                view[-n - 1]
-            assert view == eager and eager == view
-            assert repr(view) == repr(eager) and list(view) == eager
-        assert leg == Leg(leg.start, leg.end, leg.residual_data, ref, ref_rates,
-                          leg.turning_point, leg.detour_slots, leg.route_slots)
+        index = st.integers(0, n - 1) if n else st.nothing()
+        for k in data.draw(st.lists(index, max_size=2 * n)):
+            assert repr(leg.rate(k)) == repr(ref_rates[k])
+        assert type(leg.rates) is list and repr(leg.rates) == repr(ref_rates)
+        assert type(leg.waypoints) is list and repr(leg.waypoints) == repr(ref)
+        assert [leg.rate(k) for k in range(n)] == ref_rates
+        eager = Leg(leg.start, leg.end, leg.residual_data, ref, ref_rates,
+                    leg.turning_point, leg.detour_slots, leg.route_slots)
+        assert leg == eager and eager == leg
+        assert eager.slots == n and [eager.rate(k) for k in range(n)] == ref_rates
+        assert repr(leg) == repr(eager)
 
     def test_unread_rates_stay_unrated(self):
         # a masked detour leg sums only the route points in granted slots;
-        # the others stay NaN in the cache until the leg's rates are read
+        # the others stay NaN in the cache until the leg reads them
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
         grant = grant_from_mask(mask_of("00011" * 15))
         cache = LegCache(CP, KIN)
         leg = optimize_leg(start, end, 60e6, CP, KIN, grant, 1, cache=cache)
         assert (leg.detour_slots, leg.route_slots) == (10, 8)
-        waypoints = list(leg.waypoints)  # reading waypoints rates nothing
+        waypoints = leg.waypoints  # reading waypoints rates nothing
         route = cache.lines[(leg.turning_point, end, 8, False)]
         assert route.points() == waypoints[10:]
-        assert sum(math.isnan(r) for r in route.rates) == 4
-        rates = list(leg.rates)
+        unrated = [j for j, r in enumerate(route.rates) if math.isnan(r)]
+        assert len(unrated) == 4
+        p = waypoints[10 + unrated[-1]]
+        assert leg.rate(10 + unrated[-1]) == rate_at(p.x, p.y, p.z, CP)
+        assert sum(math.isnan(r) for r in route.rates) == 3  # only the point read
+        rates = leg.rates
         assert not any(math.isnan(r) for r in route.rates)
         assert repr(rates) == repr([rate_at(p.x, p.y, p.z, CP) for p in waypoints])
-        assert repr(rates) == repr(list(optimize_leg(start, end, 60e6, CP, KIN, grant, 1).rates))
+        assert repr(rates) == repr(optimize_leg(start, end, 60e6, CP, KIN, grant, 1).rates)
 
 
 class TestOptimizeLeg:
@@ -693,8 +690,9 @@ class TestLegCache:
         assert _planned(start, end, residual, grant, first_slot, cache) == cold
 
     def test_mutating_a_leg_leaves_later_plans_intact(self):
-        # every planner's legs, drains included, are read-only views: a
-        # leg cannot be changed, so later plans from the cache are intact
+        # every planner's legs, drains included, hand out fresh lists:
+        # changing them changes neither the leg nor later plans from the
+        # cache, which share its walk and route line
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
         straight = optimize_leg(start, end, 0.0, CP, KIN)
         grant = grant_from_mask(mask_of("1101" * 10))
@@ -712,16 +710,13 @@ class TestLegCache:
             for plan, want in zip(plans, expected):
                 got = plan(cache)
                 assert got == want
-                for view in (got.waypoints, got.rates):
-                    first = view[0]
-                    with pytest.raises(AttributeError):
-                        view.reverse()
-                    with pytest.raises(TypeError):
-                        view[0] = first
-                    with pytest.raises(TypeError):
-                        del view[0]
-                    with pytest.raises(AttributeError):
-                        view.append(first)
+                for items in (got.waypoints, got.rates):
+                    first = items[0]
+                    items.reverse()
+                    items[0] = first
+                    del items[1]
+                    items.append(first)
+                assert got == want
 
     def test_drain_is_a_prefix_of_the_gradient_walk(self):
         start = Position3(400, 300, 60)
@@ -899,8 +894,8 @@ class TestInitialLeg:
     @given(seg=_segment(), v0=st.sampled_from([2.5, 5.0, 20.0]),
            load=st.sampled_from([0.0, 0.01, 0.3, 0.99, 1.0, 1.7, 3.0]), data=st.data())
     def test_lazy_leg_equals_eager_reference(self, seg, v0, load, data):
-        # a load above 1 makes the leg stretch; items are read in random order
-        # (negative indices too) before the leg is dumped, listed and compared
+        # a load above 1 makes the leg stretch; rates are read one slot at a
+        # time in random order before the leg is dumped, listed and compared
         cp, a, b = seg
         n0 = eager_initial_leg(a, b, 0.0, v0, cp).slots
         assume(n0 <= 400)
@@ -913,15 +908,11 @@ class TestInitialLeg:
         n = ref.slots
         assert (leg.slots, len(leg.rates), leg.detour_slots, leg.route_slots) == \
             (n, n, 0, n)
-        reads = data.draw(st.lists(st.integers(-n, n - 1), max_size=12)) if n else []
-        for j in reads + ([-1] if n else []):
-            assert leg.rates[j] == ref.rates[j]
-            assert leg.waypoints[j] == ref.waypoints[j]
-        with pytest.raises(IndexError):
-            leg.waypoints[n]
+        reads = data.draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []
+        for k in reads + ([n - 1] if n else []):
+            assert leg.rate(k) == ref.rates[k]
         assert json.dumps(_leg_to_dict(leg)) == json.dumps(_leg_to_dict(ref))
-        assert list(leg.waypoints) == ref.waypoints and list(leg.rates) == ref.rates
-        assert leg.waypoints[1:-1] == ref.waypoints[1:-1]
+        assert leg.waypoints == ref.waypoints and leg.rates == ref.rates
         assert leg == ref and ref == leg
 
     def test_a_point_on_the_bs_raises_when_read(self):
@@ -931,9 +922,11 @@ class TestInitialLeg:
         start, end = Position3(-75, 0, CP.bs_height), Position3(75, 0, CP.bs_height)
         leg = initial_leg(start, end, 1e6, 37.5, CP, KIN)
         assert leg.slots == 4 and leg.waypoints[1] == CP.bs_position
-        assert leg.rates[0] == rate_at(-37.5, 0.0, CP.bs_height, CP)
-        with pytest.raises(ChannelDomainError, match=r"\(0\.0, 0\.0, 25\.0\)"):
-            leg.rates[1]
+        assert leg.rate(0) == rate_at(-37.5, 0.0, CP.bs_height, CP)
+        assert leg.rate(3) == rate_at(75.0, 0.0, CP.bs_height, CP)
+        for read in (lambda: leg.rate(1), lambda: leg.rates):
+            with pytest.raises(ChannelDomainError, match=r"\(0\.0, 0\.0, 25\.0\)"):
+                read()
 
     def test_even_pacing_and_capacity(self):
         start, end = Position3(400, 0, 50), Position3(100, 200, 30)
