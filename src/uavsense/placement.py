@@ -18,6 +18,11 @@ product barely constrains a single far member once the others cover the
 task), which degenerates into sensing from wherever the UAV happens to be.
 A retreat that would leave the budget stops where its line exits the
 budget sphere, a root of a quadratic in closed form (``_retreat``).
+Since every member then stays within the radius at which the group meets
+the threshold, a retreat leaves the threshold met: ``_Search._repair``
+(and with it ``upper_bound`` and ``_grow_location``) was never entered
+over 75 searched instances, 25 each at the Table point, at K=2 with
+M=N=10, and at 8 tasks per UAV.
 """
 
 from __future__ import annotations

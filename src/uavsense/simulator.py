@@ -23,9 +23,10 @@ Only what a run reads is worked out:
   waypoints once, when the UAV enters the leg.
 - Idle UAVs sleep in untraced runs: a UAV with nothing to send on a leg
   to a sensing location skips the empty slots left on that leg and is
-  back in the slot loop to sense.  A traced run steps every UAV in every
-  slot, since each slot needs a row; ``itsso.run_itsso`` checks on every
-  traced run that its stepped replay matches the untraced run.
+  back in the slot loop to sense; a slot in which every UAV sleeps is
+  skipped whole.  A traced run steps every UAV in every slot, since each
+  slot needs a row; ``itsso.run_itsso`` checks on every traced run that
+  its stepped replay matches the untraced run.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 _MAX_SLOTS = 100000  # slots; a run needing more raises
+_NOTHING: frozenset[int] = frozenset()  # requests and grants of a slot every UAV sleeps through
 
 SENSING = "sensing"
 TRANSMISSION = "transmission"
@@ -239,8 +241,10 @@ def run(
     Without a trace, a UAV with nothing to send on a leg to a sensing
     location sleeps through the empty slots left on that leg: it would
     request nothing and be read by nobody there, so it leaves the slot loop
-    and comes back in the slot it senses.  A traced run steps it, since
-    every slot needs its row.
+    and comes back in the slot it senses.  Slots in which every unfinished
+    UAV sleeps are not stepped: ``t`` jumps to the next wake slot, and each
+    skipped slot logs empty requests and grants.  A traced run steps every
+    UAV, since every slot needs its row.
     """
     states = [_Runtime(p, record_trace) for p in plans]
     by_id = {s.uav: s for s in states}
@@ -269,6 +273,13 @@ def run(
     t = 0
     while active or asleep:
         t += 1
+        if not active:
+            # every unfinished UAV sleeps until the next wake slot: those
+            # slots have no requests and no grants
+            skip = min(min(asleep), _MAX_SLOTS + 1) - t
+            requests_log += [_NOTHING] * skip
+            grants_log += [_NOTHING] * skip
+            t += skip
         if t > _MAX_SLOTS:
             worst = max((by_id[i] for i in order if not by_id[i].done),
                         key=lambda s: s.residual)

@@ -15,10 +15,12 @@ Masks: planners accept ``is_granted(abs_slot) -> bool`` describing which
 slots the caller expects to hold a subcarrier (slot of waypoint k is
 ``first_slot + k - 1``).  ``None`` means every slot is granted.
 ``grant_from_mask`` turns an observed per-slot mask into such a function,
-and ``replan_leg`` plans against it, falling back to no mask when no leg
-fits.  Only granted slots add capacity, so ``optimize_leg`` sums a line
-over its granted slots alone, and skips a candidate outright when its
-granted slots, each at the segment's rate ceiling
+one that keeps the mask, and ``replan_leg`` plans against it, falling
+back to no mask when no leg fits.  Planners read grants only through
+``_grant_window``, which slices such a mask and calls any other function
+once per slot.  Only granted slots add capacity, so ``optimize_leg`` sums
+a line over its granted slots alone, and skips a candidate outright when
+its granted slots, each at the segment's rate ceiling
 (``channel.segment_rate_ceiling``, a proven upper bound on the rate
 anywhere on the segment), cannot make up the residual.
 
@@ -26,9 +28,9 @@ What is cached, and for how long.  Every channel evaluation depends only
 on geometry; the mask and the residual only decide which rates are summed.
 - Within one ``optimize_leg`` call the grant window is read once: the
   first ``delta_lower_bound`` slots for the straight line, the rest only
-  when the straight line falls short, into a list of bools, a next-granted
-  index and a prefix count.  Each detour split's route and rate ceiling
-  are worked out once, whatever the budget.
+  when the straight line falls short, into a list of bools and a prefix
+  count.  Each detour split's route and rate ceiling are worked out once,
+  whatever the budget.
 - Every straight line, full speed or evenly paced, is one ``_Line``, the
   only place a line point is worked out.  It keeps its rates in an
   ``array('d')``, NaN until rated.  A capacity check rates only the
@@ -40,6 +42,16 @@ on geometry; the mask and the residual only decide which rates are summed.
   partly rated by one call is completed by the next that needs it.
   ``run_itsso`` makes one per call and drops it on return; a call without
   one starts cold.  There is no module-level cache.
+- The same ``LegCache`` keeps every leg it planned, keyed by
+  ``(start, end, payload)`` for ``optimize_leg`` and ``(start, payload)``
+  for ``drain_leg``, each with the grants of that leg's own slots, and
+  returns the kept leg while the current grants over those slots are
+  equal.  That is exact: a leg of n slots was decided by the grants of its
+  slots 0..n-1 alone (``_plan_leg``; a drain stops at the first slot where
+  its sum reaches the payload), and the rest of the key fixes the geometry.
+  A leg with no payload reads no grants; a call that raises
+  ``LegInfeasible`` is not kept.  The memo sits inside the public
+  functions, so every call is still a call of them.
 - A leg builds nothing up front.  Every ``Leg`` stores its shape: the
   walk prefix it uses, pauses, its route ``_Line`` and pauses at the end.
   ``Leg.rate(k)`` reads one slot's rate, and a route point is rated on
@@ -59,7 +71,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Callable, Optional
 
 from .channel import (
@@ -186,6 +198,20 @@ class Leg:
         return "Leg(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in _LEG_FIELDS) + ")"
 
 
+class _MaskGrant:
+    """``is_granted`` over a copy of an observed mask, which
+    ``_grant_window`` slices instead of calling it once per slot."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: Sequence[bool]):
+        self.mask = list(mask)
+
+    def __call__(self, slot: int) -> bool:
+        mask = self.mask
+        return slot > len(mask) or slot < 1 or mask[slot - 1]
+
+
 def grant_from_mask(mask: Optional[Sequence[bool]]) -> GrantFn:
     """``is_granted`` for a mask over absolute slots: slot s is ``mask[s - 1]``.
 
@@ -194,8 +220,7 @@ def grant_from_mask(mask: Optional[Sequence[bool]]) -> GrantFn:
     """
     if mask is None:
         return None
-    n = len(mask)
-    return lambda slot: slot > n or slot < 1 or mask[slot - 1]
+    return _MaskGrant(mask)
 
 
 def delta_lower_bound(start: Position3, end: Position3, kin: KinematicParams) -> int:
@@ -282,12 +307,14 @@ class _Line:
     ``filled`` give the lists in bulk.
     """
 
-    __slots__ = ("a", "b", "n", "even", "speed", "cp", "rates", "_d", "_dx", "_dy", "_dz")
+    __slots__ = ("a", "b", "n", "even", "speed", "cp", "rates", "_full", "_d", "_dx", "_dy",
+                 "_dz")
 
     def __init__(self, a: Position3, b: Position3, n: int, even: bool, speed: float = 0.0,
                  cp: Optional[ChannelParams] = None, rates: Optional[array] = None):
         self.a, self.b, self.n, self.even = a, b, n, even
         self.speed, self.cp, self.rates = speed, cp, rates
+        self._full = False  # whether ``filled`` has rated every point
         # point k (1-based) is a + f * (dx, dy, dz): evenly paced, f = k / n
         # of the span; at full speed, f = min(k * speed, d) along the unit
         # direction
@@ -331,11 +358,22 @@ class _Line:
         return r
 
     def filled(self) -> list[float]:
-        """Every waypoint's rate, rating those not yet rated."""
-        rates = self.rates
-        for j, r in enumerate(rates):
-            if r != r:
-                self.rate(j)
+        """Every waypoint's rate, rating those not yet rated in one loop, at
+        the coordinates ``points`` gives."""
+        rates, n, cp = self.rates, self.n, self.cp
+        if self._full or not n:
+            return rates.tolist()
+        (ax, ay, az), dx, dy, dz = self.a, self._dx, self._dy, self._dz
+        even, v = self.even, self.speed
+        d = 0.0 if even else self._d
+        for k in range(1, n):
+            if rates[k - 1] != rates[k - 1]:
+                f = k / n if even else min(k * v, d)
+                rates[k - 1] = rate_at(ax + f * dx, ay + f * dy, az + f * dz, cp)
+        if rates[n - 1] != rates[n - 1]:
+            b = self.b
+            rates[n - 1] = rate_at(b.x, b.y, b.z, cp)
+        self._full = True
         return rates.tolist()
 
 
@@ -380,14 +418,15 @@ class _Walk:
 
 
 class LegCache:
-    """Gradient walks by leg start and rated lines by geometry, shared by the
-    planners of one run.
+    """Gradient walks by leg start, rated lines by geometry and planned legs
+    by their inputs, shared by the planners of one run.
 
     Bound to one channel and kinematics; ``optimize_leg`` and ``drain_leg``
     refuse a cache made for other parameters.  It grows with every distinct
-    start and line it sees and is meant to be dropped with the run that
-    made it.  A line keeps its rates, NaN where not yet rated, but not its
-    waypoints, to keep it small.
+    start, line and leg it sees and is meant to be dropped with the run
+    that made it.  A line keeps its rates, NaN where not yet rated, but not
+    its waypoints, to keep it small.  A leg is kept with the grants of the
+    slots its planner read (see ``kept``).
     """
 
     def __init__(self, cp: ChannelParams, kin: KinematicParams):
@@ -396,6 +435,10 @@ class LegCache:
         self._walks: dict[Position3, _Walk] = {}
         # (a, b, slots, evenly paced) -> that line, at full speed v_max
         self.lines: dict[tuple[Position3, Position3, int, bool], _Line] = {}
+        # (start, end, payload) of an optimize_leg call, or (start, payload)
+        # of a drain_leg call -> each leg planned for it, with the grants of
+        # the leg slots its planner read
+        self._legs: dict[tuple, list[tuple[Leg, list[bool]]]] = {}
 
     def check(self, cp: ChannelParams, kin: KinematicParams) -> None:
         if (cp is not self.cp and cp != self.cp) or (kin is not self.kin and kin != self.kin):
@@ -414,12 +457,34 @@ class LegCache:
             got = self.lines[key] = _Line(a, b, n, even, self.kin.v_max, self.cp, _NAN * n)
         return got
 
+    def kept(self, key: tuple, is_granted: GrantFn, first_slot: int) -> Optional[Leg]:
+        """The leg kept for ``key`` whose grants read equal the current ones
+        over the same slots, if any: the planner would return it again."""
+        for leg, window in self._legs.get(key, ()):
+            if _grant_window(is_granted, first_slot, len(window)) == window:
+                return leg
+        return None
+
+    def keep(self, key: tuple, leg: Leg, window: list[bool]) -> None:
+        self._legs.setdefault(key, []).append((leg, window))
+
 
 def _grant_window(is_granted: GrantFn, first_slot: int, n: int) -> list[bool]:
-    """Grants of leg slots 0..n-1 (absolute slots from ``first_slot``)."""
+    """Grants of leg slots 0..n-1 (absolute slots from ``first_slot``): a
+    slice of the mask behind ``grant_from_mask``, with the slots outside it
+    granted, or one call per slot of any other callable."""
     if is_granted is None:
         return [True] * n
-    return [is_granted(slot) for slot in range(first_slot, first_slot + n)]
+    if type(is_granted) is not _MaskGrant:
+        return [is_granted(slot) for slot in range(first_slot, first_slot + n)]
+    mask = is_granted.mask
+    lo, hi = first_slot - 1, first_slot - 1 + n  # mask indices of the window
+    if 0 <= lo and hi <= len(mask):
+        return mask[lo:hi]
+    window = [True] * min(n, -lo) if lo < 0 else []
+    window += mask[max(lo, 0):max(min(hi, len(mask)), 0)]
+    window += [True] * (n - len(window))
+    return window
 
 
 def _granted_total(rates: Sequence[float], granted: Sequence[bool]) -> float:
@@ -452,19 +517,50 @@ def optimize_leg(
     are minimal and, by the stretched-line family, a leg built at full
     speed never takes more slots than one built slower.
 
-    ``cache`` shares the gradient walk from ``start`` and the rated lines
-    with other calls of the same run; the leg returned is the same with or
-    without it.
+    ``cache`` shares the gradient walk from ``start``, the rated lines and
+    the legs already planned with other calls of the same run; the leg
+    returned is equal with or without it.  A leg of n slots depends only on
+    the grants of leg slots 0..n-1 (see ``_plan_leg``), so a kept leg whose
+    grants there equal the current ones is the leg a new plan would give.
     """
     if residual_data < 0:
         raise ValueError("residual_data must be non-negative")
+    if cache is None:  # a cold call still rates each point once
+        return _plan_leg(start, end, residual_data, cp, kin, is_granted, first_slot,
+                         LegCache(cp, kin))
+    cache.check(cp, kin)
+    key = (start, end, residual_data)
+    leg = cache.kept(key, is_granted, first_slot)
+    if leg is None:
+        leg = _plan_leg(start, end, residual_data, cp, kin, is_granted, first_slot, cache)
+        # a leg with no payload reads no grants
+        cache.keep(key, leg, _grant_window(is_granted, first_slot,
+                                           leg.slots if residual_data > 0 else 0))
+    return leg
+
+
+def _plan_leg(
+    start: Position3,
+    end: Position3,
+    residual_data: float,
+    cp: ChannelParams,
+    kin: KinematicParams,
+    is_granted: GrantFn,
+    first_slot: int,
+    cache: LegCache,
+) -> Leg:
+    """``optimize_leg``'s budget scan, with no leg memo.
+
+    A leg returned at budget n (``slots == n``) was decided by the grants of
+    leg slots 0..n-1 alone: every check at a budget m <= n reads grants
+    below m only.  The straight line at the minimum reads its slots; the
+    hover-at-end family reads slot m-1; the granted count ``count[m]``
+    covers slots below m; the walk and pause sums of a split read slots
+    below its route start ``k0 <= m``; and ``covers`` reads the route's
+    slots ``k0..m-1``.  Grants beyond the leg therefore cannot change it.
+    """
     v = kin.v_max
     dlb = delta_lower_bound(start, end, kin)  # 0 only for a line of no length
-
-    if cache is None:
-        cache = LegCache(cp, kin)  # a cold call still rates each point once
-    else:
-        cache.check(cp, kin)
     straight = cache.line(start, end, dlb, False)
     rates = straight.filled()
     if residual_data <= 0:
@@ -476,11 +572,7 @@ def optimize_leg(
 
     cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
     granted += _grant_window(is_granted, first_slot + dlb, cap)
-    w = len(granted)
     count = list(accumulate(granted, initial=0))  # granted leg slots before slot k
-    nxt = [w] * (w + 1)  # first granted leg slot at or after k, w if none
-    for k in range(w - 1, -1, -1):
-        nxt[k] = k if granted[k] else nxt[k + 1]
 
     def covers(line: _Line, k0: int, total: float) -> bool:
         """Whether ``total`` plus the granted rates of a line whose point j
@@ -488,15 +580,13 @@ def optimize_leg(
         are rated, left to right; rates are non-negative, so stopping once
         the sum reaches the residual gives the full sum's answer."""
         rates, n = line.rates, line.n
-        j = nxt[k0] - k0
-        while j < n:
+        for j in compress(range(n), granted[k0:k0 + n]):
             r = rates[j]
             if r != r:
                 r = line.rate(j)
             total += r
             if total >= residual_data:
                 return True
-            j = nxt[k0 + j + 1] - k0
         return False
 
     walk = cache.walk(start)
@@ -662,22 +752,42 @@ def drain_leg(
     ``start``, which ``cache`` shares with ``optimize_leg``.  A walk that
     does not deliver within ``_MAX_DRAIN_SLOTS`` slots raises
     ``LegInfeasible``.
+
+    A drain that stops after k slots was decided by the grants of its k
+    slots alone, so ``cache`` also keeps each drain with those grants and
+    returns it again while they are unchanged.
     """
-    if cache is not None:
-        cache.check(cp, kin)
     if residual_data <= 0:
+        if cache is not None:
+            cache.check(cp, kin)
         return _leg(start, start, 0.0, None)
-    walk = _Walk(start, cp, kin) if cache is None else cache.walk(start)
+    if cache is None:
+        return _drain(start, residual_data, is_granted, first_slot, _Walk(start, cp, kin))
+    cache.check(cp, kin)
+    key = (start, residual_data)
+    leg = cache.kept(key, is_granted, first_slot)
+    if leg is None:
+        leg = _drain(start, residual_data, is_granted, first_slot, cache.walk(start))
+        cache.keep(key, leg, _grant_window(is_granted, first_slot, leg.slots))
+    return leg
+
+
+def _drain(start: Position3, residual_data: float, is_granted: GrantFn, first_slot: int,
+           walk: _Walk) -> Leg:
+    """``drain_leg``'s walk, reading grants a window at a time."""
     rates = walk.rates
+    granted: list[bool] = []
     total = 0.0
-    for k in range(1, _MAX_DRAIN_SLOTS + 1):
-        if len(rates) < k:
-            walk.extend(k)
-        if is_granted is None or is_granted(first_slot + k - 1):
-            total += rates[k - 1]
+    limit = _MAX_DRAIN_SLOTS
+    for k in range(limit):
+        if k == len(granted):
+            granted += _grant_window(is_granted, first_slot + k, min(max(k, 16), limit - k))
+        if len(rates) <= k:
+            walk.extend(k + 1)
+        if granted[k]:
+            total += rates[k]
         if total >= residual_data:
-            pos = walk.pts[k - 1]
-            return _leg(start, pos, residual_data, None, 0, walk, k)
+            return _leg(start, walk.pts[k], residual_data, None, 0, walk, k + 1)
     raise LegInfeasible(
         f"drain from {start} cannot deliver {residual_data:.3g} bits in {_MAX_DRAIN_SLOTS} slots"
     )

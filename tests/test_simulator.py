@@ -390,6 +390,22 @@ class TestIdleUavsSleep:
         assert fast.completion_times == slow.completion_times
         assert fast.grants == slow.grants and fast.requests == slow.requests
 
+    def test_slots_in_which_every_uav_sleeps_are_skipped(self):
+        # every UAV sleeps through its first leg from slot 0, so the slots
+        # before the first sensing slot are skipped whole, each logged as the
+        # shared empty set; the traced run steps them to the same logs
+        sc, plans = _final_plans(ScenarioConfig(seed=7_150_004))
+        fast = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
+                   record_trace=False)
+        slow = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
+        first = min(p.legs[0].slots for p in plans if p.n_tasks)
+        assert first >= 2
+        skipped = [t for t, req in enumerate(fast.requests, 1) if req is simulator._NOTHING]
+        assert skipped[:first] == list(range(1, first + 1))
+        assert all(fast.grants[t - 1] is simulator._NOTHING for t in skipped)
+        assert not any(req is simulator._NOTHING for req in slow.requests)
+        assert (fast.requests, fast.grants) == (slow.requests, slow.grants)
+
     def test_slot_cap_while_every_uav_sleeps(self, monkeypatch):
         # the cap falls inside the first leg, which the UAV sleeps through
         tasks = {0: Task(0, Position3(400, 0, 0), 20e6, (0,))}

@@ -34,7 +34,7 @@ from uavsense.trajectory import (
     rate_gradient,
     replan_leg,
 )
-from uavsense.trajectory import _BS_STANDOFF, _Line, _gradient_step
+from uavsense.trajectory import _BS_STANDOFF, _grant_window, _Line, _gradient_step
 
 CP = ChannelParams()
 KIN = KinematicParams()  # v_max=50, h_min=10
@@ -749,6 +749,138 @@ class TestLegCache:
             optimize_leg(start, end, 0.0, CP, slow, cache=cache)
         with pytest.raises(ValueError):
             drain_leg(start, 1e6, ChannelParams(tx_power=20.0), KIN, cache=cache)
+
+
+def _drained(start, residual, grant, first_slot, cache):
+    try:
+        return drain_leg(start, residual, CP, KIN, grant, first_slot, cache=cache)
+    except LegInfeasible:
+        return "infeasible"
+
+
+# a mostly denied mask, long enough to hold most legs' slots, or none granted
+_long_mask = st.one_of(st.lists(st.sampled_from([False, False, False, True]),
+                                min_size=40, max_size=120),
+                       st.just([False] * 120))
+
+
+class TestLegMemo:
+    """A ``LegCache`` keeps each planned leg with the grants of its own
+    slots and hands it out again while those grants are unchanged."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(start=_point, offset=_offset, residual=st.floats(1e5, 120e6),
+           masks=st.lists(_long_mask, min_size=1, max_size=3),
+           first_slots=st.lists(st.integers(-3, 12), min_size=1, max_size=3))
+    def test_warm_legs_equal_cold_ones(self, start, offset, residual, masks, first_slots):
+        # each mask and first slot is planned twice with one cache (the
+        # second time from the memo) and once cold; replan_leg falls back
+        # to the unmasked plan when the mask is all denied
+        end = Position3(start.x + offset.x, start.y + offset.y, max(10.0, start.z + offset.z))
+        cache = LegCache(CP, KIN)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trajectory, "_MAX_DRAIN_SLOTS", 200)
+            for _ in range(2):
+                for mask in masks:
+                    for first_slot in first_slots:
+                        grant = grant_from_mask(mask)
+                        for plan in (_planned, _drained):
+                            args = ((start, end) if plan is _planned else (start,)) + (
+                                residual, grant, first_slot)
+                            warm, cold = plan(*args, cache), plan(*args, None)
+                            assert warm == cold
+                            if cold != "infeasible":
+                                assert (warm.waypoints, warm.rates) == (cold.waypoints,
+                                                                        cold.rates)
+                        warm = replan_leg(start, end, residual, CP, KIN, grant, first_slot,
+                                          cache)
+                        assert warm == replan_leg(start, end, residual, CP, KIN, grant,
+                                                  first_slot)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(start=_point, offset=_offset, residual=st.floats(1e5, 60e6),
+           mask=st.lists(st.sampled_from([False, True, True]), min_size=80, max_size=120),
+           first_slot=st.integers(1, 12), data=st.data())
+    def test_a_grant_after_the_leg_hits_and_one_inside_plans_again(
+            self, start, offset, residual, mask, first_slot, data):
+        end = Position3(start.x + offset.x, start.y + offset.y, max(10.0, start.z + offset.z))
+        plans = (lambda grant, cache: _planned(start, end, residual, grant, first_slot, cache),
+                 lambda grant, cache: _drained(start, residual, grant, first_slot, cache))
+        for plan in plans:
+            cache = LegCache(CP, KIN)
+            leg = plan(grant_from_mask(mask), cache)
+            assume(leg != "infeasible")
+            lo, hi = first_slot - 1, first_slot - 1 + leg.slots  # the leg's mask indices
+            assume(hi < len(mask))
+            after = list(mask)
+            k = data.draw(st.integers(hi, len(mask) - 1))
+            after[k] = not after[k]
+            assert plan(grant_from_mask(after), cache) is leg
+            if leg.slots:
+                inside = list(mask)
+                k = data.draw(st.integers(lo, hi - 1))
+                inside[k] = not inside[k]
+                again = plan(grant_from_mask(inside), cache)
+                assert again is not leg
+                assert again == plan(grant_from_mask(inside), None)
+
+    def test_the_same_grants_at_another_first_slot_hit(self):
+        start, end = Position3(400, 400, 40), Position3(350, 420, 30)
+        mask = mask_of("1101" * 30)
+        cache = LegCache(CP, KIN)
+        leg = optimize_leg(start, end, 84e6, CP, KIN, grant_from_mask(mask), 1, cache=cache)
+        assert leg.detour_slots > 0
+        shifted = grant_from_mask(mask_of("0000") + mask)
+        assert optimize_leg(start, end, 84e6, CP, KIN, shifted, 5, cache=cache) is leg
+        assert optimize_leg(start, end, 84e6, CP, KIN, shifted, 4, cache=cache) is not leg
+
+    def test_an_infeasible_call_is_not_kept(self):
+        start, end = Position3(400, 400, 40), Position3(350, 420, 30)
+        denied = grant_from_mask([False] * 200)
+        cache = LegCache(CP, KIN)
+        for _ in range(2):
+            with pytest.raises(LegInfeasible):
+                optimize_leg(start, end, 84e6, CP, KIN, denied, 1, cache=cache)
+        assert not cache._legs
+        fallback = replan_leg(start, end, 84e6, CP, KIN, denied, 1, cache)
+        assert fallback is optimize_leg(start, end, 84e6, CP, KIN, cache=cache)
+        assert fallback == optimize_leg(start, end, 84e6, CP, KIN)
+
+
+class TestGrantWindow:
+    """``_grant_window`` slices a mask-backed grant; any other callable is
+    asked slot by slot, with the same answers."""
+
+    @pytest.mark.parametrize("first_slot, n", [
+        (-5, 3), (-2, 4), (0, 1), (1, 10), (4, 6), (8, 6), (10, 3), (11, 4), (20, 5), (1, 0),
+    ], ids=["before", "into", "slot0", "whole", "inside", "straddles_end", "at_end",
+            "past", "far_past", "empty"])
+    def test_slicing_the_mask_equals_asking_each_slot(self, first_slot, n):
+        mask = mask_of("0110100010")
+        grant = grant_from_mask(mask)
+        want = [grant(s) for s in range(first_slot, first_slot + n)]
+        assert _grant_window(grant, first_slot, n) == want
+        assert _grant_window(lambda s: grant(s), first_slot, n) == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mask=st.lists(st.booleans(), max_size=30), first_slot=st.integers(-40, 40),
+           n=st.integers(0, 50))
+    def test_any_window_equals_asking_each_slot(self, mask, first_slot, n):
+        grant = grant_from_mask(mask)
+        window = _grant_window(grant, first_slot, n)
+        assert type(window) is list and len(window) == n
+        assert window == [grant(s) for s in range(first_slot, first_slot + n)]
+
+    def test_a_plain_lambda_plans_the_same_legs(self):
+        # perfbench's micro-benchmark passes optimize_leg a lambda over a mask
+        for cache in (None, LegCache(CP, KIN)):
+            for start, end, residual, mask, first_slot in _masked_corpus()[:40]:
+                plain = lambda slot: slot > len(mask) or slot < 1 or mask[slot - 1]
+                grant = grant_from_mask(mask)
+                assert (_planned(start, end, residual, plain, first_slot, cache)
+                        == _planned(start, end, residual, grant, first_slot, cache))
+                assert (_drained(start, residual, plain, first_slot, cache)
+                        == _drained(start, residual, grant, first_slot, cache))
 
 
 def _masked_corpus():
