@@ -2,9 +2,11 @@
 
 Starts from a deliberately slow but feasible plan, then cycles three
 sub-solvers until the network completion time stops improving: re-plan
-every leg at full speed against the grants observed in the previous run,
-locally optimize the sensing locations, and let the greedy per-slot
-scheduler resolve the new contention inside the simulator.  The simulator
+every leg at full speed against the grants observed in the previous run
+(``placement.replan_plans``, with the per-leg re-plan that the sensing
+location search's moves use), locally optimize the sensing locations, and
+let the greedy per-slot scheduler resolve the new contention inside the
+simulator.  The simulator
 is the single source of truth for the objective; a candidate iterate that
 fails to improve it terminates the loop and the best solution seen wins.
 
@@ -18,22 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .channel import ChannelParams, Position3
-from .placement import optimize_sensing_locations
+from .placement import optimize_sensing_locations, replan_plans
 from .scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
 from .sensing import SensingParams, sensing_success_coop
 from .simulator import SimOutcome, UavPlan, run
-from .trajectory import (
-    KinematicParams,
-    Leg,
-    LegCache,
-    drain_leg,
-    grant_from_mask,
-    initial_leg,
-    replan_leg,
-)
+from .trajectory import KinematicParams, Leg, LegCache, drain_leg, initial_leg
 
 __all__ = [
     "ItssoConfig",
@@ -100,40 +94,26 @@ def default_initial_locations(scenario) -> dict[tuple[int, int], Position3]:
 def _build_plans(
     scenario,
     locations: Mapping[tuple[int, int], Position3],
-    masks: Mapping[int, Sequence[bool]] | None,
-    speed: float | None,
     cache: LegCache | None = None,
 ) -> list[UavPlan]:
-    """One plan per UAV through ``locations``: slow initial legs at ``speed``,
-    or, with no speed, full-speed legs re-planned against ``masks``."""
+    """One plan per UAV through ``locations``: evenly paced straight legs at
+    ``_INITIAL_SPEED_RATIO`` of full speed, stretched until each upload fits,
+    then a drain planned as if every slot were granted."""
     cp: ChannelParams = scenario.channel
     kin: KinematicParams = scenario.kinematics
+    v0 = _INITIAL_SPEED_RATIO * kin.v_max
     plans = []
     for uav in sorted(scenario.routes):
         route = scenario.routes[uav]
-        start = scenario.uav_starts[uav]
-        grant = grant_from_mask(None if masks is None else masks.get(uav))
+        prev = start = scenario.uav_starts[uav]
+        locs = [locations[(uav, idx)] for idx in range(len(route))]
         legs = []
-        locs = []
-        prev = start
-        t = 0
-        for idx, tid in enumerate(route):
-            loc = locations[(uav, idx)]
-            residual = 0.0 if idx == 0 else scenario.tasks[route[idx - 1]].data_size
-            if speed is not None:
-                leg = initial_leg(prev, loc, residual, speed, cp, kin)
-            else:
-                leg = replan_leg(prev, loc, residual, cp, kin, grant, t + 1, cache)
-            legs.append(leg)
-            locs.append(loc)
-            t += leg.slots + 1
-            prev = loc
-        if route:
-            dr = drain_leg(prev, scenario.tasks[route[-1]].data_size, cp, kin, grant, t + 1,
-                           cache=cache)
-        else:
-            dr = drain_leg(start, 0.0, cp, kin)
-        plans.append(UavPlan(uav, start, list(route), locs, legs, dr))
+        residual = 0.0
+        for tid, loc in zip(route, locs):
+            legs.append(initial_leg(prev, loc, residual, v0, cp, kin))
+            prev, residual = loc, scenario.tasks[tid].data_size
+        plans.append(UavPlan(uav, start, list(route), locs, legs,
+                             drain_leg(prev, residual, cp, kin, cache=cache)))
     return plans
 
 
@@ -169,8 +149,7 @@ def initial_solution(
     if locations is None:
         locations = default_initial_locations(scenario)
         _check_feasible(scenario, locations)
-    v0 = _INITIAL_SPEED_RATIO * scenario.kinematics.v_max
-    plans = _build_plans(scenario, locations, None, v0, cache)
+    plans = _build_plans(scenario, locations, cache)
     outcome = run(
         plans, RandomScheduler(scenario.k, cfg.rng_seed), scenario.tasks,
         scenario.channel, scenario.kinematics, record_trace=False,
@@ -214,11 +193,8 @@ def run_itsso(
     for _ in range(_MAX_ITERATIONS):
         iterations += 1
         masks = masks_from_outcome(best.outcome)
-        locations = {
-            (p.uav, idx): p.sensing_locations[idx]
-            for p in best.plans for idx in range(p.n_tasks)
-        }
-        plans = _build_plans(scenario, locations, masks, None, cache=cache)
+        plans = replan_plans(best.plans, scenario.tasks, scenario.channel,
+                             scenario.kinematics, masks, cache)
         if fixed_locations is None:
             assignment = optimize_sensing_locations(
                 plans, scenario.tasks, scenario.channel, scenario.kinematics,

@@ -23,6 +23,10 @@ the threshold, a retreat leaves the threshold met: ``_Search._repair``
 (and with it ``upper_bound`` and ``_grow_location``) was never entered
 over 75 searched instances, 25 each at the Table point, at K=2 with
 M=N=10, and at 8 tasks per UAV.
+
+Legs are planned again in one place, ``_Replanner.replan``, against the
+UAV's observed grants: a move re-plans the legs into and out of the moved
+location, and ``replan_plans``, ITSSO's pass before the search, every leg.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "SensingAssignment",
     "adjust_collinear",
     "optimize_sensing_locations",
+    "replan_plans",
 ]
 
 _EPS = 1e-9
@@ -132,67 +137,83 @@ def _retreat(cur: Position3, tr: Position3, center: Position3, budget: float,
     return cand
 
 
-class _Search:
+def _first_slot(p: UavPlan, idx: int) -> int:
+    """First absolute slot of leg ``idx``: the one after the previous sensing slot."""
+    return p.sensing_slots()[idx - 1] + 1 if idx else 1
+
+
+class _Replanner:
+    """Copies of some plans, each UAV's grants and a cache: all a re-plan needs."""
+
+    def __init__(self, plans, tasks, cp, kin, masks, cache):
+        self.cp = cp
+        self.kin = kin
+        self.tasks = tasks
+        self.cache: LegCache = cache or LegCache(cp, kin)
+        self.plans: dict[int, UavPlan] = {}
+        self.grants: dict[int, GrantFn] = {}
+        for p in plans:
+            self.plans[p.uav] = UavPlan(p.uav, p.start, list(p.task_ids),
+                                        list(p.sensing_locations), list(p.legs), p.drain)
+            self.grants[p.uav] = grant_from_mask(masks.get(p.uav)) if masks else None
+
+    def _leg_inputs(self, p: UavPlan, idx: int) -> tuple[Position3, float]:
+        """Start and payload of leg ``idx`` of ``p``; ``idx == p.n_tasks`` is the drain."""
+        if idx == 0:
+            return p.start, 0.0
+        return p.sensing_locations[idx - 1], self.tasks[p.task_ids[idx - 1]].data_size
+
+    def replan(self, p: UavPlan, idx: int, first: int) -> int:
+        """Plan leg ``idx`` of ``p`` again from absolute slot ``first`` against
+        the UAV's grants; ``idx == p.n_tasks`` is the drain.  Returns the next
+        leg's first slot, the one after the sensing slot that ends this leg."""
+        start, residual = self._leg_inputs(p, idx)
+        if idx < len(p.legs):
+            leg = p.legs[idx] = replan_leg(start, p.sensing_locations[idx], residual, self.cp,
+                                           self.kin, self.grants[p.uav], first, self.cache)
+        else:
+            leg = p.drain = drain_leg(start, residual, self.cp, self.kin, self.grants[p.uav],
+                                      first, cache=self.cache)
+        return first + leg.slots + 1
+
+
+def replan_plans(plans: Sequence[UavPlan], tasks: Mapping[int, Task], cp: ChannelParams,
+                 kin: KinematicParams, masks: Mapping[int, Sequence[bool]] | None,
+                 cache: LegCache | None) -> list[UavPlan]:
+    """Copies of ``plans`` with every leg, then the drain, planned again in
+    route order against each UAV's mask (all slots granted without one), as
+    a move re-plans the legs it touches.  The input plans are not modified."""
+    replanner = _Replanner(plans, tasks, cp, kin, masks, cache)
+    for p in replanner.plans.values():
+        first = 1
+        for idx in range(p.n_tasks + 1):
+            first = replanner.replan(p, idx, first)
+    return list(replanner.plans.values())
+
+
+class _Search(_Replanner):
     """Mutable state for one local-search run."""
 
     def __init__(self, plans, tasks, cp, kin, sp, masks, cache):
-        self.cp = cp
-        self.kin = kin
+        super().__init__(plans, tasks, cp, kin, masks, cache)
         self.sp = sp
-        self.tasks = tasks
-        self.cache: LegCache = cache or LegCache(cp, kin)
-        self.grants: dict[int, GrantFn] = {
-            uav: grant_from_mask(mask) for uav, mask in (masks or {}).items()}
         # Per-worker distance budget: the hemispheroid radius around a task
         # within which a worker's sensing location may wander.  The symmetric
         # radius of the group exactly meets the threshold when everyone sits
         # on it, so retreats never take a single worker beyond it.
-        self.budget: dict[int, float] = {}
-        for task in tasks.values():
-            q = len(task.workers)
-            self.budget[task.id] = required_sensing_radius(q, sp)
-        self.plans: dict[int, UavPlan] = {}
-        for p in plans:
-            self.plans[p.uav] = UavPlan(
-                p.uav, p.start, list(p.task_ids), list(p.sensing_locations),
-                list(p.legs), p.drain,
-            )
+        self.budget: dict[int, float] = {
+            task.id: required_sensing_radius(len(task.workers), sp) for task in tasks.values()}
         self.route_index: dict[tuple[int, int], int] = {}
         for p in self.plans.values():
             for idx, tid in enumerate(p.task_ids):
                 self.route_index[(p.uav, tid)] = idx
         self.t = {u: p.planned_completion() for u, p in self.plans.items()}
 
-    # -- plan surgery ------------------------------------------------------
-    def _leg_inputs(self, p: UavPlan, idx: int) -> tuple[Position3, float, int]:
-        """Start, payload and first absolute slot of leg ``idx`` of ``p``;
-        ``idx == p.n_tasks`` is the drain.  A leg starts in the slot after
-        the previous sensing slot."""
-        if idx == 0:
-            return p.start, 0.0, 1
-        return (p.sensing_locations[idx - 1], self.tasks[p.task_ids[idx - 1]].data_size,
-                p.sensing_slots()[idx - 1] + 1)
-
-    def _replan_incoming(self, uav: int, idx: int) -> None:
-        p = self.plans[uav]
-        start, residual, first = self._leg_inputs(p, idx)
-        p.legs[idx] = replan_leg(start, p.sensing_locations[idx], residual, self.cp,
-                                 self.kin, self.grants.get(uav), first, self.cache)
-
-    def _replan_outgoing(self, uav: int, idx: int) -> None:
-        p = self.plans[uav]
-        if idx + 1 < p.n_tasks:
-            self._replan_incoming(uav, idx + 1)
-        else:
-            start, residual, first = self._leg_inputs(p, idx + 1)
-            p.drain = drain_leg(start, residual, self.cp, self.kin, self.grants.get(uav),
-                                first, cache=self.cache)
-
     def move(self, uav: int, idx: int, loc: Position3) -> None:
         p = self.plans[uav]
         p.sensing_locations[idx] = loc
-        self._replan_incoming(uav, idx)
-        self._replan_outgoing(uav, idx)
+        first = self.replan(p, idx, _first_slot(p, idx))
+        self.replan(p, idx + 1, first)
         self.t[uav] = p.planned_completion()
 
     # -- bookkeeping -------------------------------------------------------
@@ -221,17 +242,19 @@ class _Search:
     def lower_bound(self, uav: int, idx: int) -> int:
         """Slots of leg ``idx`` with its sensing location on the turning
         point: the pure maximum-rate detour."""
-        start, residual, first = self._leg_inputs(self.plans[uav], idx)
-        return drain_leg(start, residual, self.cp, self.kin, self.grants.get(uav), first,
-                         cache=self.cache).slots
+        p = self.plans[uav]
+        start, residual = self._leg_inputs(p, idx)
+        return drain_leg(start, residual, self.cp, self.kin, self.grants[uav],
+                         _first_slot(p, idx), cache=self.cache).slots
 
     def upper_bound(self, uav: int, idx: int, task: Task) -> int:
         """Slots of leg ``idx`` ending right above the task at the altitude
         floor, the farthest admissible sensing location."""
-        start, residual, first = self._leg_inputs(self.plans[uav], idx)
+        p = self.plans[uav]
+        start, residual = self._leg_inputs(p, idx)
         overhead = Position3(task.location.x, task.location.y, self.kin.h_min)
         return replan_leg(start, overhead, residual, self.cp, self.kin,
-                          self.grants.get(uav), first, self.cache).slots
+                          self.grants[uav], _first_slot(p, idx), self.cache).slots
 
     # -- moves -------------------------------------------------------------
     def _grow_location(self, uav: int, idx: int, task: Task) -> Optional[Position3]:

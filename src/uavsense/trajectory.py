@@ -562,9 +562,9 @@ def _plan_leg(
     v = kin.v_max
     dlb = delta_lower_bound(start, end, kin)  # 0 only for a line of no length
     straight = cache.line(start, end, dlb, False)
-    rates = straight.filled()
     if residual_data <= 0:
-        return _leg(start, end, residual_data, straight)
+        return _leg(start, end, residual_data, straight)  # rated on read, if ever
+    rates = straight.filled()
     granted = _grant_window(is_granted, first_slot, dlb)
     line_total = _granted_total(rates, granted)  # the hover-at-end family continues it
     if line_total >= residual_data:
@@ -757,24 +757,24 @@ def drain_leg(
     slots alone, so ``cache`` also keeps each drain with those grants and
     returns it again while they are unchanged.
     """
-    if residual_data <= 0:
-        if cache is not None:
-            cache.check(cp, kin)
-        return _leg(start, start, 0.0, None)
-    if cache is None:
-        return _drain(start, residual_data, is_granted, first_slot, _Walk(start, cp, kin))
+    if cache is None:  # a cold call walks through a throwaway cache
+        return _drain(start, residual_data, is_granted, first_slot, LegCache(cp, kin))
     cache.check(cp, kin)
     key = (start, residual_data)
     leg = cache.kept(key, is_granted, first_slot)
     if leg is None:
-        leg = _drain(start, residual_data, is_granted, first_slot, cache.walk(start))
+        leg = _drain(start, residual_data, is_granted, first_slot, cache)
         cache.keep(key, leg, _grant_window(is_granted, first_slot, leg.slots))
     return leg
 
 
 def _drain(start: Position3, residual_data: float, is_granted: GrantFn, first_slot: int,
-           walk: _Walk) -> Leg:
-    """``drain_leg``'s walk, reading grants a window at a time."""
+           cache: LegCache) -> Leg:
+    """``drain_leg``'s walk, reading grants a window at a time, with no leg
+    memo; a drain with no payload is empty."""
+    if residual_data <= 0:
+        return _leg(start, start, 0.0, None)
+    walk = cache.walk(start)
     rates = walk.rates
     granted: list[bool] = []
     total = 0.0

@@ -54,7 +54,7 @@ def test_removed_functions_are_gone(module):
 
 
 def test_removed_members_are_gone():
-    from uavsense import trajectory
+    from uavsense import itsso, placement, trajectory
     from uavsense.bench import ExperimentResult, ScenarioConfig
     from uavsense.channel import Position3
     from uavsense.scheduler import OnDemand, schedule_slot
@@ -72,7 +72,12 @@ def test_removed_members_are_gone():
     assert "max_slots" not in inspect.signature(drain_leg).parameters
     residuals = inspect.signature(schedule_slot).parameters["residuals"]
     assert residuals.default is inspect.Parameter.empty
-
+    # legs are re-planned only by placement; the initial builder has one mode
+    assert set(inspect.signature(itsso._build_plans).parameters) == {
+        "scenario", "locations", "cache"}
+    assert not hasattr(itsso, "replan_leg") and not hasattr(itsso, "grant_from_mask")
+    assert not hasattr(placement._Search, "_replan_incoming")
+    assert not hasattr(placement._Search, "_replan_outgoing")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -91,3 +96,32 @@ def test_no_unused_module_level_imports(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{n} (line {line})" for n, line in imported.items() if n not in used)
     assert not unused, f"uavsense.{name} imports names it never uses: {unused}"
+
+
+def test_no_orphaned_private_helpers():
+    # no dead-code linter is installed, so this stands in for one: every
+    # private module-level name is read somewhere in the package
+    trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"uavsense.{name}")))
+             for name in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            orphans += [f"uavsense.{name}.{d} (line {node.lineno})" for d in defined
+                        if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert not orphans, f"private names that nothing in the package reads: {orphans}"

@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 
 from uavsense.bench import ScenarioConfig, generate_scenario
 from uavsense.channel import ChannelParams, Position3
-from uavsense.itsso import ItssoConfig, default_initial_locations, run_itsso
+from uavsense.itsso import (
+    ItssoConfig,
+    _build_plans,
+    default_initial_locations,
+    masks_from_outcome,
+    run_itsso,
+)
 from uavsense.placement import (
     _retreat,
     adjust_collinear,
     optimize_sensing_locations,
+    replan_plans,
 )
 from uavsense.scheduler import GreedyScheduler
 from uavsense.sensing import (
@@ -25,7 +32,14 @@ from uavsense.sensing import (
     sensing_success_single,
 )
 from uavsense.simulator import UavPlan, run
-from uavsense.trajectory import KinematicParams, drain_leg, optimize_leg
+from uavsense.trajectory import (
+    KinematicParams,
+    LegCache,
+    drain_leg,
+    grant_from_mask,
+    optimize_leg,
+    replan_leg,
+)
 
 CP = ChannelParams()
 KIN = KinematicParams()
@@ -217,6 +231,63 @@ class TestDeltaBounds:
             prev_slots = slots
 
 
+class TestReplanPlans:
+    """``replan_plans`` re-plans every leg and drain the way a direct call
+    of the leg planners at the leg's own first slot does."""
+
+    @staticmethod
+    def _plans_and_masks():
+        # a crowded ITSSO solution and the grants of its own run, as the
+        # next iteration would re-plan it; one UAV with an empty route is
+        # added, masked as well
+        sc = generate_scenario(ScenarioConfig(m=10, n=10, k=2, seed=31))
+        sol = run_itsso(sc, ItssoConfig(rng_seed=31))
+        masks = masks_from_outcome(sol.outcome)
+        idle = max(sc.routes) + 1
+        start = Position3(120, 80, 30)
+        masks[idle] = [False, True] * 20
+        plans = sol.plans + [UavPlan(idle, start, [], [], [], drain_leg(start, 0.0, CP, KIN))]
+        return sc, plans, masks
+
+    def test_input_plans_are_not_modified(self):
+        sc, plans, masks = self._plans_and_masks()
+        before = [(p.uav, list(p.task_ids), list(p.sensing_locations), list(p.legs), p.drain)
+                  for p in plans]
+        out = replan_plans(plans, sc.tasks, CP, KIN, masks, LegCache(CP, KIN))
+        assert [(p.uav, p.task_ids, p.sensing_locations, p.legs, p.drain)
+                for p in plans] == before
+        for p, q in zip(plans, out):
+            assert q is not p and q.legs is not p.legs
+            assert q.sensing_locations is not p.sensing_locations
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["mask", "no-mask"])
+    def test_every_leg_equals_a_direct_planner_call(self, masked):
+        sc, plans, masks = self._plans_and_masks()
+        if not masked:
+            masks = None
+        out = replan_plans(plans, sc.tasks, CP, KIN, masks, LegCache(CP, KIN))
+        assert [q.uav for q in out] == [p.uav for p in plans]
+        for p, q in zip(plans, out):
+            assert (q.start, q.task_ids, q.sensing_locations) == (
+                p.start, p.task_ids, p.sensing_locations)
+            grant = grant_from_mask(masks.get(q.uav)) if masks else None
+            slots = q.sensing_slots()
+            prev, residual = q.start, 0.0
+            for idx, (tid, loc) in enumerate(zip(q.task_ids, q.sensing_locations)):
+                first = slots[idx - 1] + 1 if idx else 1
+                assert q.legs[idx] == replan_leg(prev, loc, residual, CP, KIN, grant, first)
+                prev, residual = loc, sc.tasks[tid].data_size
+            first = slots[-1] + 1 if slots else 1
+            assert q.drain == drain_leg(prev, residual, CP, KIN, grant, first)
+
+    def test_masks_change_the_plans(self):
+        # the mask is read: some leg differs from the one planned unmasked
+        sc, plans, masks = self._plans_and_masks()
+        masked = replan_plans(plans, sc.tasks, CP, KIN, masks, None)
+        free = replan_plans(plans, sc.tasks, CP, KIN, None, None)
+        assert any(a.legs != b.legs or a.drain != b.drain for a, b in zip(masked, free))
+
+
 def _single_task_plans(starts, locations, task):
     plans = []
     for uav, (start, loc) in enumerate(zip(starts, locations)):
@@ -272,10 +343,8 @@ class TestLocalSearch:
 
     def test_pass_history_monotone(self):
         sc = generate_scenario(ScenarioConfig(seed=23))
-        locations = default_initial_locations(sc)
-        from uavsense.itsso import _build_plans
-
-        plans = _build_plans(sc, locations, None, None)
+        slow = _build_plans(sc, default_initial_locations(sc))
+        plans = replan_plans(slow, sc.tasks, CP, KIN, None, None)
         out = optimize_sensing_locations(plans, sc.tasks, CP, KIN, SP)
         hist = out.t_max_history
         assert all(b <= a for a, b in zip(hist, hist[1:]))

@@ -489,6 +489,18 @@ class TestLegReads:
         assert repr(rates) == repr([rate_at(p.x, p.y, p.z, CP) for p in waypoints])
         assert repr(rates) == repr(optimize_leg(start, end, 60e6, CP, KIN, grant, 1).rates)
 
+    def test_a_leg_with_no_payload_rates_nothing_until_read(self):
+        # the first leg of a route carries no data: planning it sums no
+        # rate, so its line stays unrated until the leg's rates are read
+        start, end = Position3(200, 0, 40), Position3(50, 100, 30)
+        cache = LegCache(CP, KIN)
+        leg = optimize_leg(start, end, 0.0, CP, KIN, cache=cache)
+        line = cache.lines[(start, end, leg.slots, False)]
+        assert leg.slots > 1 and all(math.isnan(r) for r in line.rates)
+        rates = leg.rates
+        assert not any(math.isnan(r) for r in line.rates)
+        assert repr(rates) == repr([rate_at(p.x, p.y, p.z, CP) for p in leg.waypoints])
+
 
 class TestOptimizeLeg:
     def test_no_data_gives_straight_line(self):
@@ -749,6 +761,8 @@ class TestLegCache:
             optimize_leg(start, end, 0.0, CP, slow, cache=cache)
         with pytest.raises(ValueError):
             drain_leg(start, 1e6, ChannelParams(tx_power=20.0), KIN, cache=cache)
+        with pytest.raises(ValueError):  # a drain with no payload checks too
+            drain_leg(start, 0.0, CP, slow, cache=cache)
 
 
 def _drained(start, residual, grant, first_slot, cache):
@@ -991,8 +1005,13 @@ class TestSpeedOptimality:
 
 class TestDrainLeg:
     def test_empty_for_no_data(self):
-        leg = drain_leg(Position3(100, 100, 30), 0.0, CP, KIN)
-        assert leg.slots == 0
+        start = Position3(100, 100, 30)
+        leg = drain_leg(start, 0.0, CP, KIN)
+        assert leg.slots == 0 and leg.end == leg.turning_point == start
+        cache = LegCache(CP, KIN)
+        grant = grant_from_mask(mask_of("0101"))
+        assert drain_leg(start, 0.0, CP, KIN, grant, 3, cache=cache) == leg
+        assert drain_leg(start, 0.0, CP, KIN, cache=cache) == leg
 
     def test_delivers_residual(self):
         leg = drain_leg(Position3(400, 300, 60), 80e6, CP, KIN)
