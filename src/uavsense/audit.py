@@ -3,16 +3,19 @@
 Walks the per-slot trace rows and re-derives every protocol constraint from
 scratch: altitude floor, speed cap, zero velocity while sensing, cooperative
 sensing probability, complete data delivery between sensing slots, the
-per-slot subcarrier cap and binary grants, legal slot-type transitions, and
-agreement between the reported rates and the channel model.  Given the
-claimed completion slots, it also checks that each UAV's trace ends in its
-completion slot, which ties the objective to the trace.  It shares nothing
-with the simulator's bookkeeping except the channel definition itself.
+per-slot subcarrier cap and binary grants held only in transmission slots,
+legal slot-type transitions, and agreement between the reported rates and
+the channel model.  Given the claimed completion slots, it also checks
+that each UAV's trace ends in its completion slot, which ties the objective
+to the trace.  It shares nothing with the simulator's bookkeeping except
+the channel definition itself.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .channel import ChannelParams, Position3, rate_at
@@ -72,72 +75,77 @@ def audit_trace(
 
     # sensing-location record per task for the cooperative probability check
     sensing_points: dict[int, list[tuple[int, Position3]]] = defaultdict(list)
+    floor, cap = kin.h_min - _TOL, kin.v_max + _TOL
 
     for uav, urows in sorted(by_uav.items()):
-        urows.sort(key=lambda r: r.slot)
-        prev_pos = initial_positions[uav]
+        urows.sort(key=attrgetter("slot"))
+        # floats, not points: a Position3 is made only for a sensing row
+        px, py, pz = initial_positions[uav]
         prev_type = None
         prev_residual = 0.0
         sense_count = 0
         route = list(routes.get(uav, ()))
         last_sense_slot = None
         last_drain_slot = None
-        delivered = 0.0
         expected_slot = None
         for r in urows:
-            if expected_slot is not None and r.slot != expected_slot:
-                problems.append(f"uav {uav}: trace skips from slot {expected_slot - 1} to {r.slot}")
-            expected_slot = r.slot + 1
-            pos = Position3(r.x, r.y, r.z)
-            if pos.z < kin.h_min - _TOL:
-                problems.append(f"slot {r.slot} uav {uav}: altitude {pos.z:.3f} below floor")
-            step = pos.dist(prev_pos)
-            if step > kin.v_max + _TOL:
-                problems.append(f"slot {r.slot} uav {uav}: speed {step:.3f} exceeds v_max")
-            if prev_type is not None and (prev_type, r.slot_type) not in _LEGAL_TRANSITIONS:
+            slot, stype, x, y, z = r.slot, r.slot_type, r.x, r.y, r.z
+            if expected_slot is not None and slot != expected_slot:
+                problems.append(f"uav {uav}: trace skips from slot {expected_slot - 1} to {slot}")
+            expected_slot = slot + 1
+            if z < floor:
+                problems.append(f"slot {slot} uav {uav}: altitude {z:.3f} below floor")
+            # Position3.dist's expression: ``x * x`` is not always ``x ** 2``
+            step = math.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
+            if step > cap:
+                problems.append(f"slot {slot} uav {uav}: speed {step:.3f} exceeds v_max")
+            if prev_type is not None and (prev_type, stype) not in _LEGAL_TRANSITIONS:
                 problems.append(
-                    f"slot {r.slot} uav {uav}: illegal transition {prev_type}->{r.slot_type}")
+                    f"slot {slot} uav {uav}: illegal transition {prev_type}->{stype}")
 
             residual_before = prev_residual
-            if r.slot_type == SENSING:
+            if stype == SENSING:
                 if step > _TOL:
-                    problems.append(f"slot {r.slot} uav {uav}: moved {step:.3f} m while sensing")
+                    problems.append(f"slot {slot} uav {uav}: moved {step:.3f} m while sensing")
                 if sense_count >= len(route):
-                    problems.append(f"slot {r.slot} uav {uav}: more sensing slots than tasks")
+                    problems.append(f"slot {slot} uav {uav}: more sensing slots than tasks")
                 else:
                     task = tasks[route[sense_count]]
-                    sensing_points[task.id].append((uav, pos))
+                    sensing_points[task.id].append((uav, Position3(x, y, z)))
                     residual_before += task.data_size
                     if last_sense_slot is not None and prev_residual > _TOL:
                         problems.append(
-                            f"slot {r.slot} uav {uav}: sensed task {task.id} with "
+                            f"slot {slot} uav {uav}: sensed task {task.id} with "
                             f"{prev_residual:.3g} bits still undelivered")
-                    delivered = 0.0
-                    last_sense_slot = r.slot
+                    last_sense_slot = slot
                 sense_count += 1
 
+            rate_bits = r.rate_bits
             if r.granted:
-                model_rate = rate_at(pos.x, pos.y, pos.z, cp)
-                expected = min(model_rate, residual_before)
-                if abs(r.rate_bits - expected) > max(1e-6 * max(expected, 1.0), 1e-3):
+                if stype != TRANSMISSION:
                     problems.append(
-                        f"slot {r.slot} uav {uav}: applied rate {r.rate_bits:.6g} "
+                        f"slot {slot} uav {uav}: grant outside a transmission slot ({stype})")
+                model_rate = rate_at(x, y, z, cp)
+                expected = min(model_rate, residual_before)
+                if abs(rate_bits - expected) > max(1e-6 * max(expected, 1.0), 1e-3):
+                    problems.append(
+                        f"slot {slot} uav {uav}: applied rate {rate_bits:.6g} "
                         f"!= min(channel {model_rate:.6g}, residual {residual_before:.6g})")
-            elif r.rate_bits != 0.0:
-                problems.append(f"slot {r.slot} uav {uav}: rate without a grant")
+            elif rate_bits != 0.0:
+                problems.append(f"slot {slot} uav {uav}: rate without a grant")
 
-            if abs(residual_before - r.rate_bits - r.residual_bits) > 1e-3:
+            residual = r.residual_bits
+            if abs(residual_before - rate_bits - residual) > 1e-3:
                 problems.append(
-                    f"slot {r.slot} uav {uav}: residual bookkeeping off "
-                    f"({residual_before:.6g} - {r.rate_bits:.6g} != {r.residual_bits:.6g})")
-            if r.slot_type == EMPTY and r.residual_bits > _TOL:
-                problems.append(f"slot {r.slot} uav {uav}: empty slot with residual data")
-            delivered += r.rate_bits
-            if r.rate_bits > 0:
-                last_drain_slot = r.slot
-            prev_pos = pos
-            prev_type = r.slot_type
-            prev_residual = r.residual_bits
+                    f"slot {slot} uav {uav}: residual bookkeeping off "
+                    f"({residual_before:.6g} - {rate_bits:.6g} != {residual:.6g})")
+            if stype == EMPTY and residual > _TOL:
+                problems.append(f"slot {slot} uav {uav}: empty slot with residual data")
+            if rate_bits > 0:
+                last_drain_slot = slot
+            px, py, pz = x, y, z
+            prev_type = stype
+            prev_residual = residual
 
         if sense_count != len(route):
             problems.append(f"uav {uav}: sensed {sense_count} tasks, route has {len(route)}")

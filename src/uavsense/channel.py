@@ -59,9 +59,9 @@ class Position3(NamedTuple):
 class ChannelParams:
     """Link parameters.  Powers are configured in dBm, frequency in GHz.
 
-    Derived linear quantities are cached at construction:
-    ``tx_mw`` / ``noise_mw`` (milliwatts) and the two constant dB terms
-    of the pathloss expressions.
+    Derived quantities are cached at construction: ``tx_mw`` /
+    ``noise_mw`` (milliwatts), the two constant dB terms of the pathloss
+    expressions and ``bs_position``, the BS antenna at (0, 0, H).
     """
 
     bs_height: float = 25.0  # H, meters
@@ -75,6 +75,7 @@ class ChannelParams:
     noise_mw: float = field(init=False, repr=False)
     _fc_db: float = field(init=False, repr=False)
     _nlos_db: float = field(init=False, repr=False)
+    bs_position: Position3 = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.bs_height > 0 and self.carrier_freq > 0):
@@ -87,10 +88,7 @@ class ChannelParams:
         object.__setattr__(
             self, "_nlos_db", 20.0 * _LOG10(40.0 * math.pi * self.carrier_freq / 3.0)
         )
-
-    @property
-    def bs_position(self) -> Position3:
-        return Position3(0.0, 0.0, self.bs_height)
+        object.__setattr__(self, "bs_position", Position3(0.0, 0.0, self.bs_height))
 
 
 def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:

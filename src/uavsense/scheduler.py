@@ -7,12 +7,11 @@ larger residual data, then lower UAV id, so schedules are reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 
 __all__ = [
-    "OnDemand",
     "schedule_slot",
     "update_completion_estimates",
     "GreedyScheduler",
@@ -35,40 +34,36 @@ def schedule_slot(
     req = list(requests)
     if len(req) <= k:
         return frozenset(req)
-    req.sort(key=lambda i: (-completion_times[i], -residuals[i], i))
-    return frozenset(req[:k])
+    ranked = sorted([(-completion_times[i], -residuals[i], i) for i in req])
+    return frozenset([i for _, _, i in ranked[:k]])
 
 
 class _ProjectsCompletion(Protocol):
     def projected_completion(self, slot: int) -> float: ...
 
 
-class OnDemand(dict):
-    """``uav -> value`` mapping whose values are computed on first read.
+class _Estimates(dict):
+    """``uav -> completion-slot projection`` in one slot, each made on its
+    first read and then kept, so ``len`` counts the UAVs read.  Read it by
+    key: ``get`` and iteration see only the values read so far."""
 
-    ``fill(uav)`` makes a value, which is then kept.  Only values read so
-    far are stored, so the mapping is meant to be read by key, not iterated
-    (nor through ``get``, which never calls ``__missing__``).
-    """
-
-    __slots__ = ("_fill",)
-
-    def __init__(self, fill: Callable[[int], float]):
-        super().__init__()
-        self._fill = fill
+    __slots__ = ("states", "slot")
 
     def __missing__(self, uav):
-        value = self[uav] = self._fill(uav)
+        value = self[uav] = self.states[uav].projected_completion(self.slot)
         return value
 
 
-def update_completion_estimates(states: Mapping[int, _ProjectsCompletion], slot: int) -> OnDemand:
+def update_completion_estimates(states: Mapping[int, _ProjectsCompletion],
+                                slot: int) -> _Estimates:
     """Completion-slot projections for ``slot``'s contention, made on demand.
 
     A UAV is projected, as if every future transmission slot were granted,
     the first time a scheduler reads it; uncontended slots read nobody.
     """
-    return OnDemand(lambda uav: states[uav].projected_completion(slot))
+    estimates = _Estimates()
+    estimates.states, estimates.slot = states, slot
+    return estimates
 
 
 class GreedyScheduler:

@@ -38,7 +38,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .channel import ChannelParams, Position3
-from .scheduler import OnDemand, update_completion_estimates
+from .scheduler import update_completion_estimates
 from .sensing import Task
 from .trajectory import KinematicParams, Leg
 
@@ -98,7 +98,7 @@ class UavPlan:
         return self.sensing_slots()[-1] + self.drain.slots
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     slot: int
     uav: int
@@ -189,6 +189,16 @@ class _Runtime:
         return slot + rem + 1 + chain[self.cur + 1]
 
 
+class _Residuals(dict):
+    """``uav -> residual bits`` in one slot, filled as ``_Estimates`` is."""
+
+    __slots__ = ("states",)
+
+    def __missing__(self, uav):
+        value = self[uav] = self.states[uav].residual
+        return value
+
+
 def _slots_to_drain(leg: Leg, residual: float, w: int) -> int:
     """Additional all-granted slots until ``residual`` bits are delivered,
     starting just after waypoint ``w`` of ``leg`` (hovering at the leg end
@@ -252,9 +262,6 @@ def run(
         raise ValueError("duplicate UAV ids in plans")
     order = sorted(by_id)
 
-    def residual_of(uav: int) -> float:
-        return by_id[uav].residual
-
     grants_log: list[frozenset[int]] = []
     requests_log: list[frozenset[int]] = []
     trace: list[TraceRow] | None = [] if record_trace else None
@@ -317,8 +324,10 @@ def run(
                 st.stype = EMPTY
 
         if requests:
+            residuals = _Residuals()
+            residuals.states = by_id
             granted = sched.grant(t, requests, update_completion_estimates(by_id, t),
-                                  OnDemand(residual_of))
+                                  residuals)
         else:
             granted = frozenset()
         requests_log.append(frozenset(requests))
@@ -340,11 +349,9 @@ def run(
             if trace is not None:
                 if st.w:
                     st.position = st.wps[st.w - 1]
-                pos = st.position
+                x, y, z = st.position
                 trace.append(TraceRow(
-                    t, uav, stype, pos.x, pos.y, pos.z,
-                    1 if got else 0, applied, st.residual,
-                ))
+                    t, uav, stype, x, y, z, 1 if got else 0, applied, st.residual))
             if st.residual == 0.0:
                 if st.cur >= st.n_tasks:
                     if stype != SENSING or applied > 0.0:

@@ -345,7 +345,8 @@ class _Line:
             v, d = self.speed, self._d
             fs = [min(k * v, d) for k in range(1, n)]
         (ax, ay, az), dx, dy, dz = self.a, self._dx, self._dy, self._dz
-        pts = [Position3(ax + f * dx, ay + f * dy, az + f * dz) for f in fs]
+        new = tuple.__new__  # Position3(...) without its Python-level __new__
+        pts = [new(Position3, (ax + f * dx, ay + f * dy, az + f * dz)) for f in fs]
         pts.append(self.b)
         return pts
 

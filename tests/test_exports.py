@@ -17,6 +17,7 @@ REMOVED = {
     "channel": ["los_probability", "average_pathloss", "snr", "link_rate",
                 "_check_geometry"],
     "analysis": ["DominanceModel", "dominance_threshold", "fit_eta", "knee_subcarriers"],
+    "scheduler": ["OnDemand"],  # each slot mapping reads the UAV state itself
 }
 
 
@@ -54,10 +55,10 @@ def test_removed_functions_are_gone(module):
 
 
 def test_removed_members_are_gone():
-    from uavsense import itsso, placement, trajectory
+    from uavsense import itsso, placement, simulator, trajectory
     from uavsense.bench import ExperimentResult, ScenarioConfig
     from uavsense.channel import Position3
-    from uavsense.scheduler import OnDemand, schedule_slot
+    from uavsense.scheduler import _Estimates, schedule_slot
     from uavsense.simulator import SimOutcome, run
     from uavsense.trajectory import drain_leg
 
@@ -67,7 +68,9 @@ def test_removed_members_are_gone():
     assert not hasattr(Position3, "is_finite")
     assert not hasattr(ExperimentResult, "mean")
     assert "tran_durations" not in {f.name for f in dataclasses.fields(SimOutcome)}
-    assert "get" not in vars(OnDemand)  # plain dict.get, which never fills
+    for mapping in (_Estimates, simulator._Residuals):
+        # plain dict.get, which never fills, and no Python-level __init__
+        assert "get" not in vars(mapping) and "__init__" not in vars(mapping)
     assert "max_slots" not in inspect.signature(run).parameters
     assert "max_slots" not in inspect.signature(drain_leg).parameters
     residuals = inspect.signature(schedule_slot).parameters["residuals"]

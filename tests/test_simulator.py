@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from uavsense import simulator
+from uavsense import scheduler, simulator
 from uavsense.bench import ScenarioConfig, nc_config
 from uavsense.channel import ChannelParams, Position3, rate_at
-from uavsense.scheduler import GreedyScheduler, OnDemand, RandomScheduler
+from uavsense.scheduler import GreedyScheduler, RandomScheduler, update_completion_estimates
 from uavsense.sensing import Task
 from uavsense.simulator import (
     EMPTY,
@@ -283,17 +283,49 @@ class TestOnDemandProjections:
         assert sched.contended == sum(len(r) > sc.k for r in out.requests) > 0
 
     def test_mapping_fills_once(self):
-        calls = []
+        # both slot mappings read a UAV's state on its first read only, so
+        # their length counts the UAVs read
+        class State:
+            def __init__(self, uav):
+                self.residual = 100.0 * uav
+                self.calls = []
 
-        def fill(uav):
-            calls.append(uav)
-            return 10.0 * uav
+            def projected_completion(self, slot):
+                self.calls.append(slot)
+                return 10.0 * slot
 
-        values = OnDemand(fill)
-        assert values[1] == 10.0
-        assert values[1] == 10.0
-        assert calls == [1]
-        assert dict(values) == {1: 10.0}
+        states = {1: State(1), 2: State(2)}
+        estimates = update_completion_estimates(states, 7)
+        assert len(estimates) == 0
+        assert estimates[1] == 70.0
+        assert estimates[1] == 70.0
+        assert states[1].calls == [7] and states[2].calls == []
+        assert dict(estimates) == {1: 70.0}
+        residuals = simulator._Residuals()
+        residuals.states = states
+        assert residuals[2] == 200.0
+        states[2].residual = 0.0
+        assert residuals[2] == 200.0
+        assert dict(residuals) == {2: 200.0}
+
+    def test_run_calls_its_estimate_binding_in_every_slot_with_requests(self, monkeypatch):
+        # perfbench times the projections as the span of the function the
+        # simulator binds by this name, so run must call it there, once per
+        # slot with requests
+        assert simulator.update_completion_estimates is scheduler.update_completion_estimates
+        slots = []
+
+        def counted(states, slot):
+            slots.append(slot)
+            return scheduler.update_completion_estimates(states, slot)
+
+        monkeypatch.setattr(simulator, "update_completion_estimates", counted)
+        sc, plans = _final_plans(ScenarioConfig(m=10, n=10, k=2, seed=4))
+        for record_trace in (False, True):
+            slots.clear()
+            out = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
+                      record_trace=record_trace)
+            assert slots == [t for t, r in enumerate(out.requests, start=1) if r]
 
 
 class TestTraceIo:
