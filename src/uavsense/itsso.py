@@ -18,6 +18,7 @@ the plans and the granted sets, so the replay reproduces the run exactly.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import Mapping
@@ -164,6 +165,20 @@ def initial_solution(
     )
 
 
+class _CollectorPaused:
+    """Pauses the cyclic garbage collector, then restores the caller's
+    setting.  Nothing is allocated once it is on again, so the collection
+    that the paused allocations are due starts after the block."""
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.enabled:
+            gc.enable()
+
+
 def run_itsso(
     scenario,
     cfg: ItssoConfig | None = None,
@@ -182,54 +197,60 @@ def run_itsso(
     solution's trace comes from one replay of its plans under its own grant
     schedule; a replay that does not reproduce ``t_max`` and the grants
     raises ``RuntimeError``.
+
+    The cyclic garbage collector is paused for the call and the caller's
+    setting restored on every exit: a run makes no reference cycles, so a
+    collection inside it would find nothing, and a cycle made anyway, say
+    on an error path, is freed by the first collection after the call.
     """
-    cfg = cfg or ItssoConfig()
-    cache = LegCache(scenario.channel, scenario.kinematics)
-    best = initial_solution(scenario, cfg, locations=fixed_locations, cache=cache)
-    history = list(best.history)
-    candidates = list(best.candidate_history)
-    passes = 0
-    iterations = 0
-    for _ in range(_MAX_ITERATIONS):
-        iterations += 1
-        masks = masks_from_outcome(best.outcome)
-        plans = replan_plans(best.plans, scenario.tasks, scenario.channel,
-                             scenario.kinematics, masks, cache)
-        if fixed_locations is None:
-            assignment = optimize_sensing_locations(
-                plans, scenario.tasks, scenario.channel, scenario.kinematics,
-                scenario.sensing, masks, cache=cache,
+    with _CollectorPaused():
+        cfg = cfg or ItssoConfig()
+        cache = LegCache(scenario.channel, scenario.kinematics)
+        best = initial_solution(scenario, cfg, locations=fixed_locations, cache=cache)
+        history = list(best.history)
+        candidates = list(best.candidate_history)
+        passes = 0
+        iterations = 0
+        for _ in range(_MAX_ITERATIONS):
+            iterations += 1
+            masks = masks_from_outcome(best.outcome)
+            plans = replan_plans(best.plans, scenario.tasks, scenario.channel,
+                                 scenario.kinematics, masks, cache)
+            if fixed_locations is None:
+                assignment = optimize_sensing_locations(
+                    plans, scenario.tasks, scenario.channel, scenario.kinematics,
+                    scenario.sensing, masks, cache=cache,
+                )
+                plans = assignment.plans
+                passes += assignment.passes
+            outcome = run(
+                plans, GreedyScheduler(scenario.k), scenario.tasks,
+                scenario.channel, scenario.kinematics, record_trace=False,
             )
-            plans = assignment.plans
-            passes += assignment.passes
-        outcome = run(
-            plans, GreedyScheduler(scenario.k), scenario.tasks,
-            scenario.channel, scenario.kinematics, record_trace=False,
+            candidates.append(outcome.t_max)
+            if outcome.t_max < best.t_max:
+                best = Solution(plans, outcome, outcome.t_max, [], [], 0)
+                history.append(outcome.t_max)
+            else:
+                break
+        outcome = best.outcome
+        if record_trace:
+            outcome = replay(best.plans, best.outcome.grants, scenario)
+            if outcome.t_max != best.t_max or outcome.grants != best.outcome.grants:
+                raise RuntimeError(
+                    f"trace replay diverged from the run it re-records: t_max "
+                    f"{outcome.t_max} against {best.t_max}, grants "
+                    f"{'equal' if outcome.grants == best.outcome.grants else 'differ'}"
+                )
+        return Solution(
+            plans=best.plans,
+            outcome=outcome,
+            t_max=best.t_max,
+            history=history,
+            candidate_history=candidates,
+            iterations=iterations,
+            placement_passes=passes,
         )
-        candidates.append(outcome.t_max)
-        if outcome.t_max < best.t_max:
-            best = Solution(plans, outcome, outcome.t_max, [], [], 0)
-            history.append(outcome.t_max)
-        else:
-            break
-    outcome = best.outcome
-    if record_trace:
-        outcome = replay(best.plans, best.outcome.grants, scenario)
-        if outcome.t_max != best.t_max or outcome.grants != best.outcome.grants:
-            raise RuntimeError(
-                f"trace replay diverged from the run it re-records: t_max "
-                f"{outcome.t_max} against {best.t_max}, grants "
-                f"{'equal' if outcome.grants == best.outcome.grants else 'differ'}"
-            )
-    return Solution(
-        plans=best.plans,
-        outcome=outcome,
-        t_max=best.t_max,
-        history=history,
-        candidate_history=candidates,
-        iterations=iterations,
-        placement_passes=passes,
-    )
 
 
 # ---------------------------------------------------------------------------

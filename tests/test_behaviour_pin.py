@@ -4,8 +4,13 @@ One digest covers everything a run returns: the solution dump, the slot
 trace and the convergence record, over three seeded instances of each
 scheme family.  The golden was computed before the change it guards and is
 updated only by a change that says why the behaviour moved.
+
+The same families also pin the fact that lets ``run_itsso`` pause the
+cyclic garbage collector: a run, its trace and its audit make no reference
+cycles.
 """
 
+import gc
 import hashlib
 from dataclasses import replace
 
@@ -14,6 +19,7 @@ import pytest
 from uavsense.bench import (
     _ITSSO_SEED_OFFSET,
     ScenarioConfig,
+    audit_solution,
     generate_scenario,
     nc_config,
     run_scheme,
@@ -56,3 +62,30 @@ def family_digest(base: ScenarioConfig) -> str:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_outputs_match_the_golden(family):
     assert family_digest(FAMILIES[family]) == GOLDEN[family]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_runs_leave_no_cyclic_garbage(family):
+    # solution_to_json is left out: json.dumps(indent=...) makes cycles of
+    # its own, outside run_itsso
+    sc = generate_scenario(replace(FAMILIES[family], seed=SEEDS[0]))
+    cfg = ItssoConfig(rng_seed=SEEDS[0] + _ITSSO_SEED_OFFSET)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    saved = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sol = run_scheme(sc, cfg, record_trace=True)
+        problems = audit_solution(sc, sol)
+        untraced = run_scheme(sc, cfg)
+        del sol, untraced
+        found = gc.collect()
+        kinds = sorted({type(o).__name__ for o in gc.garbage[saved:]})
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+        if enabled:
+            gc.enable()
+    assert problems == []
+    assert (found, kinds) == (0, [])

@@ -1,5 +1,6 @@
 """Outer-loop tests: initialization, convergence, termination, export."""
 
+import gc
 import math
 from dataclasses import replace as dc_replace
 
@@ -153,6 +154,52 @@ class TestRunItsso:
                     denied += 1
                     assert masks[uav][t] is False
         assert denied > 0  # K=2 with 20 UAVs must contend
+
+
+class TestCollectorPause:
+    """``run_itsso`` pauses the cyclic garbage collector and gives the
+    caller's setting back on every exit."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_no_collection_starts_during_a_run(self):
+        sc = generate_scenario(ScenarioConfig(seed=3))
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()  # the call starts with nothing due
+        gc.callbacks.append(hook)
+        try:
+            run_itsso(sc, ItssoConfig(rng_seed=3), record_trace=True)
+            during = len(starts)  # allocates nothing the collector tracks
+        finally:
+            gc.callbacks.remove(hook)
+        assert during == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_setting_is_restored(self, enabled):
+        sc = generate_scenario(ScenarioConfig(m=10, n=10, seed=3))
+        (gc.enable if enabled else gc.disable)()
+        run_itsso(sc, ItssoConfig(rng_seed=3))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_setting_is_restored_after_a_raise(self, enabled):
+        cfg = ScenarioConfig(m=4, n=4, q=1, k=4, seed=2,
+                             sensing=SensingParams(0.01, 1 - 1e-6))
+        sc = generate_scenario(cfg)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(InfeasibleScenario):
+            run_itsso(sc, ItssoConfig(rng_seed=0))
+        assert gc.isenabled() is enabled
 
 
 class TestCrowdedPins:
