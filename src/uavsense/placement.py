@@ -139,7 +139,7 @@ def _retreat(cur: Position3, tr: Position3, center: Position3, budget: float,
 
 def _first_slot(p: UavPlan, idx: int) -> int:
     """First absolute slot of leg ``idx``: the one after the previous sensing slot."""
-    return p.sensing_slots()[idx - 1] + 1 if idx else 1
+    return sum(leg.slots for leg in p.legs[:idx]) + idx + 1
 
 
 class _Replanner:

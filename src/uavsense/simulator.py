@@ -14,7 +14,10 @@ Only what a run reads is worked out:
   demand: only when a scheduler reads a UAV's estimate in a slot, which in
   practice means only for the requesters of a contended slot.  A UAV's
   completion chain, which the projections share, is built on its first
-  projection.
+  projection.  A UAV keeps the slots to drain its leg from its last
+  projection with the leg, waypoint and residual it was made for: a UAV
+  denied while hovering at its leg end keeps all three from slot to slot,
+  so it is projected again without summing its rates again.
 - A leg's rate is read only in a granted slot of a UAV holding data or
   by a projection, one slot at a time through ``Leg.rate``.  A planned
   leg rates a route point on its first read (``trajectory``), so a point
@@ -136,7 +139,7 @@ class _Runtime:
     __slots__ = (
         "uav", "plan", "traced", "n_tasks", "cur", "leg", "wps", "leg_slots", "w",
         "residual", "position", "stype", "pending_sense", "done",
-        "t_done", "chain", "wake",
+        "t_done", "chain", "wake", "drain_memo",
     )
 
     def __init__(self, plan: UavPlan, traced: bool):
@@ -156,6 +159,8 @@ class _Runtime:
         # completion, built on the first projection
         self.chain: list[float] | None = None
         self.wake = 0
+        # (leg, w, residual, slots to drain) of the last projection
+        self.drain_memo: tuple = (None, 0, 0.0, 0)
         if not self.done and self.leg_slots == 0:
             self.pending_sense = True
 
@@ -182,10 +187,16 @@ class _Runtime:
             chain = self.chain = _completion_chain(self.plan)
         if self.pending_sense:
             return slot + 1 + chain[self.cur + 1]
-        drain_slots = _slots_to_drain(self.leg, self.residual, self.w)
+        leg, w, residual = self.leg, self.w, self.residual
+        memo = self.drain_memo
+        if memo[0] is leg and memo[1] == w and memo[2] == residual:
+            drain_slots = memo[3]  # e.g. denied while hovering at the leg end
+        else:
+            drain_slots = _slots_to_drain(leg, residual, w)
+            self.drain_memo = (leg, w, residual, drain_slots)
         if self.cur >= self.n_tasks:
             return slot + drain_slots
-        rem = max(self.leg_slots - self.w, drain_slots)
+        rem = max(self.leg_slots - w, drain_slots)
         return slot + rem + 1 + chain[self.cur + 1]
 
 

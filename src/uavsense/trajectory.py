@@ -30,16 +30,20 @@ on geometry; the mask and the residual only decide which rates are summed.
   first ``delta_lower_bound`` slots for the straight line, the rest only
   when the straight line falls short, into a list of bools and a prefix
   count.  Each detour split's route and rate ceiling are worked out once,
-  whatever the budget.
+  whatever the budget, and the gradient walk is taken only one split past
+  the last that can fit the budget (``_plan_leg`` says why that is exact).
 - Every straight line, full speed or evenly paced, is one ``_Line``, the
   only place a line point is worked out.  It keeps its rates in an
-  ``array('d')``, NaN until rated.  A capacity check rates only the
-  granted points it sums, and stops at the residual; the straight line at
-  the kinematic minimum rates the rest, which the hover-at-end family sums.
+  ``array('d')``, NaN until rated.  A capacity check, the straight line's
+  at the kinematic minimum included, rates only the granted points it sums
+  and stops at the residual; the hover-at-end family reads only the
+  line's end point.
 - A ``LegCache`` keeps the rate-gradient walk (positions and rates) from
   each leg start, which ``optimize_leg`` and ``drain_leg`` extend and
   share, and those lines (their rates, not their waypoints), so a line
-  partly rated by one call is completed by the next that needs it.
+  partly rated by one call is completed by the next that needs it.  Its
+  lines share the rate of each end point, taken on the first read by any
+  of them, and a walk step held at the BS standoff keeps the last rate.
   ``run_itsso`` makes one per call and drops it on return; a call without
   one starts cold.  There is no module-level cache.
 - The same ``LegCache`` keeps every leg it planned, keyed by
@@ -304,16 +308,18 @@ class _Line:
 
     The one place a line point is worked out.  ``rates``, an ``array('d')``
     of n NaNs, keeps each point's rate once rated; ``points`` and
-    ``filled`` give the lists in bulk.
+    ``filled`` give the lists in bulk.  ``ends``, if given, is the map of
+    end points to rates that the lines of one ``LegCache`` share.
     """
 
-    __slots__ = ("a", "b", "n", "even", "speed", "cp", "rates", "_full", "_d", "_dx", "_dy",
-                 "_dz")
+    __slots__ = ("a", "b", "n", "even", "speed", "cp", "rates", "ends", "_full", "_d", "_dx",
+                 "_dy", "_dz")
 
     def __init__(self, a: Position3, b: Position3, n: int, even: bool, speed: float = 0.0,
-                 cp: Optional[ChannelParams] = None, rates: Optional[array] = None):
+                 cp: Optional[ChannelParams] = None, rates: Optional[array] = None,
+                 ends: Optional[dict[Position3, float]] = None):
         self.a, self.b, self.n, self.even = a, b, n, even
-        self.speed, self.cp, self.rates = speed, cp, rates
+        self.speed, self.cp, self.rates, self.ends = speed, cp, rates, ends
         self._full = False  # whether ``filled`` has rated every point
         # point k (1-based) is a + f * (dx, dy, dz): evenly paced, f = k / n
         # of the span; at full speed, f = min(k * speed, d) along the unit
@@ -351,11 +357,20 @@ class _Line:
         return pts
 
     def rate(self, j: int) -> float:
-        """Waypoint j's (0-based) rate, rated on first read and kept."""
+        """Waypoint j's (0-based) rate, rated on first read and kept; the end
+        point's through ``ends``, if shared."""
         r = self.rates[j]
         if r != r:
-            x, y, z = self._xyz(j)
-            r = self.rates[j] = rate_at(x, y, z, self.cp)
+            ends = self.ends
+            if ends is None or j + 1 < self.n:
+                x, y, z = self._xyz(j)
+                r = rate_at(x, y, z, self.cp)
+            else:
+                b = self.b
+                r = ends.get(b)
+                if r is None:
+                    r = ends[b] = rate_at(b.x, b.y, b.z, self.cp)
+            self.rates[j] = r
         return r
 
     def filled(self) -> list[float]:
@@ -371,9 +386,7 @@ class _Line:
             if rates[k - 1] != rates[k - 1]:
                 f = k / n if even else min(k * v, d)
                 rates[k - 1] = rate_at(ax + f * dx, ay + f * dy, az + f * dz, cp)
-        if rates[n - 1] != rates[n - 1]:
-            b = self.b
-            rates[n - 1] = rate_at(b.x, b.y, b.z, cp)
+        self.rate(n - 1)
         self._full = True
         return rates.tolist()
 
@@ -396,7 +409,8 @@ class _Walk:
 
     ``pts[k]`` is the position after k+1 steps and ``rates[k]`` its rate.
     The walk is a pure function of the start, the channel and the
-    kinematics, so it only ever grows; legs read the prefix they use.
+    kinematics, so it only ever grows; legs read the prefix they use.  A
+    step that holds its position (at the BS standoff) keeps the last rate.
     """
 
     __slots__ = ("start", "cp", "kin", "pts", "rates")
@@ -413,9 +427,10 @@ class _Walk:
         cp, kin, pts, rates = self.cp, self.kin, self.pts, self.rates
         pos = pts[-1] if pts else self.start
         while len(pts) < n:
-            pos = _gradient_step(pos, kin.v_max, cp, kin)
-            pts.append(pos)
-            rates.append(rate_at(pos.x, pos.y, pos.z, cp))
+            nxt = _gradient_step(pos, kin.v_max, cp, kin)
+            rates.append(rates[-1] if nxt is pos and rates else rate_at(nxt.x, nxt.y, nxt.z, cp))
+            pts.append(nxt)
+            pos = nxt
 
 
 class LegCache:
@@ -436,6 +451,7 @@ class LegCache:
         self._walks: dict[Position3, _Walk] = {}
         # (a, b, slots, evenly paced) -> that line, at full speed v_max
         self.lines: dict[tuple[Position3, Position3, int, bool], _Line] = {}
+        self.ends: dict[Position3, float] = {}  # a line's end point -> its rate, once read
         # (start, end, payload) of an optimize_leg call, or (start, payload)
         # of a drain_leg call -> each leg planned for it, with the grants of
         # the leg slots its planner read
@@ -455,7 +471,8 @@ class LegCache:
         key = (a, b, n, even)
         got = self.lines.get(key)
         if got is None:
-            got = self.lines[key] = _Line(a, b, n, even, self.kin.v_max, self.cp, _NAN * n)
+            got = self.lines[key] = _Line(a, b, n, even, self.kin.v_max, self.cp, _NAN * n,
+                                          self.ends)
         return got
 
     def kept(self, key: tuple, is_granted: GrantFn, first_slot: int) -> Optional[Leg]:
@@ -557,29 +574,32 @@ def _plan_leg(
     below m only.  The straight line at the minimum reads its slots; the
     hover-at-end family reads slot m-1; the granted count ``count[m]``
     covers slots below m; the walk and pause sums of a split read slots
-    below its route start ``k0 <= m``; and ``covers`` reads the route's
+    below its route start ``k0 <= m``; and ``summed`` reads the route's
     slots ``k0..m-1``.  Grants beyond the leg therefore cannot change it.
+
+    The walk is taken only as far as a budget's splits can fit.  Split d1
+    needs ``S(d1) = d1 + d2(d1)`` slots, d2 being the route's length in
+    full-speed slots, ``ceil(dist / v_max)``.  Between two splits every
+    walk step starts at or above the altitude floor and moves at most
+    ``v_max`` (the standoff only shortens it), so over j steps the distance
+    to the end falls by at most ``j * v_max`` and ``d2`` by at most j
+    slots: S never falls as d1 grows, but for one slot of ``ceil`` rounding
+    near a whole number.  So once a split has ``S > n + 1``, every later one
+    has ``S > n`` and cannot fit budget n; the scan computes splits up to
+    the first such one and no further.
     """
     v = kin.v_max
     dlb = delta_lower_bound(start, end, kin)  # 0 only for a line of no length
     straight = cache.line(start, end, dlb, False)
     if residual_data <= 0:
         return _leg(start, end, residual_data, straight)  # rated on read, if ever
-    rates = straight.filled()
     granted = _grant_window(is_granted, first_slot, dlb)
-    line_total = _granted_total(rates, granted)  # the hover-at-end family continues it
-    if line_total >= residual_data:
-        return _leg(start, end, residual_data, straight)
 
-    cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
-    granted += _grant_window(is_granted, first_slot + dlb, cap)
-    count = list(accumulate(granted, initial=0))  # granted leg slots before slot k
-
-    def covers(line: _Line, k0: int, total: float) -> bool:
-        """Whether ``total`` plus the granted rates of a line whose point j
-        flies leg slot k0 + j reaches the residual.  Only granted points
-        are rated, left to right; rates are non-negative, so stopping once
-        the sum reaches the residual gives the full sum's answer."""
+    def summed(line: _Line, k0: int, total: float) -> float:
+        """``total`` plus the granted rates of a line whose point j flies
+        leg slot k0 + j, left to right, stopped once it reaches the
+        residual.  Only the points summed are rated; rates are
+        non-negative, so a stopped sum gives the full sum's answer."""
         rates, n = line.rates, line.n
         for j in compress(range(n), granted[k0:k0 + n]):
             r = rates[j]
@@ -587,8 +607,17 @@ def _plan_leg(
                 r = line.rate(j)
             total += r
             if total >= residual_data:
-                return True
-        return False
+                break
+        return total
+
+    line_total = summed(straight, 0, 0.0)  # the hover-at-end family continues it
+    if line_total >= residual_data:
+        return _leg(start, end, residual_data, straight)
+
+    cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
+    granted += _grant_window(is_granted, first_slot + dlb, cap)
+    count = list(accumulate(granted, initial=0))  # granted leg slots before slot k
+    end_rate = straight.rate(dlb - 1) if dlb else 0.0  # all the hover-at-end family adds
 
     walk = cache.walk(start)
     detour, detour_rates = walk.pts, walk.rates
@@ -606,7 +635,7 @@ def _plan_leg(
         if dlb and n > dlb:
             # arrive at full speed and keep transmitting at the destination
             if granted[n - 1]:
-                line_total += rates[-1]
+                line_total += end_rate
             if line_total >= residual_data:
                 return _leg(start, end, residual_data, straight, n - dlb)
         if dlb and count[n]:
@@ -616,12 +645,13 @@ def _plan_leg(
                 line_ceiling = segment_rate_ceiling(start, end, cp)
             if not count[n] * line_ceiling < residual_data:
                 paced = cache.line(start, end, n, True)
-                if covers(paced, 0, 0.0):
+                if summed(paced, 0, 0.0) >= residual_data:
                     return _leg(start, end, residual_data, paced)
-        if len(detour) < n:
-            walk.extend(n)
-        while len(d2s) < n:
+        # up to the first split past this budget by more than a slot
+        while len(d2s) < n and (not d2s or len(d2s) + d2s[-1] <= n + 1):
             k = len(d2s)
+            if len(detour) <= k:
+                walk.extend(k + 1)
             if granted[k]:
                 walk_total += detour_rates[k]
             span = detour[k].dist(end)
@@ -629,7 +659,7 @@ def _plan_leg(
             paused.append(0)
             held.append(walk_total)
             ceilings.append(math.nan)
-        for d1 in range(1, n + 1):
+        for d1 in range(1, len(d2s) + 1):
             i = d1 - 1
             d2 = d2s[i]
             hover = n - d1 - d2  # pause at the detour's endpoint before routing
@@ -656,7 +686,7 @@ def _plan_leg(
                     continue
             for even in ((False, True) if d2 else (False,)):
                 route = cache.line(tp, end, d2, even)
-                if h >= residual_data or covers(route, k0, h):
+                if h >= residual_data or summed(route, k0, h) >= residual_data:
                     return _leg(start, end, residual_data, route, 0, walk, d1, hover)
     raise LegInfeasible(
         f"no feasible leg from {start} to {end} within {cap} extra slots "

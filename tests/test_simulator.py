@@ -328,6 +328,36 @@ class TestOnDemandProjections:
             assert slots == [t for t, r in enumerate(out.requests, start=1) if r]
 
 
+class TestProjectionMemo:
+    def test_a_uav_denied_at_its_leg_end_is_summed_once_per_state(self, monkeypatch):
+        # a UAV hovering at its leg end keeps its leg, waypoint and residual
+        # while it is denied; every projection of that state after the first
+        # reuses the first one's slots to drain
+        reads, sums = {}, {}
+        uav = [None]
+        project, to_drain = simulator._Runtime.projected_completion, simulator._slots_to_drain
+
+        def counted_projection(st, slot):
+            uav[0] = st.uav
+            if not (st.done or st.pending_sense) and st.w == st.leg_slots > 0:
+                key = (st.uav, id(st.leg), st.w, st.residual)
+                reads[key] = reads.get(key, 0) + 1
+            return project(st, slot)
+
+        def counted_drain(leg, residual, w):
+            if w == leg.slots > 0:
+                key = (uav[0], id(leg), w, residual)
+                sums[key] = sums.get(key, 0) + 1
+            return to_drain(leg, residual, w)
+
+        sc, plans = _final_plans(ScenarioConfig(m=10, n=10, k=2, seed=4))
+        monkeypatch.setattr(simulator._Runtime, "projected_completion", counted_projection)
+        monkeypatch.setattr(simulator, "_slots_to_drain", counted_drain)
+        run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
+        assert sum(n > 1 for n in reads.values()) > 10
+        assert sums == dict.fromkeys(reads, 1)
+
+
 class TestTraceIo:
     def test_round_trip(self, tmp_path):
         tasks = {0: Task(0, Position3(100, 0, 0), 20e6, (0,))}

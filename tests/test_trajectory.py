@@ -987,6 +987,88 @@ class TestGrantedSlotScan:
         self.check_masked_corpus("87605dc1dc66e3ef")
 
 
+# points within 35 m of the BS at (0, 0, 25) on each axis, where walks
+# bounce across it or stop at the standoff
+_near_bs = st.builds(lambda x, y, z: Position3(x, y, max(10.0, 25.0 + z)),
+                     st.floats(-35, 35), st.floats(-35, 35), st.floats(-35, 35))
+
+
+def _split_slots(walk_pts, end) -> list[int]:
+    """``d1 + d2`` of every split of a walk: the slots its leg needs with
+    no pause, d2 being the route's full-speed slots to ``end``."""
+    return [d1 + delta_lower_bound(p, end, KIN) for d1, p in enumerate(walk_pts, start=1)]
+
+
+class TestLazyDetourWalk:
+    """The scan takes the walk only as far as a budget's splits can fit,
+    which rests on ``d1 + d2`` never falling by more than a slot."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(start=st.one_of(_point, _near_bs), end=st.one_of(_point, _near_bs))
+    def test_split_slots_never_fall_by_more_than_one(self, start, end):
+        assume(start.dist(CP.bs_position) > _BS_STANDOFF)  # the channel's domain
+        walk = LegCache(CP, KIN).walk(start)
+        walk.extend(60)
+        highest = -1
+        for need in _split_slots(walk.pts, end):
+            assert need >= highest - 1
+            highest = max(highest, need)
+
+    def test_a_masked_detour_walks_no_further_than_its_budget_needs(self):
+        # every split but the last one walked fits the leg's budget plus the
+        # one slot of rounding margin
+        detours = 0
+        for start, end, residual, mask, first_slot in _masked_corpus():
+            cache = LegCache(CP, KIN)
+            leg = _planned(start, end, residual, grant_from_mask(mask), first_slot, cache)
+            if leg == "infeasible":
+                continue
+            detours += leg.detour_slots > 0
+            need = _split_slots(cache.walk(start).pts, end)
+            assert all(n <= leg.slots + 1 for n in need[:-1])
+        assert detours >= 50
+
+
+def _counted_rates(monkeypatch) -> list[tuple[float, float, float]]:
+    """The points ``trajectory`` rates from now on, in order."""
+    points = []
+
+    def counted(x, y, z, cp):
+        points.append((x, y, z))
+        return rate_at(x, y, z, cp)
+
+    monkeypatch.setattr(trajectory, "rate_at", counted)
+    return points
+
+
+class TestSharedRates:
+    """A point that several lines or walk steps share is rated once."""
+
+    def test_detours_through_one_cache_rate_their_common_end_once(self, monkeypatch):
+        end = Position3(350, 420, 30)
+        grant = grant_from_mask(mask_of("1101" * 30))
+        starts = [Position3(400, 400, 40), Position3(410, 380, 45), Position3(390, 430, 35)]
+        cache = LegCache(CP, KIN)
+        points = _counted_rates(monkeypatch)
+        legs = [optimize_leg(a, end, 84e6, CP, KIN, grant, 1, cache=cache) for a in starts]
+        assert all(leg.detour_slots for leg in legs)
+        for leg in legs:  # every point of every leg read
+            assert not any(math.isnan(r) for r in leg.rates)
+        assert points.count(end) == 1
+        assert len(points) == len(set(points))
+
+    def test_a_walk_held_at_the_standoff_rates_its_held_point_once(self, monkeypatch):
+        # straight above the BS, the first step stops at the standoff and
+        # every later step holds there
+        walk = LegCache(CP, KIN).walk(Position3(0.0, 0.0, 75.5))
+        points = _counted_rates(monkeypatch)
+        walk.extend(12)
+        held = walk.pts[0]
+        assert held.dist(CP.bs_position) < _BS_STANDOFF + 1e-9
+        assert walk.pts == [held] * 12 and walk.rates == [rate_at(*held, CP)] * 12
+        assert points == [held]
+
+
 class TestSpeedOptimality:
     def test_full_speed_never_loses(self):
         # legs built by the planner at the speed cap finish in no more slots
