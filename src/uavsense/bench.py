@@ -32,6 +32,7 @@ from .itsso import (
     ItssoConfig,
     Solution,
     initial_solution,
+    overhead_locations,
     run_itsso,
 )
 from .sensing import SensingParams, Task
@@ -83,6 +84,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.data_size <= 0:
             raise ValueError("data_size must be positive")
+        if self.fsl_height < self.kinematics.h_min:
+            raise ValueError(f"fsl_height={self.fsl_height} is below the altitude floor "
+                             f"kinematics.h_min={self.kinematics.h_min}")
         if self.scheme == "nc" and self.q != 1:
             raise ValueError(
                 f"scheme 'nc' runs q=1, got q={self.q}; derive it with nc_config")
@@ -221,12 +225,7 @@ def fsl_plan(scenario: Scenario, cfg: ItssoConfig | None = None,
              record_trace: bool = False) -> Solution:
     """Fixed-sensing-location scheme: altitude pinned, no placement search,
     the probability constraint waived."""
-    h = scenario.config.fsl_height
-    fixed = {}
-    for uav, route in scenario.routes.items():
-        for idx, tid in enumerate(route):
-            loc = scenario.tasks[tid].location
-            fixed[(uav, idx)] = Position3(loc.x, loc.y, h)
+    fixed = overhead_locations(scenario, scenario.config.fsl_height)
     return run_itsso(scenario, cfg, fixed_locations=fixed, record_trace=record_trace)
 
 

@@ -81,15 +81,12 @@ def _check_feasible(scenario, locations) -> None:
             )
 
 
-def default_initial_locations(scenario) -> dict[tuple[int, int], Position3]:
-    """Every worker right above its task at the altitude floor."""
-    kin: KinematicParams = scenario.kinematics
-    out = {}
-    for uav, route in scenario.routes.items():
-        for idx, tid in enumerate(route):
-            loc = scenario.tasks[tid].location
-            out[(uav, idx)] = Position3(loc.x, loc.y, kin.h_min)
-    return out
+def overhead_locations(scenario, height: float) -> dict[tuple[int, int], Position3]:
+    """Every worker right above its task at ``height``, keyed by (UAV,
+    route index)."""
+    tasks = scenario.tasks
+    return {(uav, idx): Position3(tasks[tid].location.x, tasks[tid].location.y, height)
+            for uav, route in scenario.routes.items() for idx, tid in enumerate(route)}
 
 
 def _build_plans(
@@ -148,7 +145,7 @@ def initial_solution(
     from the same last sensing locations.
     """
     if locations is None:
-        locations = default_initial_locations(scenario)
+        locations = overhead_locations(scenario, scenario.kinematics.h_min)
         _check_feasible(scenario, locations)
     plans = _build_plans(scenario, locations, cache)
     outcome = run(

@@ -137,11 +137,6 @@ def _retreat(cur: Position3, tr: Position3, center: Position3, budget: float,
     return cand
 
 
-def _first_slot(p: UavPlan, idx: int) -> int:
-    """First absolute slot of leg ``idx``: the one after the previous sensing slot."""
-    return sum(leg.slots for leg in p.legs[:idx]) + idx + 1
-
-
 class _Replanner:
     """Copies of some plans, each UAV's grants and a cache: all a re-plan needs."""
 
@@ -163,18 +158,18 @@ class _Replanner:
             return p.start, 0.0
         return p.sensing_locations[idx - 1], self.tasks[p.task_ids[idx - 1]].data_size
 
-    def replan(self, p: UavPlan, idx: int, first: int) -> int:
-        """Plan leg ``idx`` of ``p`` again from absolute slot ``first`` against
-        the UAV's grants; ``idx == p.n_tasks`` is the drain.  Returns the next
-        leg's first slot, the one after the sensing slot that ends this leg."""
+    def replan(self, p: UavPlan, idx: int) -> None:
+        """Plan leg ``idx`` of ``p`` again, from its first slot after the
+        legs before it, against the UAV's grants; ``idx == p.n_tasks`` is
+        the drain."""
         start, residual = self._leg_inputs(p, idx)
+        first = p.first_slot(idx)
         if idx < len(p.legs):
-            leg = p.legs[idx] = replan_leg(start, p.sensing_locations[idx], residual, self.cp,
-                                           self.kin, self.grants[p.uav], first, self.cache)
+            p.legs[idx] = replan_leg(start, p.sensing_locations[idx], residual, self.cp,
+                                     self.kin, self.grants[p.uav], first, self.cache)
         else:
-            leg = p.drain = drain_leg(start, residual, self.cp, self.kin, self.grants[p.uav],
-                                      first, cache=self.cache)
-        return first + leg.slots + 1
+            p.drain = drain_leg(start, residual, self.cp, self.kin, self.grants[p.uav], first,
+                                cache=self.cache)
 
 
 def replan_plans(plans: Sequence[UavPlan], tasks: Mapping[int, Task], cp: ChannelParams,
@@ -185,9 +180,8 @@ def replan_plans(plans: Sequence[UavPlan], tasks: Mapping[int, Task], cp: Channe
     a move re-plans the legs it touches.  The input plans are not modified."""
     replanner = _Replanner(plans, tasks, cp, kin, masks, cache)
     for p in replanner.plans.values():
-        first = 1
         for idx in range(p.n_tasks + 1):
-            first = replanner.replan(p, idx, first)
+            replanner.replan(p, idx)
     return list(replanner.plans.values())
 
 
@@ -212,8 +206,8 @@ class _Search(_Replanner):
     def move(self, uav: int, idx: int, loc: Position3) -> None:
         p = self.plans[uav]
         p.sensing_locations[idx] = loc
-        first = self.replan(p, idx, _first_slot(p, idx))
-        self.replan(p, idx + 1, first)
+        self.replan(p, idx)
+        self.replan(p, idx + 1)
         self.t[uav] = p.planned_completion()
 
     # -- bookkeeping -------------------------------------------------------
@@ -245,7 +239,7 @@ class _Search(_Replanner):
         p = self.plans[uav]
         start, residual = self._leg_inputs(p, idx)
         return drain_leg(start, residual, self.cp, self.kin, self.grants[uav],
-                         _first_slot(p, idx), cache=self.cache).slots
+                         p.first_slot(idx), cache=self.cache).slots
 
     def upper_bound(self, uav: int, idx: int, task: Task) -> int:
         """Slots of leg ``idx`` ending right above the task at the altitude
@@ -254,7 +248,7 @@ class _Search(_Replanner):
         start, residual = self._leg_inputs(p, idx)
         overhead = Position3(task.location.x, task.location.y, self.kin.h_min)
         return replan_leg(start, overhead, residual, self.cp, self.kin,
-                          self.grants[uav], _first_slot(p, idx), self.cache).slots
+                          self.grants[uav], p.first_slot(idx), self.cache).slots
 
     # -- moves -------------------------------------------------------------
     def _grow_location(self, uav: int, idx: int, task: Task) -> Optional[Position3]:

@@ -86,19 +86,14 @@ class UavPlan:
     def n_tasks(self) -> int:
         return len(self.task_ids)
 
-    def sensing_slots(self) -> list[int]:
-        """Planned slot index of each sensing slot (all plan slots granted)."""
-        taus = []
-        t = 0
-        for leg in self.legs:
-            t += leg.slots + 1
-            taus.append(t)
-        return taus
+    def first_slot(self, idx: int) -> int:
+        """First slot of leg ``idx`` (the drain when ``idx == n_tasks``) as
+        planned: each earlier leg's slots and then its sensing slot."""
+        return sum(leg.slots for leg in self.legs[:idx]) + idx + 1
 
     def planned_completion(self) -> int:
-        if not self.task_ids:
-            return 0
-        return self.sensing_slots()[-1] + self.drain.slots
+        """Last slot of the drain as planned, every slot granted."""
+        return self.first_slot(self.n_tasks) - 1 + self.drain.slots
 
 
 @dataclass(slots=True)

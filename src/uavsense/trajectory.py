@@ -34,10 +34,11 @@ on geometry; the mask and the residual only decide which rates are summed.
   the last that can fit the budget (``_plan_leg`` says why that is exact).
 - Every straight line, full speed or evenly paced, is one ``_Line``, the
   only place a line point is worked out.  It keeps its rates in an
-  ``array('d')``, NaN until rated.  A capacity check, the straight line's
-  at the kinematic minimum included, rates only the granted points it sums
-  and stops at the residual; the hover-at-end family reads only the
-  line's end point.
+  ``array('d')``, NaN until rated.  Every capacity check of a line,
+  ``initial_leg``'s stretch test included, is one ``_summed``: it rates
+  only the granted points it sums and stops at the residual; the
+  hover-at-end family reads only the line's end point.  Every slot count
+  of a distance at a speed is one ``_slots``.
 - A ``LegCache`` keeps the rate-gradient walk (positions and rates) from
   each leg start, which ``optimize_leg`` and ``drain_leg`` extend and
   share, and those lines (their rates, not their waypoints), so a line
@@ -45,7 +46,8 @@ on geometry; the mask and the residual only decide which rates are summed.
   lines share the rate of each end point, taken on the first read by any
   of them, and a walk step held at the BS standoff keeps the last rate.
   ``run_itsso`` makes one per call and drops it on return; a call without
-  one starts cold.  There is no module-level cache.
+  one starts cold, through a throwaway cache (``_cache``).  There is no
+  module-level cache.
 - The same ``LegCache`` keeps every leg it planned, keyed by
   ``(start, end, payload)`` for ``optimize_leg`` and ``(start, payload)``
   for ``drain_leg``, each with the grants of that leg's own slots, and
@@ -53,17 +55,17 @@ on geometry; the mask and the residual only decide which rates are summed.
   equal.  That is exact: a leg of n slots was decided by the grants of its
   slots 0..n-1 alone (``_plan_leg``; a drain stops at the first slot where
   its sum reaches the payload), and the rest of the key fixes the geometry.
-  A leg with no payload reads no grants; a call that raises
-  ``LegInfeasible`` is not kept.  The memo sits inside the public
-  functions, so every call is still a call of them.
+  ``LegCache.keep`` reads those grants itself; a leg with no payload reads
+  none, and a call that raises ``LegInfeasible`` is not kept.  The memo
+  sits inside the public functions, so every call is still a call of them.
 - A leg builds nothing up front.  Every ``Leg`` stores its shape: the
   walk prefix it uses, pauses, its route ``_Line`` and pauses at the end.
   ``Leg.rate(k)`` reads one slot's rate, and a route point is rated on
   its first read and kept in the line; ``waypoints`` and ``rates`` build
   fresh lists in bulk.  Only a traced simulator run and a dump read
   waypoints; the simulator rates the points it sums in granted slots, and
-  a dump rates the rest.  ``initial_leg``'s stretch test rates its line up
-  to the point where the all-granted upload fits.
+  a dump rates the rest.  The stretches of one ``initial_leg`` share
+  their end point's rate.
 Capacities are summed left to right over granted slots, exactly as a
 plain loop over every slot would, so a plan is bit-identical to the one a
 dense scan of every point gives, with or without a cache.
@@ -142,10 +144,10 @@ class Leg:
     (a gradient walk's points and rates), pauses there up to
     ``detour_slots``, a route ``_Line`` and pauses at its end; a leg made
     from given lists (``constant_speed_leg``, a loaded dump) is all head.
-    ``waypoints`` and ``rates`` build fresh lists on every read.  A route point that no capacity check summed is rated on
-    its first read and kept in the line, so a ``ChannelDomainError`` for
-    such a point surfaces there, not when the leg is planned.  Legs compare
-    equal by content.
+    ``waypoints`` and ``rates`` build fresh lists on every read.  A route
+    point that no capacity check summed is rated on its first read and kept
+    in the line, so a ``ChannelDomainError`` for such a point surfaces
+    there, not when the leg is planned.  Legs compare equal by content.
     """
 
     __slots__ = ("start", "end", "residual_data", "turning_point", "detour_slots",
@@ -227,12 +229,15 @@ def grant_from_mask(mask: Optional[Sequence[bool]]) -> GrantFn:
     return _MaskGrant(mask)
 
 
+def _slots(d: float, v: float) -> int:
+    """Slots to fly distance d at speed v: none for no distance, else at
+    least one."""
+    return 0 if d <= 0 else max(1, math.ceil(d / v - _CEIL_EPS))
+
+
 def delta_lower_bound(start: Position3, end: Position3, kin: KinematicParams) -> int:
     """Fewest slots to cover the straight line at maximum speed."""
-    d = start.dist(end)
-    if d <= 0.0:
-        return 0
-    return max(1, math.ceil(d / kin.v_max - _CEIL_EPS))
+    return _slots(start.dist(end), kin.v_max)
 
 
 def rate_gradient(
@@ -307,20 +312,18 @@ class _Line:
     remainder on the last step; the last point is exactly b.
 
     The one place a line point is worked out.  ``rates``, an ``array('d')``
-    of n NaNs, keeps each point's rate once rated; ``points`` and
-    ``filled`` give the lists in bulk.  ``ends``, if given, is the map of
-    end points to rates that the lines of one ``LegCache`` share.
+    of n NaNs, keeps each point's rate once rated; ``points`` gives the
+    waypoints in bulk and ``filled`` every rate.  ``ends`` maps end points
+    to their rates; lines that share it rate each end point once.
     """
 
-    __slots__ = ("a", "b", "n", "even", "speed", "cp", "rates", "ends", "_full", "_d", "_dx",
-                 "_dy", "_dz")
+    __slots__ = ("a", "b", "n", "even", "speed", "cp", "rates", "ends", "_d", "_dx", "_dy",
+                 "_dz")
 
-    def __init__(self, a: Position3, b: Position3, n: int, even: bool, speed: float = 0.0,
-                 cp: Optional[ChannelParams] = None, rates: Optional[array] = None,
-                 ends: Optional[dict[Position3, float]] = None):
+    def __init__(self, a: Position3, b: Position3, n: int, even: bool, speed: float,
+                 cp: ChannelParams, ends: dict[Position3, float]):
         self.a, self.b, self.n, self.even = a, b, n, even
-        self.speed, self.cp, self.rates, self.ends = speed, cp, rates, ends
-        self._full = False  # whether ``filled`` has rated every point
+        self.speed, self.cp, self.rates, self.ends = speed, cp, _NAN * n, ends
         # point k (1-based) is a + f * (dx, dy, dz): evenly paced, f = k / n
         # of the span; at full speed, f = min(k * speed, d) along the unit
         # direction
@@ -358,15 +361,14 @@ class _Line:
 
     def rate(self, j: int) -> float:
         """Waypoint j's (0-based) rate, rated on first read and kept; the end
-        point's through ``ends``, if shared."""
+        point's through ``ends``."""
         r = self.rates[j]
         if r != r:
-            ends = self.ends
-            if ends is None or j + 1 < self.n:
+            if j + 1 < self.n:
                 x, y, z = self._xyz(j)
                 r = rate_at(x, y, z, self.cp)
             else:
-                b = self.b
+                b, ends = self.b, self.ends
                 r = ends.get(b)
                 if r is None:
                     r = ends[b] = rate_at(b.x, b.y, b.z, self.cp)
@@ -374,21 +376,8 @@ class _Line:
         return r
 
     def filled(self) -> list[float]:
-        """Every waypoint's rate, rating those not yet rated in one loop, at
-        the coordinates ``points`` gives."""
-        rates, n, cp = self.rates, self.n, self.cp
-        if self._full or not n:
-            return rates.tolist()
-        (ax, ay, az), dx, dy, dz = self.a, self._dx, self._dy, self._dz
-        even, v = self.even, self.speed
-        d = 0.0 if even else self._d
-        for k in range(1, n):
-            if rates[k - 1] != rates[k - 1]:
-                f = k / n if even else min(k * v, d)
-                rates[k - 1] = rate_at(ax + f * dx, ay + f * dy, az + f * dz, cp)
-        self.rate(n - 1)
-        self._full = True
-        return rates.tolist()
+        """Every waypoint's rate, rating those not yet rated."""
+        return [self.rate(j) for j in range(self.n)]
 
 
 def _leg(start: Position3, end: Position3, residual_data: float, route: Optional[_Line],
@@ -457,10 +446,6 @@ class LegCache:
         # the leg slots its planner read
         self._legs: dict[tuple, list[tuple[Leg, list[bool]]]] = {}
 
-    def check(self, cp: ChannelParams, kin: KinematicParams) -> None:
-        if (cp is not self.cp and cp != self.cp) or (kin is not self.kin and kin != self.kin):
-            raise ValueError("LegCache was made for other channel or kinematic parameters")
-
     def walk(self, start: Position3) -> _Walk:
         w = self._walks.get(start)
         if w is None:
@@ -471,8 +456,7 @@ class LegCache:
         key = (a, b, n, even)
         got = self.lines.get(key)
         if got is None:
-            got = self.lines[key] = _Line(a, b, n, even, self.kin.v_max, self.cp, _NAN * n,
-                                          self.ends)
+            got = self.lines[key] = _Line(a, b, n, even, self.kin.v_max, self.cp, self.ends)
         return got
 
     def kept(self, key: tuple, is_granted: GrantFn, first_slot: int) -> Optional[Leg]:
@@ -483,8 +467,22 @@ class LegCache:
                 return leg
         return None
 
-    def keep(self, key: tuple, leg: Leg, window: list[bool]) -> None:
-        self._legs.setdefault(key, []).append((leg, window))
+    def keep(self, key: tuple, leg: Leg, is_granted: GrantFn, first_slot: int) -> Leg:
+        """Keep ``leg`` with the grants of its own slots, none for a leg with
+        no payload, which reads no grants; returns the leg."""
+        n = leg.slots if leg.residual_data > 0 else 0
+        self._legs.setdefault(key, []).append((leg, _grant_window(is_granted, first_slot, n)))
+        return leg
+
+
+def _cache(cache: Optional[LegCache], cp: ChannelParams, kin: KinematicParams) -> LegCache:
+    """The caller's cache, if made for these parameters, or a throwaway one:
+    a call without a cache starts cold."""
+    if cache is None:
+        return LegCache(cp, kin)
+    if (cp is not cache.cp and cp != cache.cp) or (kin is not cache.kin and kin != cache.kin):
+        raise ValueError("LegCache was made for other channel or kinematic parameters")
+    return cache
 
 
 def _grant_window(is_granted: GrantFn, first_slot: int, n: int) -> list[bool]:
@@ -511,6 +509,23 @@ def _granted_total(rates: Sequence[float], granted: Sequence[bool]) -> float:
     for r, g in zip(rates, granted):
         if g:
             total += r
+    return total
+
+
+def _summed(line: _Line, granted: Sequence[bool], k0: int, total: float,
+            target: float) -> float:
+    """``total`` plus the granted rates of a line whose point j flies leg
+    slot k0 + j, left to right, stopped once it reaches ``target``.  Only
+    the points summed are rated; rates are non-negative, so a stopped sum
+    gives the full sum's answer."""
+    rates, n = line.rates, line.n
+    for j in compress(range(n), granted[k0:k0 + n]):
+        r = rates[j]
+        if r != r:
+            r = line.rate(j)
+        total += r
+        if total >= target:
+            break
     return total
 
 
@@ -543,17 +558,12 @@ def optimize_leg(
     """
     if residual_data < 0:
         raise ValueError("residual_data must be non-negative")
-    if cache is None:  # a cold call still rates each point once
-        return _plan_leg(start, end, residual_data, cp, kin, is_granted, first_slot,
-                         LegCache(cp, kin))
-    cache.check(cp, kin)
+    cache = _cache(cache, cp, kin)
     key = (start, end, residual_data)
     leg = cache.kept(key, is_granted, first_slot)
     if leg is None:
-        leg = _plan_leg(start, end, residual_data, cp, kin, is_granted, first_slot, cache)
-        # a leg with no payload reads no grants
-        cache.keep(key, leg, _grant_window(is_granted, first_slot,
-                                           leg.slots if residual_data > 0 else 0))
+        leg = cache.keep(key, _plan_leg(start, end, residual_data, cp, kin, is_granted,
+                                        first_slot, cache), is_granted, first_slot)
     return leg
 
 
@@ -574,7 +584,7 @@ def _plan_leg(
     below m only.  The straight line at the minimum reads its slots; the
     hover-at-end family reads slot m-1; the granted count ``count[m]``
     covers slots below m; the walk and pause sums of a split read slots
-    below its route start ``k0 <= m``; and ``summed`` reads the route's
+    below its route start ``k0 <= m``; and ``_summed`` reads the route's
     slots ``k0..m-1``.  Grants beyond the leg therefore cannot change it.
 
     The walk is taken only as far as a budget's splits can fit.  Split d1
@@ -588,29 +598,12 @@ def _plan_leg(
     has ``S > n`` and cannot fit budget n; the scan computes splits up to
     the first such one and no further.
     """
-    v = kin.v_max
     dlb = delta_lower_bound(start, end, kin)  # 0 only for a line of no length
     straight = cache.line(start, end, dlb, False)
     if residual_data <= 0:
         return _leg(start, end, residual_data, straight)  # rated on read, if ever
     granted = _grant_window(is_granted, first_slot, dlb)
-
-    def summed(line: _Line, k0: int, total: float) -> float:
-        """``total`` plus the granted rates of a line whose point j flies
-        leg slot k0 + j, left to right, stopped once it reaches the
-        residual.  Only the points summed are rated; rates are
-        non-negative, so a stopped sum gives the full sum's answer."""
-        rates, n = line.rates, line.n
-        for j in compress(range(n), granted[k0:k0 + n]):
-            r = rates[j]
-            if r != r:
-                r = line.rate(j)
-            total += r
-            if total >= residual_data:
-                break
-        return total
-
-    line_total = summed(straight, 0, 0.0)  # the hover-at-end family continues it
+    line_total = _summed(straight, granted, 0, 0.0, residual_data)  # hover-at-end continues it
     if line_total >= residual_data:
         return _leg(start, end, residual_data, straight)
 
@@ -645,7 +638,7 @@ def _plan_leg(
                 line_ceiling = segment_rate_ceiling(start, end, cp)
             if not count[n] * line_ceiling < residual_data:
                 paced = cache.line(start, end, n, True)
-                if summed(paced, 0, 0.0) >= residual_data:
+                if _summed(paced, granted, 0, 0.0, residual_data) >= residual_data:
                     return _leg(start, end, residual_data, paced)
         # up to the first split past this budget by more than a slot
         while len(d2s) < n and (not d2s or len(d2s) + d2s[-1] <= n + 1):
@@ -654,8 +647,7 @@ def _plan_leg(
                 walk.extend(k + 1)
             if granted[k]:
                 walk_total += detour_rates[k]
-            span = detour[k].dist(end)
-            d2s.append(0 if span <= 0 else max(1, math.ceil(span / v - _CEIL_EPS)))
+            d2s.append(_slots(detour[k].dist(end), kin.v_max))
             paused.append(0)
             held.append(walk_total)
             ceilings.append(math.nan)
@@ -686,7 +678,8 @@ def _plan_leg(
                     continue
             for even in ((False, True) if d2 else (False,)):
                 route = cache.line(tp, end, d2, even)
-                if h >= residual_data or summed(route, k0, h) >= residual_data:
+                if h >= residual_data or _summed(route, granted, k0, h,
+                                                 residual_data) >= residual_data:
                     return _leg(start, end, residual_data, route, 0, walk, d1, hover)
     raise LegInfeasible(
         f"no feasible leg from {start} to {end} within {cap} extra slots "
@@ -738,13 +731,12 @@ def constant_speed_leg(
 
     if residual_data < 0:
         raise ValueError("residual_data must be non-negative")
-    d = start.dist(end)
-    dlb = 0 if d <= 0 else max(1, math.ceil(d / v - _CEIL_EPS))
-    line = _Line(start, end, dlb, False, v).points()
-    rates = [rate_at(p.x, p.y, p.z, cp) for p in line]
+    dlb = _slots(start.dist(end), v)
+    line = _Line(start, end, dlb, False, v, cp, {})
+    pts, rates = line.points(), line.filled()
     granted = _grant_window(is_granted, first_slot, dlb)
     if residual_data <= 0 or _granted_total(rates, granted) >= residual_data:
-        return Leg(start, end, residual_data, line, rates, start, 0, dlb)
+        return Leg(start, end, residual_data, pts, rates, start, 0, dlb)
     cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
     detour: list[Position3] = []
     detour_rates: list[float] = []
@@ -753,15 +745,13 @@ def constant_speed_leg(
         pos = _gradient_step(pos, v, cp, kin)
         detour.append(pos)
         detour_rates.append(rate_at(pos.x, pos.y, pos.z, cp))
-        span = pos.dist(end)
-        d2 = 0 if span <= 0 else max(1, math.ceil(span / v - _CEIL_EPS))
-        route = _Line(pos, end, d2, False, v).points()
-        route_rates = [rate_at(p.x, p.y, p.z, cp) for p in route]
-        leg_rates = detour_rates + route_rates
+        d2 = _slots(pos.dist(end), v)
+        route = _Line(pos, end, d2, False, v, cp, {})
+        leg_rates = detour_rates + route.filled()
         granted = _grant_window(is_granted, first_slot, len(leg_rates))
         if _granted_total(leg_rates, granted) >= residual_data:
-            return Leg(start, end, residual_data, detour + route,
-                       detour_rates + route_rates, pos, d1, d2)
+            return Leg(start, end, residual_data, detour + route.points(), leg_rates, pos,
+                       d1, d2)
     raise LegInfeasible(
         f"no feasible constant-speed leg from {start} to {end} within {cap} detour slots")
 
@@ -788,14 +778,12 @@ def drain_leg(
     slots alone, so ``cache`` also keeps each drain with those grants and
     returns it again while they are unchanged.
     """
-    if cache is None:  # a cold call walks through a throwaway cache
-        return _drain(start, residual_data, is_granted, first_slot, LegCache(cp, kin))
-    cache.check(cp, kin)
+    cache = _cache(cache, cp, kin)
     key = (start, residual_data)
     leg = cache.kept(key, is_granted, first_slot)
     if leg is None:
-        leg = _drain(start, residual_data, is_granted, first_slot, cache)
-        cache.keep(key, leg, _grant_window(is_granted, first_slot, leg.slots))
+        leg = cache.keep(key, _drain(start, residual_data, is_granted, first_slot, cache),
+                         is_granted, first_slot)
     return leg
 
 
@@ -824,18 +812,6 @@ def _drain(start: Position3, residual_data: float, is_granted: GrantFn, first_sl
     )
 
 
-def _reaches(leg: Leg, target: float) -> bool:
-    """Whether the leg's rates, summed left to right, reach ``target``;
-    rates are non-negative, so stopping once the sum gets there gives the
-    full sum's answer."""
-    total = 0.0
-    for k in range(leg.slots):
-        total += leg.rate(k)
-        if total >= target:
-            return True
-    return False
-
-
 def initial_leg(
     start: Position3,
     end: Position3,
@@ -852,13 +828,13 @@ def initial_leg(
     points up to the one where the upload fits, the simulator only those
     it sums.
     """
-    d = start.dist(end)
-    slots = 0 if d <= 0 else max(1, math.ceil(d / v0 - _CEIL_EPS))
+    slots = _slots(start.dist(end), v0)
+    ends: dict[Position3, float] = {}  # every stretch ends at ``end``
     while True:
-        leg = _leg(start, end, residual_data,
-                   _Line(start, end, slots, True, cp=cp, rates=_NAN * slots))
-        if residual_data <= 0 or _reaches(leg, residual_data):
-            return leg
+        line = _Line(start, end, slots, True, v0, cp, ends)
+        if residual_data <= 0 or _summed(line, [True] * slots, 0, 0.0,
+                                         residual_data) >= residual_data:
+            return _leg(start, end, residual_data, line)
         if slots >= _MAX_STRETCH:
             raise LegInfeasible(
                 f"initial leg from {start} to {end} cannot carry "

@@ -86,6 +86,21 @@ class TestGeneration:
             parse_config_text("scheme = nc\n")
         assert ScenarioConfig(m=5, q=1, scheme="nc") == nc_config(ScenarioConfig())
 
+    @pytest.mark.parametrize("height", [0.0, 5.0, 9.99])
+    def test_fsl_height_below_the_floor_refused(self, height):
+        # the floor is kinematics.h_min, 10 m by default; the error names both
+        match = rf"fsl_height={height}.*kinematics\.h_min=10\.0"
+        with pytest.raises(ValueError, match=match):
+            ScenarioConfig(scheme="fsl", fsl_height=height)
+        with pytest.raises(ValueError, match=match):
+            parse_config_text(f"scheme = fsl\nfsl_height = {height}\n")
+
+    def test_fsl_height_follows_the_configured_floor(self):
+        with pytest.raises(ValueError, match=r"fsl_height=20\.0.*h_min=25\.0"):
+            parse_config_text("fsl_height = 20\nkinematics.h_min = 25\n")
+        assert ScenarioConfig(scheme="fsl", fsl_height=10.0).fsl_height == 10.0
+        assert parse_config_text("fsl_height = 15\nkinematics.h_min = 15\n").fsl_height == 15
+
 
 class TestSchemes:
     def test_fsl_pins_altitude_and_skips_placement(self):

@@ -81,6 +81,12 @@ def test_removed_members_are_gone():
     assert not hasattr(itsso, "replan_leg") and not hasattr(itsso, "grant_from_mask")
     assert not hasattr(placement._Search, "_replan_incoming")
     assert not hasattr(placement._Search, "_replan_outgoing")
+    # one owner per leg-planning rule
+    assert not hasattr(simulator.UavPlan, "sensing_slots")  # UavPlan.first_slot
+    assert not hasattr(placement, "_first_slot")
+    assert not hasattr(trajectory, "_reaches")  # trajectory._summed
+    assert not hasattr(trajectory._Line, "_full")
+    assert not hasattr(itsso, "default_initial_locations")  # itsso.overhead_locations
 
 
 @pytest.mark.parametrize("name", MODULES)

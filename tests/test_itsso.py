@@ -18,9 +18,9 @@ from uavsense.channel import Position3
 from uavsense.itsso import (
     InfeasibleScenario,
     ItssoConfig,
-    default_initial_locations,
     initial_solution,
     masks_from_outcome,
+    overhead_locations,
     replay,
     run_itsso,
     solution_from_json,
@@ -37,7 +37,7 @@ class TestInitialSolution:
         sc = generate_scenario(ScenarioConfig(seed=1))
         # every worker right above the task at the floor: for q=4 the group
         # probability is 1-(1-e^{-0.1})^4, far above 0.9
-        locs = default_initial_locations(sc)
+        locs = overhead_locations(sc, sc.kinematics.h_min)
         h = sc.kinematics.h_min
         prob = sensing_success_coop([h] * 4, sc.sensing)
         assert prob == pytest.approx(0.9999179903671793, rel=1e-12)

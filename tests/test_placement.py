@@ -13,8 +13,8 @@ from uavsense.channel import ChannelParams, Position3
 from uavsense.itsso import (
     ItssoConfig,
     _build_plans,
-    default_initial_locations,
     masks_from_outcome,
+    overhead_locations,
     run_itsso,
 )
 from uavsense.placement import (
@@ -271,13 +271,12 @@ class TestReplanPlans:
             assert (q.start, q.task_ids, q.sensing_locations) == (
                 p.start, p.task_ids, p.sensing_locations)
             grant = grant_from_mask(masks.get(q.uav)) if masks else None
-            slots = q.sensing_slots()
             prev, residual = q.start, 0.0
             for idx, (tid, loc) in enumerate(zip(q.task_ids, q.sensing_locations)):
-                first = slots[idx - 1] + 1 if idx else 1
+                first = q.first_slot(idx)
                 assert q.legs[idx] == replan_leg(prev, loc, residual, CP, KIN, grant, first)
                 prev, residual = loc, sc.tasks[tid].data_size
-            first = slots[-1] + 1 if slots else 1
+            first = q.first_slot(q.n_tasks)
             assert q.drain == drain_leg(prev, residual, CP, KIN, grant, first)
 
     def test_masks_change_the_plans(self):
@@ -343,7 +342,7 @@ class TestLocalSearch:
 
     def test_pass_history_monotone(self):
         sc = generate_scenario(ScenarioConfig(seed=23))
-        slow = _build_plans(sc, default_initial_locations(sc))
+        slow = _build_plans(sc, overhead_locations(sc, sc.kinematics.h_min))
         plans = replan_plans(slow, sc.tasks, CP, KIN, None, None)
         out = optimize_sensing_locations(plans, sc.tasks, CP, KIN, SP)
         hist = out.t_max_history

@@ -369,17 +369,59 @@ class TestTraceIo:
         assert back == out.trace
 
 
+class TestPlanTimeline:
+    """``UavPlan.first_slot`` and ``planned_completion`` against simulated
+    runs in which nothing is contended (one subcarrier per UAV)."""
+
+    @staticmethod
+    def _runs(masked):
+        """Per seed, the slow initial plans (unmasked only) and their
+        re-plan, against no mask or a contended run's grants (K=2 for 8
+        UAVs), each simulated with K=M."""
+        from uavsense.bench import generate_scenario
+        from uavsense.itsso import _build_plans, masks_from_outcome, overhead_locations
+        from uavsense.placement import replan_plans
+
+        for seed in (3, 8):
+            sc = generate_scenario(ScenarioConfig(m=8, n=8, q=2, k=2, seed=seed))
+            slow = _build_plans(sc, overhead_locations(sc, KIN.h_min))
+            if masked:
+                masks = masks_from_outcome(run(slow, GreedyScheduler(sc.k), sc.tasks, CP, KIN,
+                                               record_trace=False))
+                assert any(not all(mask) for mask in masks.values())
+                candidates = [replan_plans(slow, sc.tasks, CP, KIN, masks, None)]
+            else:
+                candidates = [slow, replan_plans(slow, sc.tasks, CP, KIN, None, None)]
+            for plans in candidates:
+                out = run(plans, GreedyScheduler(len(plans)), sc.tasks, CP, KIN)
+                assert out.grants == out.requests  # nothing contended
+                yield plans, out
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_sensing_slots_follow_the_legs(self, masked):
+        for plans, out in self._runs(masked):
+            for p in plans:
+                assert sensing_slots(out, p.uav) == [
+                    p.first_slot(i + 1) - 1 for i in range(p.n_tasks)]
+
+    def test_unmasked_plans_complete_as_planned(self):
+        for plans, out in self._runs(False):
+            for p in plans:
+                assert out.completion_times[p.uav] == p.planned_completion()
+
+    def test_drains_planned_against_masks_finish_no_later(self):
+        for plans, out in self._runs(True):
+            for p in plans:
+                assert out.completion_times[p.uav] <= p.planned_completion()
+
+
 def _initial_plans(sc):
     """The initial plans of a seeded scheme run (``fsl`` pins its locations)."""
     from uavsense.bench import _ITSSO_SEED_OFFSET
-    from uavsense.itsso import ItssoConfig, initial_solution
+    from uavsense.itsso import ItssoConfig, initial_solution, overhead_locations
 
     cfg = sc.config
-    fixed = None
-    if cfg.scheme == "fsl":
-        fixed = {(uav, idx): Position3(sc.tasks[tid].location.x, sc.tasks[tid].location.y,
-                                       cfg.fsl_height)
-                 for uav, route in sc.routes.items() for idx, tid in enumerate(route)}
+    fixed = overhead_locations(sc, cfg.fsl_height) if cfg.scheme == "fsl" else None
     icfg = ItssoConfig(rng_seed=cfg.seed + _ITSSO_SEED_OFFSET)
     return initial_solution(sc, icfg, locations=fixed).plans
 

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from array import array
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from uavsense.trajectory import _BS_STANDOFF, _grant_window, _Line, _gradient_st
 
 CP = ChannelParams()
 KIN = KinematicParams()  # v_max=50, h_min=10
-NAN = array("d", [math.nan])
 
 
 def even_waypoints(start: Position3, end: Position3, slots: int) -> list[Position3]:
@@ -337,7 +335,7 @@ class TestSegmentRateCeiling:
         if a.dist(b) > 0.0:  # as the planner, which routes no zero-length line
             lines.append((n, False, frontload_waypoints(a, b, KIN.v_max, n)))
         for slots, even, pts in lines:
-            line = _Line(a, b, slots, even, KIN.v_max, cp, NAN * slots)
+            line = _Line(a, b, slots, even, KIN.v_max, cp, {})
             for j, p in enumerate(pts):
                 try:
                     r = rate_at(p.x, p.y, p.z, cp)
@@ -376,7 +374,7 @@ class TestLine:
             ref_rates = [rate_at(p.x, p.y, p.z, cp) for p in ref]
         except ChannelDomainError:
             assume(False)  # a waypoint on the BS
-        pts = _Line(a, b, n, even, KIN.v_max)
+        pts = _Line(a, b, n, even, KIN.v_max, cp, {})
         assert repr(pts.points()) == repr(ref) and pts.points()[-1] == b
         cache = LegCache(cp, KIN)
         line = cache.line(a, b, n, even)
@@ -389,7 +387,7 @@ class TestLine:
     def test_no_slots_is_empty(self):
         a, b = Position3(0, 0, 10), Position3(0, 0, 10)
         for even in (False, True):
-            line = _Line(a, b, 0, even, KIN.v_max, CP, NAN * 0)
+            line = _Line(a, b, 0, even, KIN.v_max, CP, {})
             assert line.points() == [] and line.filled() == []
 
 
