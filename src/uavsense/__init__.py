@@ -16,7 +16,7 @@ from .bench import (
 )
 from .channel import ChannelParams, Position3, rate_at
 from .itsso import ItssoConfig, Solution, initial_solution, run_itsso
-from .placement import SensingAssignment, adjust_collinear, optimize_sensing_locations
+from .placement import SensingAssignment, optimize_sensing_locations
 from .scheduler import GreedyScheduler, RandomScheduler, schedule_slot
 from .sensing import (
     SensingParams,

@@ -17,11 +17,12 @@ resolved.  The RNG is numpy's default PCG64, seeded with 64-bit integers.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .itsso import (
     run_itsso,
 )
 from .sensing import SensingParams, Task
+from .simulator import TraceRow
 from .trajectory import KinematicParams
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "parse_config_text",
     "load_config",
     "audit_solution",
+    "audit_rows",
     "EXPERIMENT_IDS",
 ]
 
@@ -84,6 +87,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.data_size <= 0:
             raise ValueError("data_size must be positive")
+        if 4300.0 * math.log10(self.kinematics.h_min) - 3800.0 <= 0.0:
+            raise ValueError(f"kinematics.h_min={self.kinematics.h_min} must exceed "
+                             f"10**(38/43) = {10 ** (38 / 43):.4f} m, below which the "
+                             "LoS decay scale 4300 log10 z - 3800 is not positive")
         if self.fsl_height < self.kinematics.h_min:
             raise ValueError(f"fsl_height={self.fsl_height} is below the altitude floor "
                              f"kinematics.h_min={self.kinematics.h_min}")
@@ -250,18 +257,17 @@ def audit_solution(scenario: Scenario, solution: Solution) -> list[str]:
     if last != solution.t_max:
         problems.append(f"trace ends at slot {last} but the solution claims "
                         f"t_max {solution.t_max}")
-    return problems + audit_trace(
-        trace,
-        scenario.uav_starts,
-        scenario.routes,
-        scenario.tasks,
-        scenario.channel,
-        scenario.kinematics,
-        scenario.sensing,
-        scenario.k,
-        check_sensing_prob=(scenario.config.scheme != "fsl"),
-        completion_times=solution.outcome.completion_times,
-    )
+    return problems + audit_rows(scenario, trace, solution.outcome.completion_times)
+
+
+def audit_rows(scenario: Scenario, rows: Sequence[TraceRow],
+               completion_times: Mapping[int, int] | None = None) -> list[str]:
+    """Independent constraint audit of trace rows made from ``scenario``.
+    FSL senses from a fixed height, so its sensing threshold is not checked."""
+    return audit_trace(rows, scenario.uav_starts, scenario.routes, scenario.tasks,
+                       scenario.channel, scenario.kinematics, scenario.sensing, scenario.k,
+                       check_sensing_prob=(scenario.config.scheme != "fsl"),
+                       completion_times=completion_times)
 
 
 # ---------------------------------------------------------------------------

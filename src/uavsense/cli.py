@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 
 from . import analysis, bench
-from .audit import audit_trace
 from .itsso import ItssoConfig, solution_to_json
 from .sensing import SensingParams, min_cooperative_uavs
 from .simulator import read_trace, write_trace
@@ -90,12 +89,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_validate(args) -> int:
     config = _config_from_args(args)
     scenario = bench.generate_scenario(config)
-    rows = read_trace(args.trace)
-    problems = audit_trace(
-        rows, scenario.uav_starts, scenario.routes, scenario.tasks,
-        scenario.channel, scenario.kinematics, scenario.sensing, scenario.k,
-        check_sensing_prob=(config.scheme != "fsl"),
-    )
+    problems = bench.audit_rows(scenario, read_trace(args.trace))
     if problems:
         print(f"FAIL: {len(problems)} violation(s)")
         for p in problems:

@@ -3,12 +3,12 @@
 Optimal sensing locations lie on the line through the incoming leg's
 turning point and the task (for the first task the UAV's start stands in
 for the turning point), so the search moves locations along that line in
-one-slot quanta.  Each pass visits every task: the worker with the largest
-completion time retreats one slot toward its turning point; if the group's
-sensing probability breaks, workers with slack advance toward the task one
-slot at a time until it holds again, and the whole adjustment is rolled
-back when they cannot.  Group completion times never increase, which makes
-the pass loop converge.
+one-slot quanta.  The search has one move.  Each pass visits every task:
+the worker with the largest completion time retreats one slot toward its
+turning point, and the retreat is rolled back unless the group still meets
+the sensing threshold, the worker's completion time fell and the group's
+did not rise.  Group completion times never increase, which makes the pass
+loop converge.
 
 Retreats are confined to a per-worker distance budget around each task:
 the hemispheroid radius within which a sensing location may wander, set to
@@ -18,11 +18,13 @@ product barely constrains a single far member once the others cover the
 task), which degenerates into sensing from wherever the UAV happens to be.
 A retreat that would leave the budget stops where its line exits the
 budget sphere, a root of a quadratic in closed form (``_retreat``).
-Since every member then stays within the radius at which the group meets
-the threshold, a retreat leaves the threshold met: ``_Search._repair``
-(and with it ``upper_bound`` and ``_grow_location``) was never entered
-over 75 searched instances, 25 each at the Table point, at K=2 with
-M=N=10, and at 8 tasks per UAV.
+
+Invariant: every member of a group stays within the radius at which the
+group meets the threshold, so a retreat leaves it met up to rounding.  A
+full step that lands within ``_ROOT_SLACK_M`` inside the sphere can leave
+the group an ulp short; the threshold check rolls such a retreat back.  A
+rule under which a retreat can break the threshold needs a move that
+advances members toward the task; this module has none.
 
 Legs are planned again in one place, ``_Replanner.replan``, against the
 UAV's observed grants: a move re-plans the legs into and out of the moved
@@ -50,7 +52,6 @@ from .trajectory import (
 
 __all__ = [
     "SensingAssignment",
-    "adjust_collinear",
     "optimize_sensing_locations",
     "replan_plans",
 ]
@@ -66,31 +67,6 @@ class SensingAssignment:
     plans: list[UavPlan]
     passes: int
     t_max_history: list[int]  # network completion estimate after each pass
-
-
-def adjust_collinear(
-    current: Position3,
-    turning_point: Position3,
-    dt: float,
-    kin: KinematicParams,
-) -> Position3:
-    """Slide a sensing location dt slots along its turning-point line.
-
-    Positive dt moves away from the turning point (toward the task, longer
-    leg); negative dt retreats.  The altitude never drops below the floor.
-    """
-    dx = current.x - turning_point.x
-    dy = current.y - turning_point.y
-    dz = current.z - turning_point.z
-    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if norm <= _EPS:
-        raise ValueError("sensing location coincides with the turning point")
-    s = dt * kin.v_max / norm
-    return Position3(
-        current.x + s * dx,
-        current.y + s * dy,
-        max(current.z + s * dz, kin.h_min),
-    )
 
 
 def _retreat(cur: Position3, tr: Position3, center: Position3, budget: float,
@@ -241,42 +217,9 @@ class _Search(_Replanner):
         return drain_leg(start, residual, self.cp, self.kin, self.grants[uav],
                          p.first_slot(idx), cache=self.cache).slots
 
-    def upper_bound(self, uav: int, idx: int, task: Task) -> int:
-        """Slots of leg ``idx`` ending right above the task at the altitude
-        floor, the farthest admissible sensing location."""
-        p = self.plans[uav]
-        start, residual = self._leg_inputs(p, idx)
-        overhead = Position3(task.location.x, task.location.y, self.kin.h_min)
-        return replan_leg(start, overhead, residual, self.cp, self.kin,
-                          self.grants[uav], p.first_slot(idx), self.cache).slots
-
-    # -- moves -------------------------------------------------------------
-    def _grow_location(self, uav: int, idx: int, task: Task) -> Optional[Position3]:
-        """One slot along the line away from the turning point, toward the task."""
-        p = self.plans[uav]
-        cur = p.sensing_locations[idx]
-        tr = p.legs[idx].turning_point
-        if cur.dist(tr) <= _EPS:
-            # degenerate line: continue straight toward the task
-            d = cur.dist(task.location)
-            if d <= _EPS:
-                return None
-            s = self.kin.v_max / d
-            cand = Position3(
-                cur.x + s * (task.location.x - cur.x),
-                cur.y + s * (task.location.y - cur.y),
-                max(cur.z + s * (task.location.z - cur.z), self.kin.h_min),
-            )
-        else:
-            cand = adjust_collinear(cur, tr, 1.0, self.kin)
-        if cand.dist(task.location) >= cur.dist(task.location) - _EPS:
-            return None  # cannot get closer (already by the overhead point)
-        return cand
-
     def adjust_task(self, task: Task) -> bool:
         """One adjustment attempt for one task; True if a change was kept."""
-        workers = sorted(task.workers, key=lambda m: (-self.t[m], m))
-        i = workers[0]
+        i = min(task.workers, key=lambda m: (-self.t[m], m))
         idx = self.route_index[(i, task.id)]
         plan = self.plans[i]
         if plan.legs[idx].slots <= self.lower_bound(i, idx):
@@ -287,46 +230,13 @@ class _Search(_Replanner):
             return False
         t_ref = self.t[i]
         group_before = self.group_max(task)
-        snaps = {i: self.snapshot(i)}
+        snap = self.snapshot(i)
         self.move(i, idx, new_loc)
-
-        if self.coop_prob(task) < self.sp.pr_th:
-            ok = self._repair(task, t_ref, snaps)
-            if not ok:
-                for s in snaps.values():
-                    self.restore(s)
-                return False
-        if self.t[i] >= t_ref or self.group_max(task) > group_before:
-            for s in snaps.values():
-                self.restore(s)
+        # the budget keeps the threshold met up to rounding (module docstring)
+        if (self.coop_prob(task) < self.sp.pr_th or self.t[i] >= t_ref
+                or self.group_max(task) > group_before):
+            self.restore(snap)
             return False
-        return True
-
-    def _repair(self, task: Task, t_ref: int, snaps: dict) -> bool:
-        """Advance slack workers toward the task until the threshold holds.
-
-        A move replans only the moved worker, so each member's candidate
-        stays as the filter found it."""
-        while self.coop_prob(task) < self.sp.pr_th:
-            members = []
-            for m in task.workers:
-                if self.t[m] > t_ref - 1:
-                    continue
-                idx_m = self.route_index[(m, task.id)]
-                if self.plans[m].legs[idx_m].slots > self.upper_bound(m, idx_m, task):
-                    continue
-                cand = self._grow_location(m, idx_m, task)
-                if cand is not None:
-                    members.append((self.t[m], m, idx_m, cand))
-            if not members:
-                return False
-            members.sort(key=lambda member: member[:2])
-            for _, m, idx_m, cand in members:
-                if m not in snaps:
-                    snaps[m] = self.snapshot(m)
-                self.move(m, idx_m, cand)
-                if self.coop_prob(task) >= self.sp.pr_th:
-                    return True
         return True
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from uavsense.bench import (
 from uavsense.cli import main as cli_main
 from uavsense.itsso import ItssoConfig
 from uavsense.sensing import SensingParams, sensing_success_coop
+from uavsense.trajectory import KinematicParams
 
 
 class TestGeneration:
@@ -100,6 +102,20 @@ class TestGeneration:
             parse_config_text("fsl_height = 20\nkinematics.h_min = 25\n")
         assert ScenarioConfig(scheme="fsl", fsl_height=10.0).fsl_height == 10.0
         assert parse_config_text("fsl_height = 15\nkinematics.h_min = 15\n").fsl_height == 15
+
+    @pytest.mark.parametrize("h_min", [5.0, 7.6483606884287045, 10 ** (38 / 43)])
+    def test_altitude_floor_outside_the_channel_domain_refused(self, h_min):
+        # below 10**(38/43) m the LoS decay scale 4300 log10 z - 3800 is not
+        # positive: rates overflow just under it and p_LoS pins at 1 further down
+        match = rf"kinematics\.h_min={re.escape(repr(h_min))} .*7\.6510"
+        with pytest.raises(ValueError, match=match):
+            ScenarioConfig(kinematics=KinematicParams(h_min=h_min))
+        with pytest.raises(ValueError, match=match):
+            parse_config_text(f"kinematics.h_min = {h_min!r}\n")
+
+    def test_altitude_floor_inside_the_channel_domain_accepted(self):
+        assert ScenarioConfig(kinematics=KinematicParams(h_min=7.66)).kinematics.h_min == 7.66
+        assert parse_config_text("kinematics.h_min = 7.66\n").kinematics.h_min == 7.66
 
 
 class TestSchemes:
@@ -324,6 +340,22 @@ class TestCli:
                        "--seed", "999"])
         out = capsys.readouterr().out
         assert rc == 1 and "FAIL" in out
+
+    def test_validate_waives_the_sensing_threshold_for_fsl_only(self, tmp_path, capsys):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        trace = tmp_path / "trace.csv"
+        assert cli_main(["simulate", "--config", str(cfg), "--scheme", "fsl",
+                         "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        validate = ["validate", "--trace", str(trace), "--config", str(cfg), "--scheme"]
+        assert cli_main(validate + ["fsl"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        # a single UAV sensing from 50 m misses the threshold: exp(-0.01 * 50)
+        assert cli_main(validate + ["itsso"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["FAIL: 2 violation(s)"] + [
+            f"  task {j}: cooperative sensing probability 0.606531 below threshold 0.9"
+            for j in (0, 1)]
 
     def test_simulate_scheme_nc_derives_the_nc_config(self, capsys):
         assert cli_main(["simulate", "--scheme", "nc", "--seed", "3"]) == 0

@@ -18,6 +18,7 @@ REMOVED = {
                 "_check_geometry"],
     "analysis": ["DominanceModel", "dominance_threshold", "fit_eta", "knee_subcarriers"],
     "scheduler": ["OnDemand"],  # each slot mapping reads the UAV state itself
+    "placement": ["adjust_collinear"],  # placement has one move, the retreat
 }
 
 
@@ -87,6 +88,9 @@ def test_removed_members_are_gone():
     assert not hasattr(trajectory, "_reaches")  # trajectory._summed
     assert not hasattr(trajectory._Line, "_full")
     assert not hasattr(itsso, "default_initial_locations")  # itsso.overhead_locations
+    # the budget keeps every group at its threshold: no repair move
+    for member in ("_repair", "upper_bound", "_grow_location"):
+        assert not hasattr(placement._Search, member)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,4 +1,4 @@
-"""Local-search placement tests: collinear moves, bounds, convergence, oracle."""
+"""Local-search placement tests: retreats, the budget, bounds, convergence, oracle."""
 
 import itertools
 import math
@@ -19,7 +19,7 @@ from uavsense.itsso import (
 )
 from uavsense.placement import (
     _retreat,
-    adjust_collinear,
+    _Search,
     optimize_sensing_locations,
     replan_plans,
 )
@@ -33,6 +33,7 @@ from uavsense.sensing import (
 )
 from uavsense.simulator import UavPlan, run
 from uavsense.trajectory import (
+    _ROOT_SLACK_M,
     KinematicParams,
     LegCache,
     drain_leg,
@@ -44,40 +45,6 @@ from uavsense.trajectory import (
 CP = ChannelParams()
 KIN = KinematicParams()
 SP = SensingParams()
-
-
-class TestAdjustCollinear:
-    def test_identity(self):
-        cur, tp = Position3(100, 50, 40), Position3(20, 10, 30)
-        assert adjust_collinear(cur, tp, 0.0, KIN) == pytest.approx(cur)
-
-    def test_unit_shift_along_x(self):
-        cur, tp = Position3(100, 0, 30), Position3(50, 0, 30)
-        moved = adjust_collinear(cur, tp, 1.0, KIN)
-        assert moved == pytest.approx((150.0, 0.0, 30.0))
-
-    def test_collinearity_preserved(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            tp = Position3(*rng.uniform(-200, 200, 2), rng.uniform(30, 90))
-            d = rng.uniform(-150, 150, 3)
-            cur = Position3(tp.x + d[0], tp.y + d[1], max(tp.z + d[2], 30))
-            moved = adjust_collinear(cur, tp, rng.uniform(-0.5, 2.0), KIN)
-            if moved.z > KIN.h_min + 1e-9:  # the clamp legitimately bends the line
-                v1 = np.array([cur.x - tp.x, cur.y - tp.y, cur.z - tp.z])
-                v2 = np.array([moved.x - tp.x, moved.y - tp.y, moved.z - tp.z])
-                residual = np.linalg.norm(np.cross(v1, v2)) / np.linalg.norm(v1)
-                assert residual < 1e-6
-
-    def test_altitude_floor(self):
-        cur, tp = Position3(0, 0, 12), Position3(0, 0, 80)
-        moved = adjust_collinear(cur, tp, 1.0, KIN)  # heads straight down
-        assert moved.z == KIN.h_min
-
-    def test_degenerate_raises(self):
-        p = Position3(10, 10, 20)
-        with pytest.raises(ValueError):
-            adjust_collinear(p, p, 1.0, KIN)
 
 
 def bisection_retreat(cur, tr, center, budget, kin):
@@ -176,6 +143,48 @@ class TestRetreat:
                 continue
             tr = Position3(*(np.asarray(cur) + rng.uniform(5, 100) * v))
             assert _retreat(cur, tr, center, budget, KIN) is None
+
+
+class TestBudget:
+    """The budget is what keeps a group at its threshold: a retreat beyond
+    it is rolled back, and members within it always meet the threshold."""
+
+    def test_a_retreat_that_breaks_the_threshold_is_rolled_back(self):
+        # q = 1: without the 10.54 m budget each task's retreat lands a slot
+        # out, 51-57 m from the task, and would save its worker a slot
+        sc = generate_scenario(ScenarioConfig(m=4, n=4, q=1, k=4, seed=9))
+        slow = _build_plans(sc, overhead_locations(sc, sc.kinematics.h_min))
+        plans = replan_plans(slow, sc.tasks, CP, KIN, None, None)
+        search = _Search(plans, sc.tasks, CP, KIN, SP, None, None)
+        for tid, task in sorted(sc.tasks.items()):
+            search.budget[tid] = math.inf
+            (uav,) = task.workers
+            idx = search.route_index[(uav, tid)]
+            p = search.plans[uav]
+            before = (list(p.sensing_locations), list(p.legs), p.drain, search.t[uav])
+            loc = _retreat(p.sensing_locations[idx], p.legs[idx].turning_point,
+                           task.location, math.inf, KIN)
+            assert 51 < loc.dist(task.location) < 57
+            assert loc.dist(task.location) > required_sensing_radius(1, SP)
+            snap = search.snapshot(uav)
+            search.move(uav, idx, loc)
+            assert search.t[uav] == before[3] - 1
+            assert search.coop_prob(task) < SP.pr_th
+            search.restore(snap)
+            assert search.adjust_task(task) is False
+            assert (p.sensing_locations, p.legs, p.drain, search.t[uav]) == before
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(q=st.integers(1, 16), pr_th=st.floats(0.01, 0.999999, exclude_min=True,
+                                                   exclude_max=True),
+           lam=st.floats(0.001, 0.1), data=st.data())
+    def test_members_within_the_budget_meet_the_threshold(self, q, pr_th, lam, data):
+        # a retreat cut short lands _ROOT_SLACK_M inside the sphere
+        sp = SensingParams(lam, pr_th)
+        reach = required_sensing_radius(q, sp) - _ROOT_SLACK_M
+        edge = st.just(1.0) | st.floats(0, 1)  # on the sphere, or inside it
+        fractions = data.draw(st.lists(edge, min_size=q, max_size=q))
+        assert sensing_success_coop([f * reach for f in fractions], sp) >= pr_th
 
 
 class TestDeltaBounds:
