@@ -421,6 +421,8 @@ def run_experiment(
     """
     if experiment not in EXPERIMENT_IDS:
         raise ValueError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENT_IDS}")
+    if instances < 1:
+        raise ValueError(f"an experiment needs at least 1 instance, got {instances}")
     if base is None:
         base = ScenarioConfig()
 

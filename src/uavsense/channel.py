@@ -125,8 +125,6 @@ def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
             if p_los >= 1.0:
                 pl = pl_los
             else:
-                if p_los < 0.0:
-                    p_los = 0.0
                 pl_nlos = -17.5 + (46.0 - 7.0 * log_z) * log_d + params._nlos_db
                 pl = p_los * pl_los + (1.0 - p_los) * pl_nlos
         gamma = params.tx_mw / (10.0 ** (pl / 10.0)) / params.noise_mw
@@ -145,12 +143,11 @@ def rate_gradient_at(x: float, y: float, z: float,
     The derivative of the formula ``rate_at`` evaluates, branch by branch:
     the LoS pathloss alone inside the breakpoint (``d_h <= d1``) and where
     the LoS probability saturates at 1, the LoS/NLoS mixture beyond it.  The
-    breakpoint ``d1`` is constant in z where its 18 m floor holds, and so is
-    a LoS probability clamped at 0.  On a branch boundary it is the
-    derivative of the branch ``rate_at`` takes there.  The rate falls
-    strictly as the average pathloss ``pl`` rises, so the gradient is
-    ``-grad pl`` times a positive factor.  Raises ``ChannelDomainError``
-    wherever ``rate_at`` does.
+    breakpoint ``d1`` is constant in z where its 18 m floor holds.  On a
+    branch boundary it is the derivative of the branch ``rate_at`` takes
+    there.  The rate falls strictly as the average pathloss ``pl`` rises, so
+    the gradient is ``-grad pl`` times a positive factor.  Raises
+    ``ChannelDomainError`` wherever ``rate_at`` does.
     """
     try:
         log_z = _LOG10(z)
@@ -178,12 +175,8 @@ def rate_gradient_at(x: float, y: float, z: float,
             if p_los >= 1.0:
                 pl = pl_los
             else:
-                if p_los < 0.0:
-                    p_los, p_h, p_z = 0.0, 0.0, 0.0
-                else:
-                    p_h = -d1 / (d_h * d_h) - e / p0
-                    p_z = d1_z / d_h + e * (d1_z / p0
-                                            + (d_h - d1) * 4300.0 * dlog_z / (p0 * p0))
+                p_h = -d1 / (d_h * d_h) - e / p0
+                p_z = d1_z / d_h + e * (d1_z / p0 + (d_h - d1) * 4300.0 * dlog_z / (p0 * p0))
                 slope = 46.0 - 7.0 * log_z
                 pl_nlos = -17.5 + slope * log_d + params._nlos_db
                 pl = p_los * pl_los + (1.0 - p_los) * pl_nlos

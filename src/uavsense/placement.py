@@ -42,11 +42,9 @@ from .sensing import SensingParams, Task, required_sensing_radius, sensing_succe
 from .simulator import UavPlan
 from .trajectory import (
     _ROOT_SLACK_M,
-    GrantFn,
     KinematicParams,
     LegCache,
     drain_leg,
-    grant_from_mask,
     replan_leg,
 )
 
@@ -114,19 +112,19 @@ def _retreat(cur: Position3, tr: Position3, center: Position3, budget: float,
 
 
 class _Replanner:
-    """Copies of some plans, each UAV's grants and a cache: all a re-plan needs."""
+    """Copies of some plans, each UAV's observed mask and a cache: all a
+    re-plan needs."""
 
     def __init__(self, plans, tasks, cp, kin, masks, cache):
         self.cp = cp
         self.kin = kin
         self.tasks = tasks
         self.cache: LegCache = cache or LegCache(cp, kin)
+        self.masks: Mapping[int, list[bool]] = masks or {}
         self.plans: dict[int, UavPlan] = {}
-        self.grants: dict[int, GrantFn] = {}
         for p in plans:
             self.plans[p.uav] = UavPlan(p.uav, p.start, list(p.task_ids),
                                         list(p.sensing_locations), list(p.legs), p.drain)
-            self.grants[p.uav] = grant_from_mask(masks.get(p.uav)) if masks else None
 
     def _leg_inputs(self, p: UavPlan, idx: int) -> tuple[Position3, float]:
         """Start and payload of leg ``idx`` of ``p``; ``idx == p.n_tasks`` is the drain."""
@@ -136,20 +134,21 @@ class _Replanner:
 
     def replan(self, p: UavPlan, idx: int) -> None:
         """Plan leg ``idx`` of ``p`` again, from its first slot after the
-        legs before it, against the UAV's grants; ``idx == p.n_tasks`` is
+        legs before it, against the UAV's mask; ``idx == p.n_tasks`` is
         the drain."""
         start, residual = self._leg_inputs(p, idx)
         first = p.first_slot(idx)
+        mask = self.masks.get(p.uav)
         if idx < len(p.legs):
             p.legs[idx] = replan_leg(start, p.sensing_locations[idx], residual, self.cp,
-                                     self.kin, self.grants[p.uav], first, self.cache)
+                                     self.kin, mask, first, self.cache)
         else:
-            p.drain = drain_leg(start, residual, self.cp, self.kin, self.grants[p.uav], first,
+            p.drain = drain_leg(start, residual, self.cp, self.kin, mask, first,
                                 cache=self.cache)
 
 
 def replan_plans(plans: Sequence[UavPlan], tasks: Mapping[int, Task], cp: ChannelParams,
-                 kin: KinematicParams, masks: Mapping[int, Sequence[bool]] | None,
+                 kin: KinematicParams, masks: Mapping[int, list[bool]] | None,
                  cache: LegCache | None) -> list[UavPlan]:
     """Copies of ``plans`` with every leg, then the drain, planned again in
     route order against each UAV's mask (all slots granted without one), as
@@ -214,7 +213,7 @@ class _Search(_Replanner):
         point: the pure maximum-rate detour."""
         p = self.plans[uav]
         start, residual = self._leg_inputs(p, idx)
-        return drain_leg(start, residual, self.cp, self.kin, self.grants[uav],
+        return drain_leg(start, residual, self.cp, self.kin, self.masks.get(uav),
                          p.first_slot(idx), cache=self.cache).slots
 
     def adjust_task(self, task: Task) -> bool:
@@ -246,7 +245,7 @@ def optimize_sensing_locations(
     cp: ChannelParams,
     kin: KinematicParams,
     sp: SensingParams,
-    masks: Mapping[int, Sequence[bool]] | None = None,
+    masks: Mapping[int, list[bool]] | None = None,
     cache: LegCache | None = None,
 ) -> SensingAssignment:
     """Run the local search until a full pass leaves every task's group

@@ -11,18 +11,18 @@ end within ``_BS_STANDOFF`` of the BS stops where it enters that sphere,
 the smaller root of a quadratic.  No channel evaluation steers the walk:
 it rates only the points it lands on.
 
-Masks: planners accept ``is_granted(abs_slot) -> bool`` describing which
-slots the caller expects to hold a subcarrier (slot of waypoint k is
-``first_slot + k - 1``).  ``None`` means every slot is granted.
-``grant_from_mask`` turns an observed per-slot mask into such a function,
-one that keeps the mask, and ``replan_leg`` plans against it, falling
-back to no mask when no leg fits.  Planners read grants only through
-``_grant_window``, which slices such a mask and calls any other function
-once per slot.  Only granted slots add capacity, so ``optimize_leg`` sums
-a line over its granted slots alone, and skips a candidate outright when
-its granted slots, each at the segment's rate ceiling
-(``channel.segment_rate_ceiling``, a proven upper bound on the rate
-anywhere on the segment), cannot make up the residual.
+Masks: a planner's ``is_granted`` says which slots the caller expects to
+hold a subcarrier (slot of waypoint k is ``first_slot + k - 1``).  It is
+``None``, every slot granted; an observed per-slot mask, a ``list[bool]``
+as ``itsso.masks_from_outcome`` makes it, where slot s is ``mask[s - 1]``
+and slots outside the mask are granted; or any ``is_granted(slot) ->
+bool``.  ``replan_leg`` plans against the mask, falling back to no mask
+when no leg fits.  Planners read grants only through ``_grant_window``,
+which slices a mask and calls a function once per slot.  Only granted
+slots add capacity, so ``optimize_leg`` sums a line over its granted slots
+alone, and skips a candidate outright when its granted slots, each at the
+segment's rate ceiling (``channel.segment_rate_ceiling``, a proven upper
+bound on the rate anywhere on the segment), cannot make up the residual.
 
 What is cached, and for how long.  Every channel evaluation depends only
 on geometry; the mask and the residual only decide which rates are summed.
@@ -94,7 +94,6 @@ __all__ = [
     "LegCache",
     "LegInfeasible",
     "delta_lower_bound",
-    "grant_from_mask",
     "rate_gradient",
     "optimize_leg",
     "replan_leg",
@@ -102,7 +101,8 @@ __all__ = [
     "initial_leg",
 ]
 
-GrantFn = Optional[Callable[[int], bool]]
+# None (every slot granted), an observed mask over absolute slots, or a function
+Grants = Optional[list[bool] | Callable[[int], bool]]
 
 _CEIL_EPS = 1e-9  # guards exact-division distances against float noise
 _BS_STANDOFF = 1.0  # m; gradient steps never land closer to the BS than this
@@ -202,31 +202,6 @@ class Leg:
 
     def __repr__(self) -> str:
         return "Leg(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in _LEG_FIELDS) + ")"
-
-
-class _MaskGrant:
-    """``is_granted`` over a copy of an observed mask, which
-    ``_grant_window`` slices instead of calling it once per slot."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: Sequence[bool]):
-        self.mask = list(mask)
-
-    def __call__(self, slot: int) -> bool:
-        mask = self.mask
-        return slot > len(mask) or slot < 1 or mask[slot - 1]
-
-
-def grant_from_mask(mask: Optional[Sequence[bool]]) -> GrantFn:
-    """``is_granted`` for a mask over absolute slots: slot s is ``mask[s - 1]``.
-
-    Slots outside ``1..len(mask)`` are granted: nothing was observed there,
-    so the planner stays optimistic.  A ``None`` mask grants every slot.
-    """
-    if mask is None:
-        return None
-    return _MaskGrant(mask)
 
 
 def _slots(d: float, v: float) -> int:
@@ -336,10 +311,7 @@ class _Line:
     def _xyz(self, j: int) -> tuple[float, float, float]:
         """Coordinates of waypoint j (0-based)."""
         k = j + 1
-        n = self.n
-        if k == n:
-            return self.b
-        f = k / n if self.even else min(k * self.speed, self._d)
+        f = k / self.n if self.even else min(k * self.speed, self._d)
         a = self.a
         return a.x + f * self._dx, a.y + f * self._dy, a.z + f * self._dz
 
@@ -459,7 +431,7 @@ class LegCache:
             got = self.lines[key] = _Line(a, b, n, even, self.kin.v_max, self.cp, self.ends)
         return got
 
-    def kept(self, key: tuple, is_granted: GrantFn, first_slot: int) -> Optional[Leg]:
+    def kept(self, key: tuple, is_granted: Grants, first_slot: int) -> Optional[Leg]:
         """The leg kept for ``key`` whose grants read equal the current ones
         over the same slots, if any: the planner would return it again."""
         for leg, window in self._legs.get(key, ()):
@@ -467,7 +439,7 @@ class LegCache:
                 return leg
         return None
 
-    def keep(self, key: tuple, leg: Leg, is_granted: GrantFn, first_slot: int) -> Leg:
+    def keep(self, key: tuple, leg: Leg, is_granted: Grants, first_slot: int) -> Leg:
         """Keep ``leg`` with the grants of its own slots, none for a leg with
         no payload, which reads no grants; returns the leg."""
         n = leg.slots if leg.residual_data > 0 else 0
@@ -485,15 +457,16 @@ def _cache(cache: Optional[LegCache], cp: ChannelParams, kin: KinematicParams) -
     return cache
 
 
-def _grant_window(is_granted: GrantFn, first_slot: int, n: int) -> list[bool]:
-    """Grants of leg slots 0..n-1 (absolute slots from ``first_slot``): a
-    slice of the mask behind ``grant_from_mask``, with the slots outside it
-    granted, or one call per slot of any other callable."""
+def _grant_window(is_granted: Grants, first_slot: int, n: int) -> list[bool]:
+    """Grants of leg slots 0..n-1 (absolute slots from ``first_slot``): all
+    of them for None, one call per slot of a function, else a slice of the
+    mask, with the slots outside it granted.  The window is a new list, so a
+    caller may extend it and a mask changed later cannot change it."""
     if is_granted is None:
         return [True] * n
-    if type(is_granted) is not _MaskGrant:
+    if callable(is_granted):
         return [is_granted(slot) for slot in range(first_slot, first_slot + n)]
-    mask = is_granted.mask
+    mask = is_granted
     lo, hi = first_slot - 1, first_slot - 1 + n  # mask indices of the window
     if 0 <= lo and hi <= len(mask):
         return mask[lo:hi]
@@ -535,7 +508,7 @@ def optimize_leg(
     residual_data: float,
     cp: ChannelParams,
     kin: KinematicParams,
-    is_granted: GrantFn = None,
+    is_granted: Grants = None,
     first_slot: int = 0,
     cache: Optional[LegCache] = None,
 ) -> Leg:
@@ -573,7 +546,7 @@ def _plan_leg(
     residual_data: float,
     cp: ChannelParams,
     kin: KinematicParams,
-    is_granted: GrantFn,
+    is_granted: Grants,
     first_slot: int,
     cache: LegCache,
 ) -> Leg:
@@ -693,7 +666,7 @@ def replan_leg(
     residual_data: float,
     cp: ChannelParams,
     kin: KinematicParams,
-    is_granted: GrantFn,
+    is_granted: Grants,
     first_slot: int,
     cache: Optional[LegCache] = None,
 ) -> Leg:
@@ -717,7 +690,7 @@ def constant_speed_leg(
     v: float,
     cp: ChannelParams,
     kin: KinematicParams,
-    is_granted: GrantFn = None,
+    is_granted: Grants = None,
     first_slot: int = 0,
 ) -> Leg:
     """Reference builder moving at one fixed speed every slot.
@@ -761,7 +734,7 @@ def drain_leg(
     residual_data: float,
     cp: ChannelParams,
     kin: KinematicParams,
-    is_granted: GrantFn = None,
+    is_granted: Grants = None,
     first_slot: int = 0,
     cache: Optional[LegCache] = None,
 ) -> Leg:
@@ -787,7 +760,7 @@ def drain_leg(
     return leg
 
 
-def _drain(start: Position3, residual_data: float, is_granted: GrantFn, first_slot: int,
+def _drain(start: Position3, residual_data: float, is_granted: Grants, first_slot: int,
            cache: LegCache) -> Leg:
     """``drain_leg``'s walk, reading grants a window at a time, with no leg
     memo; a drain with no payload is empty."""

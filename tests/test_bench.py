@@ -175,6 +175,16 @@ class TestExperiments:
         with pytest.raises(ValueError):
             run_experiment("fig99", instances=1)
 
+    @pytest.mark.parametrize("experiment, instances", [("fig4", 0), ("fig8", -3)])
+    def test_no_instances_refused(self, tmp_path, experiment, instances):
+        # an empty sweep would write CSV files that hold only a header
+        with pytest.raises(ValueError, match="at least 1 instance"):
+            run_experiment(experiment, instances=instances, out_dir=tmp_path)
+        with pytest.raises(ValueError, match="at least 1 instance"):
+            cli_main(["experiment", "--id", experiment, "--instances", str(instances),
+                      "--out", str(tmp_path / "d")])
+        assert not any(tmp_path.iterdir())
+
     def test_fig5_structure_and_raw_consistency(self, tmp_path):
         res = run_experiment("fig5", instances=2, out_dir=tmp_path, seed=50)
         xs = sorted({row[1] for row in res.rows})

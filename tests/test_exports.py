@@ -19,6 +19,7 @@ REMOVED = {
     "analysis": ["DominanceModel", "dominance_threshold", "fit_eta", "knee_subcarriers"],
     "scheduler": ["OnDemand"],  # each slot mapping reads the UAV state itself
     "placement": ["adjust_collinear"],  # placement has one move, the retreat
+    "trajectory": ["grant_from_mask"],  # planners read the observed mask itself
 }
 
 
@@ -91,6 +92,8 @@ def test_removed_members_are_gone():
     # the budget keeps every group at its threshold: no repair move
     for member in ("_repair", "upper_bound", "_grow_location"):
         assert not hasattr(placement._Search, member)
+    # one grant representation: the observed mask, a function or None
+    assert not hasattr(trajectory, "_MaskGrant") and not hasattr(trajectory, "GrantFn")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -37,7 +37,6 @@ from uavsense.trajectory import (
     KinematicParams,
     LegCache,
     drain_leg,
-    grant_from_mask,
     optimize_leg,
     replan_leg,
 )
@@ -127,6 +126,14 @@ class TestRetreat:
         radial = np.subtract(got, center) / got.dist(center)
         if abs(np.dot(radial, np.subtract(tr, cur) / cur.dist(tr))) >= 0.2:
             assert got.dist(ref) <= 1e-9
+
+    def test_a_location_on_its_turning_point_does_not_move(self):
+        cur = Position3(200.0, 0.0, 40.0)
+        assert _retreat(cur, cur, Position3(200.0, 0.0, 0.0), 50.0, KIN) is None
+
+    def test_a_location_outside_a_sphere_its_line_misses_does_not_move(self):
+        cur, tr = Position3(200.0, 0.0, 40.0), Position3(400.0, 0.0, 40.0)
+        assert _retreat(cur, tr, Position3(0.0, 300.0, 0.0), 10.0, KIN) is None
 
     @pytest.mark.parametrize("budget", [15.0, 47.3, 123.456789])
     def test_a_location_on_the_sphere_does_not_move(self, budget):
@@ -279,7 +286,7 @@ class TestReplanPlans:
         for p, q in zip(plans, out):
             assert (q.start, q.task_ids, q.sensing_locations) == (
                 p.start, p.task_ids, p.sensing_locations)
-            grant = grant_from_mask(masks.get(q.uav)) if masks else None
+            grant = masks.get(q.uav) if masks else None
             prev, residual = q.start, 0.0
             for idx, (tid, loc) in enumerate(zip(q.task_ids, q.sensing_locations)):
                 first = q.first_slot(idx)

@@ -27,7 +27,6 @@ from uavsense.trajectory import (
     constant_speed_leg,
     delta_lower_bound,
     drain_leg,
-    grant_from_mask,
     initial_leg,
     optimize_leg,
     rate_gradient,
@@ -293,6 +292,12 @@ class TestBsStandoff:
         v = np.subtract(nxt, pos)
         assert angle(v, np.subtract(bs, pos)) < 1e-6
 
+    def test_a_step_from_the_standoff_sphere_hovers(self):
+        # 1 m from the BS at its height, a step toward it has no room left
+        pos = Position3(0.6, 0.8, CP.bs_height)
+        assert pos.dist(CP.bs_position) == _BS_STANDOFF
+        assert _gradient_step(pos, 0.5, CP, KIN) is pos
+
 
 @st.composite
 def _segment(draw):
@@ -405,7 +410,7 @@ def _family_legs():
         return walk
 
     def detour():
-        leg = optimize_leg(start, end, heavy, CP, KIN, grant_from_mask(mask_of("1101" * 10)), 1)
+        leg = optimize_leg(start, end, heavy, CP, KIN, mask_of("1101" * 10), 1)
         walk = walked(leg.detour_slots)
         tp = leg.turning_point
         d1 = walk.pts.index(tp) + 1  # 3 walk steps, 7 pauses, an evenly paced route
@@ -415,17 +420,17 @@ def _family_legs():
     def hover_at_end():
         a, b = Position3(-222.0, 31.0, 94.0), Position3(-306.0, -18.0, 105.0)
         mask = mask_of("100000111001000100001011011100")
-        leg = optimize_leg(a, b, 34.1e6, CP, KIN, grant_from_mask(mask), 1)
+        leg = optimize_leg(a, b, 34.1e6, CP, KIN, mask, 1)
         return leg, frontload_waypoints(a, b, v, 2) + [b] * (leg.slots - 2)
 
     def even_line():
         a, b = Position3(191.0, 138.0, 104.0), Position3(206.0, 182.0, 75.0)
         mask = mask_of("101000010000110010011000000100")
-        leg = optimize_leg(a, b, 31.1e6, CP, KIN, grant_from_mask(mask), 1)
+        leg = optimize_leg(a, b, 31.1e6, CP, KIN, mask, 1)
         return leg, even_waypoints(a, b, leg.slots)
 
     def drain():
-        leg = drain_leg(start, heavy, CP, KIN, grant_from_mask(mask_of("0110")), 1)
+        leg = drain_leg(start, heavy, CP, KIN, mask_of("0110"), 1)
         return leg, walked(leg.slots).pts
 
     return {
@@ -470,7 +475,7 @@ class TestLegReads:
         # a masked detour leg sums only the route points in granted slots;
         # the others stay NaN in the cache until the leg reads them
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
-        grant = grant_from_mask(mask_of("00011" * 15))
+        grant = mask_of("00011" * 15)
         cache = LegCache(CP, KIN)
         leg = optimize_leg(start, end, 60e6, CP, KIN, grant, 1, cache=cache)
         assert (leg.detour_slots, leg.route_slots) == (10, 8)
@@ -597,7 +602,7 @@ class TestMaskedFamilies:
         start, end = Position3(-222.0, 31.0, 94.0), Position3(-306.0, -18.0, 105.0)
         mask = mask_of("100000111001000100001011011100")
         residual = 34.1e6
-        leg = optimize_leg(start, end, residual, CP, KIN, grant_from_mask(mask), 1)
+        leg = optimize_leg(start, end, residual, CP, KIN, mask, 1)
         dlb = delta_lower_bound(start, end, KIN)
         assert (dlb, leg.slots, leg.detour_slots) == (2, 9, 0)
         # full speed to the end, then transmit from there
@@ -611,7 +616,7 @@ class TestMaskedFamilies:
         start, end = Position3(191.0, 138.0, 104.0), Position3(206.0, 182.0, 75.0)
         mask = mask_of("101000010000110010011000000100")
         residual = 31.1e6
-        leg = optimize_leg(start, end, residual, CP, KIN, grant_from_mask(mask), 1)
+        leg = optimize_leg(start, end, residual, CP, KIN, mask, 1)
         n = leg.slots
         assert (delta_lower_bound(start, end, KIN), n, leg.detour_slots) == (2, 8, 0)
         for k, p in enumerate(leg.waypoints, start=1):
@@ -625,11 +630,6 @@ class TestMaskedFamilies:
         assert masked_capacity(shorter, mask, 1) < residual
         assert optimize_leg(start, end, residual, CP, KIN).slots == 3
 
-    def test_grant_from_mask_is_optimistic_outside_the_mask(self):
-        grant = grant_from_mask([False, True])
-        assert [grant(s) for s in (-1, 0, 1, 2, 3)] == [True, True, False, True, True]
-        assert grant_from_mask(None) is None
-
 
 class TestReplanLeg:
     start, end = Position3(400, 400, 40), Position3(350, 420, 30)
@@ -639,7 +639,7 @@ class TestReplanLeg:
 
     def test_plans_as_if_every_slot_were_granted_when_no_leg_fits_the_grants(self):
         heavy = self.heavy()
-        denied = grant_from_mask([False] * 200)
+        denied = [False] * 200
         with pytest.raises(LegInfeasible):
             optimize_leg(self.start, self.end, heavy, CP, KIN, denied, 1)
         leg = replan_leg(self.start, self.end, heavy, CP, KIN, denied, 1, LegCache(CP, KIN))
@@ -651,7 +651,7 @@ class TestReplanLeg:
 
     def test_keeps_the_masked_leg_when_one_fits(self):
         heavy = self.heavy()
-        grant = grant_from_mask(mask_of("1101" * 10))
+        grant = mask_of("1101" * 10)
         leg = replan_leg(self.start, self.end, heavy, CP, KIN, grant, 1)
         assert leg == optimize_leg(self.start, self.end, heavy, CP, KIN, grant, 1)
         assert leg != optimize_leg(self.start, self.end, heavy, CP, KIN)
@@ -678,26 +678,24 @@ class TestLegCache:
     def test_warm_cache_matches_cold(self, start, offset, residual, mask, first_slot,
                                      other, other_mask):
         end = Position3(start.x + offset.x, start.y + offset.y, max(10.0, start.z + offset.z))
-        grant = grant_from_mask(mask)
-        cold = _planned(start, end, residual, grant, first_slot, None)
+        cold = _planned(start, end, residual, mask, first_slot, None)
         cache = LegCache(CP, KIN)
         # other plans from the same start grow the shared walk and line rates
         near = Position3(start.x + other.x, start.y + other.y, max(10.0, start.z + other.z))
-        _planned(start, near, 2 * residual, grant_from_mask(other_mask), 1, cache)
+        _planned(start, near, 2 * residual, other_mask, 1, cache)
         _planned(start, end, 0.5 * residual, None, 0, cache)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trajectory, "_MAX_DRAIN_SLOTS", 200)
             try:
-                drain_leg(start, residual, CP, KIN, grant_from_mask(other_mask), 1,
-                          cache=cache)
+                drain_leg(start, residual, CP, KIN, other_mask, 1, cache=cache)
             except LegInfeasible:
                 pass
-        warm = _planned(start, end, residual, grant, first_slot, cache)
+        warm = _planned(start, end, residual, mask, first_slot, cache)
         assert warm == cold
         if cold != "infeasible":
             assert warm.waypoints == cold.waypoints and warm.rates == cold.rates
             assert (warm.detour_slots, warm.route_slots) == (cold.detour_slots, cold.route_slots)
-        assert _planned(start, end, residual, grant, first_slot, cache) == cold
+        assert _planned(start, end, residual, mask, first_slot, cache) == cold
 
     def test_mutating_a_leg_leaves_later_plans_intact(self):
         # every planner's legs, drains included, hand out fresh lists:
@@ -705,7 +703,7 @@ class TestLegCache:
         # cache, which share its walk and route line
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
         straight = optimize_leg(start, end, 0.0, CP, KIN)
-        grant = grant_from_mask(mask_of("1101" * 10))
+        grant = mask_of("1101" * 10)
         heavy = 6.0 * sum(straight.rates)
         plans = [  # a drain, the straight line, a detoured leg and an initial leg
             lambda cache: drain_leg(start, heavy, CP, KIN, grant, 1, cache=cache),
@@ -743,13 +741,12 @@ class TestLegCache:
                             max(pos.z + KIN.v_max * g[2], KIN.h_min))
             assert p == pos
         for mask in (None, mask_of("0110100111"), mask_of("0001")):
-            grant = grant_from_mask(mask)
             for residual in (5e6, 40e6, 120e6):
-                cold = drain_leg(start, residual, CP, KIN, grant, 2)
+                cold = drain_leg(start, residual, CP, KIN, mask, 2)
                 k = cold.slots
                 assert cold.waypoints == walk.pts[:k] and cold.rates == walk.rates[:k]
                 assert cold.turning_point == walk.pts[k - 1]
-                assert drain_leg(start, residual, CP, KIN, grant, 2, cache=cache) == cold
+                assert drain_leg(start, residual, CP, KIN, mask, 2, cache=cache) == cold
 
     def test_refuses_other_parameters(self):
         cache = LegCache(CP, KIN)
@@ -795,18 +792,17 @@ class TestLegMemo:
             for _ in range(2):
                 for mask in masks:
                     for first_slot in first_slots:
-                        grant = grant_from_mask(mask)
                         for plan in (_planned, _drained):
                             args = ((start, end) if plan is _planned else (start,)) + (
-                                residual, grant, first_slot)
+                                residual, mask, first_slot)
                             warm, cold = plan(*args, cache), plan(*args, None)
                             assert warm == cold
                             if cold != "infeasible":
                                 assert (warm.waypoints, warm.rates) == (cold.waypoints,
                                                                         cold.rates)
-                        warm = replan_leg(start, end, residual, CP, KIN, grant, first_slot,
+                        warm = replan_leg(start, end, residual, CP, KIN, mask, first_slot,
                                           cache)
-                        assert warm == replan_leg(start, end, residual, CP, KIN, grant,
+                        assert warm == replan_leg(start, end, residual, CP, KIN, mask,
                                                   first_slot)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -820,35 +816,46 @@ class TestLegMemo:
                  lambda grant, cache: _drained(start, residual, grant, first_slot, cache))
         for plan in plans:
             cache = LegCache(CP, KIN)
-            leg = plan(grant_from_mask(mask), cache)
+            leg = plan(mask, cache)
             assume(leg != "infeasible")
             lo, hi = first_slot - 1, first_slot - 1 + leg.slots  # the leg's mask indices
             assume(hi < len(mask))
             after = list(mask)
             k = data.draw(st.integers(hi, len(mask) - 1))
             after[k] = not after[k]
-            assert plan(grant_from_mask(after), cache) is leg
+            assert plan(after, cache) is leg
             if leg.slots:
                 inside = list(mask)
                 k = data.draw(st.integers(lo, hi - 1))
                 inside[k] = not inside[k]
-                again = plan(grant_from_mask(inside), cache)
+                again = plan(inside, cache)
                 assert again is not leg
-                assert again == plan(grant_from_mask(inside), None)
+                assert again == plan(inside, None)
 
     def test_the_same_grants_at_another_first_slot_hit(self):
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
         mask = mask_of("1101" * 30)
         cache = LegCache(CP, KIN)
-        leg = optimize_leg(start, end, 84e6, CP, KIN, grant_from_mask(mask), 1, cache=cache)
+        leg = optimize_leg(start, end, 84e6, CP, KIN, mask, 1, cache=cache)
         assert leg.detour_slots > 0
-        shifted = grant_from_mask(mask_of("0000") + mask)
+        shifted = mask_of("0000") + mask
         assert optimize_leg(start, end, 84e6, CP, KIN, shifted, 5, cache=cache) is leg
         assert optimize_leg(start, end, 84e6, CP, KIN, shifted, 4, cache=cache) is not leg
 
+    def test_a_mask_changed_in_place_plans_again(self):
+        # the memo keeps a copy of the grants it read, not a view of the mask
+        start, end = Position3(400, 400, 40), Position3(350, 420, 30)
+        mask = mask_of("1101" * 30)
+        cache = LegCache(CP, KIN)
+        leg = optimize_leg(start, end, 84e6, CP, KIN, mask, 1, cache=cache)
+        mask[0] = False  # a slot of the leg
+        again = optimize_leg(start, end, 84e6, CP, KIN, mask, 1, cache=cache)
+        assert again is not leg
+        assert again == optimize_leg(start, end, 84e6, CP, KIN, mask, 1)
+
     def test_an_infeasible_call_is_not_kept(self):
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
-        denied = grant_from_mask([False] * 200)
+        denied = [False] * 200
         cache = LegCache(CP, KIN)
         for _ in range(2):
             with pytest.raises(LegInfeasible):
@@ -859,9 +866,20 @@ class TestLegMemo:
         assert fallback == optimize_leg(start, end, 84e6, CP, KIN)
 
 
+def _asked(mask):
+    """Reference ``is_granted`` over a mask: slot s is ``mask[s - 1]``, and
+    slots outside the mask are granted."""
+    return lambda slot: slot > len(mask) or slot < 1 or mask[slot - 1]
+
+
 class TestGrantWindow:
-    """``_grant_window`` slices a mask-backed grant; any other callable is
+    """``_grant_window`` slices a mask; a function over the same mask is
     asked slot by slot, with the same answers."""
+
+    def test_a_bare_mask_is_optimistic_outside_it(self):
+        # nothing was observed before slot 1 or past the mask
+        assert _grant_window([False, True], -1, 5) == [True, True, False, True, True]
+        assert _grant_window(None, -1, 5) == [True] * 5
 
     @pytest.mark.parametrize("first_slot, n", [
         (-5, 3), (-2, 4), (0, 1), (1, 10), (4, 6), (8, 6), (10, 3), (11, 4), (20, 5), (1, 0),
@@ -869,30 +887,28 @@ class TestGrantWindow:
             "past", "far_past", "empty"])
     def test_slicing_the_mask_equals_asking_each_slot(self, first_slot, n):
         mask = mask_of("0110100010")
-        grant = grant_from_mask(mask)
-        want = [grant(s) for s in range(first_slot, first_slot + n)]
-        assert _grant_window(grant, first_slot, n) == want
-        assert _grant_window(lambda s: grant(s), first_slot, n) == want
+        asked = _asked(mask)
+        want = [asked(s) for s in range(first_slot, first_slot + n)]
+        assert _grant_window(mask, first_slot, n) == want
+        assert _grant_window(asked, first_slot, n) == want
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(mask=st.lists(st.booleans(), max_size=30), first_slot=st.integers(-40, 40),
            n=st.integers(0, 50))
     def test_any_window_equals_asking_each_slot(self, mask, first_slot, n):
-        grant = grant_from_mask(mask)
-        window = _grant_window(grant, first_slot, n)
+        window = _grant_window(mask, first_slot, n)
         assert type(window) is list and len(window) == n
-        assert window == [grant(s) for s in range(first_slot, first_slot + n)]
+        assert window == [_asked(mask)(s) for s in range(first_slot, first_slot + n)]
 
     def test_a_plain_lambda_plans_the_same_legs(self):
         # perfbench's micro-benchmark passes optimize_leg a lambda over a mask
         for cache in (None, LegCache(CP, KIN)):
             for start, end, residual, mask, first_slot in _masked_corpus()[:40]:
-                plain = lambda slot: slot > len(mask) or slot < 1 or mask[slot - 1]
-                grant = grant_from_mask(mask)
+                plain = _asked(mask)
                 assert (_planned(start, end, residual, plain, first_slot, cache)
-                        == _planned(start, end, residual, grant, first_slot, cache))
+                        == _planned(start, end, residual, mask, first_slot, cache))
                 assert (_drained(start, residual, plain, first_slot, cache)
-                        == _drained(start, residual, grant, first_slot, cache))
+                        == _drained(start, residual, mask, first_slot, cache))
 
 
 def _masked_corpus():
@@ -932,7 +948,7 @@ class TestGrantedSlotScan:
         start, end = Position3(-106.0, 179.0, 84.0), Position3(-208.0, 205.0, 120.0)
         mask = mask_of("100100000001001000000000010000")
         residual = 25.1e6
-        leg = optimize_leg(start, end, residual, CP, KIN, grant_from_mask(mask), 1)
+        leg = optimize_leg(start, end, residual, CP, KIN, mask, 1)
         assert (leg.slots, leg.detour_slots, leg.route_slots, leg.turning_point) == (8, 4, 4, tp)
         d1 = leg.waypoints.index(tp) + 1
         assert d1 == 2
@@ -952,7 +968,7 @@ class TestGrantedSlotScan:
     def test_half_rated_route_line_comes_back_whole_as_a_straight_line(self):
         start, end = Position3(400, 400, 40), Position3(350, 420, 30)
         cache = LegCache(CP, KIN)
-        optimize_leg(start, end, 40e6, CP, KIN, grant_from_mask(mask_of("0001" * 15)), 1,
+        optimize_leg(start, end, 40e6, CP, KIN, mask_of("0001" * 15), 1,
                      cache=cache)
         half = [key for key, line in cache.lines.items()
                 if key[0] != start and not key[3] and any(math.isnan(r) for r in line.rates)]
@@ -972,7 +988,7 @@ class TestGrantedSlotScan:
         for cache in (None, LegCache(CP, KIN)):
             h = hashlib.sha256()
             for start, end, residual, mask, first_slot in _masked_corpus():
-                leg = _planned(start, end, residual, grant_from_mask(mask), first_slot, cache)
+                leg = _planned(start, end, residual, mask, first_slot, cache)
                 if leg != "infeasible":
                     leg = (leg.waypoints, leg.rates, leg.detour_slots, leg.route_slots)
                 h.update(repr(leg).encode())
@@ -1018,7 +1034,7 @@ class TestLazyDetourWalk:
         detours = 0
         for start, end, residual, mask, first_slot in _masked_corpus():
             cache = LegCache(CP, KIN)
-            leg = _planned(start, end, residual, grant_from_mask(mask), first_slot, cache)
+            leg = _planned(start, end, residual, mask, first_slot, cache)
             if leg == "infeasible":
                 continue
             detours += leg.detour_slots > 0
@@ -1044,7 +1060,7 @@ class TestSharedRates:
 
     def test_detours_through_one_cache_rate_their_common_end_once(self, monkeypatch):
         end = Position3(350, 420, 30)
-        grant = grant_from_mask(mask_of("1101" * 30))
+        grant = mask_of("1101" * 30)
         starts = [Position3(400, 400, 40), Position3(410, 380, 45), Position3(390, 430, 35)]
         cache = LegCache(CP, KIN)
         points = _counted_rates(monkeypatch)
@@ -1089,7 +1105,7 @@ class TestDrainLeg:
         leg = drain_leg(start, 0.0, CP, KIN)
         assert leg.slots == 0 and leg.end == leg.turning_point == start
         cache = LegCache(CP, KIN)
-        grant = grant_from_mask(mask_of("0101"))
+        grant = mask_of("0101")
         assert drain_leg(start, 0.0, CP, KIN, grant, 3, cache=cache) == leg
         assert drain_leg(start, 0.0, CP, KIN, cache=cache) == leg
 
