@@ -8,7 +8,6 @@ from .bench import (
     Scenario,
     ScenarioConfig,
     audit_solution,
-    fsl_plan,
     generate_scenario,
     nc_config,
     run_experiment,

@@ -36,7 +36,7 @@ from .itsso import (
     overhead_locations,
     run_itsso,
 )
-from .sensing import SensingParams, Task
+from .sensing import SensingParams, Task, min_cooperative_uavs
 from .simulator import TraceRow
 from .trajectory import KinematicParams
 
@@ -46,7 +46,6 @@ __all__ = [
     "ExperimentResult",
     "generate_scenario",
     "nc_config",
-    "fsl_plan",
     "run_scheme",
     "run_experiment",
     "parse_config_text",
@@ -87,6 +86,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.data_size <= 0:
             raise ValueError("data_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be non-negative")
         if 4300.0 * math.log10(self.kinematics.h_min) - 3800.0 <= 0.0:
             raise ValueError(f"kinematics.h_min={self.kinematics.h_min} must exceed "
                              f"10**(38/43) = {10 ** (38 / 43):.4f} m, below which the "
@@ -228,21 +229,14 @@ def nc_config(base: ScenarioConfig, seed: int | None = None) -> ScenarioConfig:
     return replace(base, m=m, q=1, scheme="nc", seed=base.seed if seed is None else seed)
 
 
-def fsl_plan(scenario: Scenario, cfg: ItssoConfig | None = None,
-             record_trace: bool = False) -> Solution:
-    """Fixed-sensing-location scheme: altitude pinned, no placement search,
-    the probability constraint waived."""
-    fixed = overhead_locations(scenario, scenario.config.fsl_height)
-    return run_itsso(scenario, cfg, fixed_locations=fixed, record_trace=record_trace)
-
-
 def run_scheme(scenario: Scenario, cfg: ItssoConfig | None = None,
                record_trace: bool = False) -> Solution:
-    """Dispatch on the scenario's scheme."""
-    scheme = scenario.config.scheme
-    if scheme == "fsl":
-        return fsl_plan(scenario, cfg, record_trace)
-    return run_itsso(scenario, cfg, record_trace=record_trace)
+    """Run the scenario's scheme.  FSL pins every worker right above its
+    task at ``fsl_height``: no placement search, the probability constraint
+    waived."""
+    config = scenario.config
+    fixed = overhead_locations(scenario, config.fsl_height) if config.scheme == "fsl" else None
+    return run_itsso(scenario, cfg, fixed_locations=fixed, record_trace=record_trace)
 
 
 def audit_solution(scenario: Scenario, solution: Solution) -> list[str]:
@@ -295,71 +289,56 @@ def _fig4_points(base: ScenarioConfig):
         yield float(q), [("itsso", _table_point(base, m=5 * q, n=20, q=q))]
 
 
+def _three_schemes(itsso: ScenarioConfig) -> list[tuple[str, ScenarioConfig]]:
+    """An itsso point with its nc variant and its fsl twin."""
+    return [("itsso", itsso), ("nc", nc_config(itsso)), ("fsl", replace(itsso, scheme="fsl"))]
+
+
 def _fig5_points(base: ScenarioConfig):
     # per-UAV load sweep at m=20, q=4: n = 5 * n_i; nc keeps (n, n_i) with m = 5
     for n_i in (2, 4, 6, 8):
-        n = 5 * n_i
-        itsso = _table_point(base, m=20, n=n, q=4)
-        nc = nc_config(itsso)
-        fsl = replace(itsso, scheme="fsl")
-        yield float(n_i), [("itsso", itsso), ("nc", nc), ("fsl", fsl)]
+        yield float(n_i), _three_schemes(_table_point(base, m=20, n=5 * n_i, q=4))
 
 
 def _fig6_points(base: ScenarioConfig):
     # threshold sweep at n=20, n_i=4: itsso/fsl m=20 q=4, nc m=5 q=1
     for pr in (0.5, 0.6, 0.7, 0.8, 0.9):
         sensing = SensingParams(lam=base.sensing.lam, pr_th=pr)
-        itsso = _table_point(base, m=20, n=20, q=4, sensing=sensing)
-        nc = nc_config(itsso)
-        fsl = replace(itsso, scheme="fsl")
-        yield float(pr), [("itsso", itsso), ("nc", nc), ("fsl", fsl)]
+        yield float(pr), _three_schemes(_table_point(base, m=20, n=20, q=4, sensing=sensing))
 
 
 def _fig7_points(base: ScenarioConfig):
     # payload sweep at n=20, m=10, q=4 (n_i = 8); nc rounds m to 3
     for rs_mbit in (5, 10, 15, 20, 25, 30, 35, 40):
-        data = rs_mbit * 1e6
-        itsso = _table_point(base, m=10, n=20, q=4, data_size=data)
-        nc = nc_config(itsso)
-        fsl = replace(itsso, scheme="fsl")
-        yield float(rs_mbit), [("itsso", itsso), ("nc", nc), ("fsl", fsl)]
+        yield float(rs_mbit), _three_schemes(
+            _table_point(base, m=10, n=20, q=4, data_size=rs_mbit * 1e6))
 
 
 def _fig9_points(base: ScenarioConfig):
     # subcarrier sweep per payload level, m=20, q=4, n=20
     for k in range(1, 11):
-        configs = []
-        for rs_mbit in (10, 20, 30, 40):
-            configs.append((
-                f"itsso_rs{rs_mbit}",
-                _table_point(base, m=20, n=20, q=4, k=k, data_size=rs_mbit * 1e6),
-            ))
-        yield float(k), configs
+        yield float(k), [
+            (f"itsso_rs{rs}", _table_point(base, m=20, n=20, q=4, k=k, data_size=rs * 1e6))
+            for rs in (10, 20, 30, 40)]
 
 
-_SWEEPS: dict[str, Callable] = {
-    "fig4": _fig4_points,
-    "fig5": _fig5_points,
-    "fig6": _fig6_points,
-    "fig7": _fig7_points,
-    "fig9": _fig9_points,
+# experiment id -> (manifest, sweep); fig8 has no sweep and runs _run_fig8
+_EXPERIMENTS: dict[str, tuple[str, Optional[Callable]]] = {
+    "fig4": ("group-size sweep q=1..8; n=20, n_i=4, m=5q (equal split)", _fig4_points),
+    "fig5": ("per-UAV load sweep n_i in {2,4,6,8}; itsso/fsl: m=20,q=4,n=5*n_i; "
+             "nc: q=1, m=n/n_i=5 so the load matches", _fig5_points),
+    "fig6": ("threshold sweep pr_th in {0.5..0.9}; itsso/fsl: m=20,q=4,n=20; nc: m=5,q=1",
+             _fig6_points),
+    "fig7": ("payload sweep R_s in {5..40} Mbit; itsso/fsl: m=10,q=4,n=20 (n_i=8); "
+             "nc: q=1, m=round(20/8)=3 with near-equal loads 7/7/6", _fig7_points),
+    "fig8": ("minimum group size vs threshold 1-10^-x, x=1..6; simulated = smallest q "
+             "whose best placement (directly above the task at h_min) is feasible in "
+             "the pipeline; theoretical = closed-form ceiling with d0 = h_min", None),
+    "fig9": ("subcarrier sweep K=1..10 at R_s in {10,20,30,40} Mbit; m=20,q=4,n=20; "
+             "one scheme label per payload level", _fig9_points),
 }
 
-_MANIFESTS = {
-    "fig4": "group-size sweep q=1..8; n=20, n_i=4, m=5q (equal split)",
-    "fig5": "per-UAV load sweep n_i in {2,4,6,8}; itsso/fsl: m=20,q=4,n=5*n_i; "
-            "nc: q=1, m=n/n_i=5 so the load matches",
-    "fig6": "threshold sweep pr_th in {0.5..0.9}; itsso/fsl: m=20,q=4,n=20; nc: m=5,q=1",
-    "fig7": "payload sweep R_s in {5..40} Mbit; itsso/fsl: m=10,q=4,n=20 (n_i=8); "
-            "nc: q=1, m=round(20/8)=3 with near-equal loads 7/7/6",
-    "fig8": "minimum group size vs threshold 1-10^-x, x=1..6; simulated = smallest q "
-            "whose best placement (directly above the task at h_min) is feasible in "
-            "the pipeline; theoretical = closed-form ceiling with d0 = h_min",
-    "fig9": "subcarrier sweep K=1..10 at R_s in {10,20,30,40} Mbit; m=20,q=4,n=20; "
-            "one scheme label per payload level",
-}
-
-EXPERIMENT_IDS = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
 
 def _run_job(job) -> tuple[str, float, int, float]:
@@ -370,38 +349,29 @@ def _run_job(job) -> tuple[str, float, int, float]:
     return (label, x, idx, float(sol.t_max))
 
 
-def _min_q_simulated(base: ScenarioConfig, pr_th: float, q_cap: int = 16) -> int:
+def _min_q_simulated(base: ScenarioConfig, q_cap: int = 16) -> int:
     """Smallest group size the pipeline accepts: probes the initial-solution
     feasibility of a one-task scenario at each q."""
-    sensing = SensingParams(lam=base.sensing.lam, pr_th=pr_th)
     for q in range(1, q_cap + 1):
-        cfg = replace(base, m=q, n=1, q=q, sensing=sensing, scheme="itsso")
+        cfg = replace(base, m=q, n=1, q=q, scheme="itsso")
         scenario = generate_scenario(cfg)
         try:
             initial_solution(scenario, ItssoConfig(rng_seed=cfg.seed))
             return q
         except InfeasibleScenario:
             continue
-    raise RuntimeError(f"no feasible group size up to {q_cap} for pr_th={pr_th}")
-
-
-def _min_q_theoretical(base: ScenarioConfig, pr_th: float) -> int:
-    from .sensing import min_cooperative_uavs
-
-    sensing = SensingParams(lam=base.sensing.lam, pr_th=pr_th)
-    return min_cooperative_uavs(base.kinematics.h_min, sensing)
+    raise RuntimeError(f"no feasible group size up to {q_cap} for pr_th={base.sensing.pr_th}")
 
 
 def _run_fig8(base: ScenarioConfig, instances: int, seed: int):
     raw = []
     for exponent in range(1, 7):
-        pr = 1.0 - 10.0 ** (-exponent)
+        sensing = SensingParams(lam=base.sensing.lam, pr_th=1.0 - 10.0 ** (-exponent))
+        theoretical = float(min_cooperative_uavs(base.kinematics.h_min, sensing))
         for idx in range(min(instances, 10)):
-            cfg = replace(base, seed=seed + idx)
-            raw.append(("simulated", float(exponent), idx,
-                        float(_min_q_simulated(cfg, pr))))
-            raw.append(("theoretical", float(exponent), idx,
-                        float(_min_q_theoretical(cfg, pr))))
+            cfg = replace(base, seed=seed + idx, sensing=sensing)
+            raw.append(("simulated", float(exponent), idx, float(_min_q_simulated(cfg))))
+            raw.append(("theoretical", float(exponent), idx, theoretical))
     return raw
 
 
@@ -426,11 +396,12 @@ def run_experiment(
     if base is None:
         base = ScenarioConfig()
 
-    if experiment == "fig8":
+    manifest, sweep = _EXPERIMENTS[experiment]
+    if sweep is None:
         raw = _run_fig8(base, instances, seed)
     else:
         jobs = []
-        for x, labelled in _SWEEPS[experiment](base):
+        for x, labelled in sweep(base):
             for label, cfg in labelled:
                 for idx in range(instances):
                     jobs.append((label, x, idx, replace(cfg, seed=seed + idx)))
@@ -451,8 +422,7 @@ def run_experiment(
         rows.append((label, x, float(arr.mean()), std, len(values)))
 
     result = ExperimentResult(
-        experiment=experiment, rows=rows, raw=raw,
-        manifest=_MANIFESTS[experiment],
+        experiment=experiment, rows=rows, raw=raw, manifest=manifest,
     )
     if out_dir is not None:
         _write_experiment(result, Path(out_dir))

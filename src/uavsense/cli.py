@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import analysis, bench
-from .itsso import ItssoConfig, solution_to_json
+from .itsso import InfeasibleScenario, ItssoConfig, solution_to_json
 from .sensing import SensingParams, min_cooperative_uavs
 from .simulator import read_trace, write_trace
 
@@ -78,11 +78,9 @@ def _cmd_analyze(args) -> int:
         )
         value = analysis.dTmax_dq(inp) if args.op == "dtdq" else analysis.dTmax_dPRth(inp)
         print(f"{value:.6f}")
-    elif args.op == "minq":
+    else:  # minq: argparse restricts the choices
         sp = SensingParams(lam=args.lam, pr_th=args.pr_th)
         print(min_cooperative_uavs(args.d0, sp))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.op)
     return 0
 
 
@@ -145,8 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand.  Refused input (a bad value, an infeasible
+    scenario, a file argument that cannot be read or written) exits 2 with
+    one ``error:`` line, as argparse answers a bad option."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, InfeasibleScenario) as exc:
+        parser.error(str(exc))
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

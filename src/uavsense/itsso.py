@@ -162,20 +162,6 @@ def initial_solution(
     )
 
 
-class _CollectorPaused:
-    """Pauses the cyclic garbage collector, then restores the caller's
-    setting.  Nothing is allocated once it is on again, so the collection
-    that the paused allocations are due starts after the block."""
-
-    def __enter__(self):
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info):
-        if self.enabled:
-            gc.enable()
-
-
 def run_itsso(
     scenario,
     cfg: ItssoConfig | None = None,
@@ -196,20 +182,21 @@ def run_itsso(
     raises ``RuntimeError``.
 
     The cyclic garbage collector is paused for the call and the caller's
-    setting restored on every exit: a run makes no reference cycles, so a
-    collection inside it would find nothing, and a cycle made anyway, say
-    on an error path, is freed by the first collection after the call.
+    setting restored on every exit, after the returned ``Solution`` is
+    built: a run makes no reference cycles, so a collection inside it would
+    find nothing, and a cycle made anyway, say on an error path, is freed by
+    the first collection after the call.
     """
-    with _CollectorPaused():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         cfg = cfg or ItssoConfig()
         cache = LegCache(scenario.channel, scenario.kinematics)
         best = initial_solution(scenario, cfg, locations=fixed_locations, cache=cache)
         history = list(best.history)
         candidates = list(best.candidate_history)
         passes = 0
-        iterations = 0
-        for _ in range(_MAX_ITERATIONS):
-            iterations += 1
+        for iterations in range(1, _MAX_ITERATIONS + 1):
             masks = masks_from_outcome(best.outcome)
             plans = replan_plans(best.plans, scenario.tasks, scenario.channel,
                                  scenario.kinematics, masks, cache)
@@ -248,6 +235,9 @@ def run_itsso(
             iterations=iterations,
             placement_passes=passes,
         )
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

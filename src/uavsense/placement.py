@@ -64,7 +64,6 @@ class SensingAssignment:
 
     plans: list[UavPlan]
     passes: int
-    t_max_history: list[int]  # network completion estimate after each pass
 
 
 def _retreat(cur: Position3, tr: Position3, center: Position3, budget: float,
@@ -256,22 +255,15 @@ def optimize_sensing_locations(
     """
     search = _Search(plans, tasks, cp, kin, sp, masks, cache)
     ordered_tasks = [tasks[j] for j in sorted(tasks)]
-    history = [max(search.t.values(), default=0)]
-    passes = 0
-    for _ in range(_MAX_PASSES):
-        passes += 1
+    for passes in range(1, _MAX_PASSES + 1):
+        t_max = max(search.t.values(), default=0)
         before = [search.group_max(task) for task in ordered_tasks]
         for task in ordered_tasks:
             search.adjust_task(task)
         after = [search.group_max(task) for task in ordered_tasks]
-        t_max = max(search.t.values(), default=0)
-        if t_max > history[-1]:
+        if max(search.t.values(), default=0) > t_max:
             raise AssertionError("local search increased the completion time")
-        history.append(t_max)
         if after == before:
             break
-    return SensingAssignment(
-        plans=[search.plans[u] for u in sorted(search.plans)],
-        passes=passes,
-        t_max_history=history,
-    )
+    return SensingAssignment(plans=[search.plans[u] for u in sorted(search.plans)],
+                             passes=passes)

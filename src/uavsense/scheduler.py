@@ -45,7 +45,10 @@ class _ProjectsCompletion(Protocol):
 class _Estimates(dict):
     """``uav -> completion-slot projection`` in one slot, each made on its
     first read and then kept, so ``len`` counts the UAVs read.  Read it by
-    key: ``get`` and iteration see only the values read so far."""
+    key: ``get`` and iteration see only the values read so far.  Read only
+    a requester of the slot: a UAV that has stepped onto a waypoint of its
+    leg holding data, neither done nor about to sense; the simulator's
+    projection is defined for no other UAV."""
 
     __slots__ = ("states", "slot")
 

@@ -11,13 +11,14 @@ that slack on the next pass by re-planning against the observed grants.
 
 Only what a run reads is worked out:
 - Completion projections, the greedy scheduler's priority, are made on
-  demand: only when a scheduler reads a UAV's estimate in a slot, which in
-  practice means only for the requesters of a contended slot.  A UAV's
-  completion chain, which the projections share, is built on its first
-  projection.  A UAV keeps the slots to drain its leg from its last
-  projection with the leg, waypoint and residual it was made for: a UAV
-  denied while hovering at its leg end keeps all three from slot to slot,
-  so it is projected again without summing its rates again.
+  demand: only when a scheduler reads a UAV's estimate in a slot, which
+  only the greedy scheduler does, for the requesters of a contended slot.
+  A UAV's completion chain, which its projections before the drain leg
+  share, is built on the first of them.  A UAV keeps the slots to drain
+  its leg from its last projection with the leg, waypoint and residual it
+  was made for: a UAV denied while hovering at its leg end keeps all three
+  from slot to slot, so it is projected again without summing its rates
+  again.
 - A leg's rate is read only in a granted slot of a UAV holding data or
   by a projection, one slot at a time through ``Leg.rate``.  A planned
   leg rates a route point on its first read (``trajectory``), so a point
@@ -147,17 +148,15 @@ class _Runtime:
         self.residual = 0.0
         self.position = plan.start
         self.stype = EMPTY
-        self.pending_sense = False
         self.done = self.n_tasks == 0
+        self.pending_sense = not self.done and self.leg_slots == 0  # a first leg of no slots
         self.t_done = 0
         # chain[j]: all-granted slots from "about to walk leg j" to
-        # completion, built on the first projection
+        # completion, built on the first projection before the drain leg
         self.chain: list[float] | None = None
         self.wake = 0
         # (leg, w, residual, slots to drain) of the last projection
         self.drain_memo: tuple = (None, 0, 0.0, 0)
-        if not self.done and self.leg_slots == 0:
-            self.pending_sense = True
 
     def enter_leg(self) -> None:
         """Start walking leg ``cur`` (the drain leg once every task is sensed)."""
@@ -174,14 +173,8 @@ class _Runtime:
         self.pending_sense = True
 
     def projected_completion(self, slot: int) -> float:
-        """Completion slot if every transmission slot after ``slot`` were granted."""
-        if self.done:
-            return float(self.t_done)
-        chain = self.chain
-        if chain is None:
-            chain = self.chain = _completion_chain(self.plan)
-        if self.pending_sense:
-            return slot + 1 + chain[self.cur + 1]
+        """Completion slot if every transmission slot after ``slot`` were
+        granted, for a requester of ``slot`` (see ``_Estimates``)."""
         leg, w, residual = self.leg, self.w, self.residual
         memo = self.drain_memo
         if memo[0] is leg and memo[1] == w and memo[2] == residual:
@@ -191,6 +184,9 @@ class _Runtime:
             self.drain_memo = (leg, w, residual, drain_slots)
         if self.cur >= self.n_tasks:
             return slot + drain_slots
+        chain = self.chain
+        if chain is None:
+            chain = self.chain = _completion_chain(self.plan)
         rem = max(self.leg_slots - w, drain_slots)
         return slot + rem + 1 + chain[self.cur + 1]
 
@@ -226,8 +222,6 @@ def _slots_to_drain(leg: Leg, residual: float, w: int) -> int:
 def _completion_chain(plan: UavPlan) -> list[float]:
     n = plan.n_tasks
     chain = [0.0] * (n + 1)
-    if n == 0:
-        return chain
     chain[n] = _slots_to_drain(plan.drain, plan.drain.residual_data, 0)
     for j in range(n - 1, -1, -1):
         leg = plan.legs[j]

@@ -35,10 +35,12 @@ on geometry; the mask and the residual only decide which rates are summed.
 - Every straight line, full speed or evenly paced, is one ``_Line``, the
   only place a line point is worked out.  It keeps its rates in an
   ``array('d')``, NaN until rated.  Every capacity check of a line,
-  ``initial_leg``'s stretch test included, is one ``_summed``: it rates
-  only the granted points it sums and stops at the residual; the
-  hover-at-end family reads only the line's end point.  Every slot count
-  of a distance at a speed is one ``_slots``.
+  ``initial_leg``'s stretch test and ``constant_speed_leg`` included, is
+  one ``_summed``: it rates only the granted points it sums and stops at
+  the residual; the hover-at-end family reads only the line's end point.
+  Every slot count of a distance at a speed is one ``_slots``, and every
+  gradient walk one ``_Walk``: at ``v_max`` for the planners, at its own
+  speed for ``constant_speed_leg``.
 - A ``LegCache`` keeps the rate-gradient walk (positions and rates) from
   each leg start, which ``optimize_leg`` and ``drain_leg`` extend and
   share, and those lines (their rates, not their waypoints), so a line
@@ -143,7 +145,7 @@ class Leg:
     A leg stores its shape, not its lists: the first ``d1`` items of a head
     (a gradient walk's points and rates), pauses there up to
     ``detour_slots``, a route ``_Line`` and pauses at its end; a leg made
-    from given lists (``constant_speed_leg``, a loaded dump) is all head.
+    from given lists (a loaded dump) is all head.
     ``waypoints`` and ``rates`` build fresh lists on every read.  A route
     point that no capacity check summed is rated on its first read and kept
     in the line, so a ``ChannelDomainError`` for such a point surfaces
@@ -366,29 +368,31 @@ def _leg(start: Position3, end: Position3, residual_data: float, route: Optional
 
 
 class _Walk:
-    """Rate-gradient walk from one start at full speed.
+    """Rate-gradient walk from one start at ``speed`` per slot.
 
     ``pts[k]`` is the position after k+1 steps and ``rates[k]`` its rate.
-    The walk is a pure function of the start, the channel and the
-    kinematics, so it only ever grows; legs read the prefix they use.  A
-    step that holds its position (at the BS standoff) keeps the last rate.
+    The walk is a pure function of the start, the speed, the channel and
+    the kinematics, so it only ever grows; legs read the prefix they use.
+    A step that holds its position (at the BS standoff) keeps the last rate.
     """
 
-    __slots__ = ("start", "cp", "kin", "pts", "rates")
+    __slots__ = ("start", "cp", "kin", "speed", "pts", "rates")
 
-    def __init__(self, start: Position3, cp: ChannelParams, kin: KinematicParams):
+    def __init__(self, start: Position3, cp: ChannelParams, kin: KinematicParams,
+                 speed: float):
         self.start = start
         self.cp = cp
         self.kin = kin
+        self.speed = speed
         self.pts: list[Position3] = []
         self.rates: list[float] = []
 
     def extend(self, n: int) -> None:
         """Walk on until at least n steps are known."""
-        cp, kin, pts, rates = self.cp, self.kin, self.pts, self.rates
+        cp, kin, speed, pts, rates = self.cp, self.kin, self.speed, self.pts, self.rates
         pos = pts[-1] if pts else self.start
         while len(pts) < n:
-            nxt = _gradient_step(pos, kin.v_max, cp, kin)
+            nxt = _gradient_step(pos, speed, cp, kin)
             rates.append(rates[-1] if nxt is pos and rates else rate_at(nxt.x, nxt.y, nxt.z, cp))
             pts.append(nxt)
             pos = nxt
@@ -421,7 +425,7 @@ class LegCache:
     def walk(self, start: Position3) -> _Walk:
         w = self._walks.get(start)
         if w is None:
-            w = self._walks[start] = _Walk(start, self.cp, self.kin)
+            w = self._walks[start] = _Walk(start, self.cp, self.kin, self.kin.v_max)
         return w
 
     def line(self, a: Position3, b: Position3, n: int, even: bool) -> _Line:
@@ -474,15 +478,6 @@ def _grant_window(is_granted: Grants, first_slot: int, n: int) -> list[bool]:
     window += mask[max(lo, 0):max(min(hi, len(mask)), 0)]
     window += [True] * (n - len(window))
     return window
-
-
-def _granted_total(rates: Sequence[float], granted: Sequence[bool]) -> float:
-    """Sum of the granted rates, left to right."""
-    total = 0.0
-    for r, g in zip(rates, granted):
-        if g:
-            total += r
-    return total
 
 
 def _summed(line: _Line, granted: Sequence[bool], k0: int, total: float,
@@ -695,36 +690,37 @@ def constant_speed_leg(
 ) -> Leg:
     """Reference builder moving at one fixed speed every slot.
 
-    Full-speed steps with the remainder on the final step of each phase;
-    the detour grows one slot at a time exactly as in the main planner but
-    no sub-speed pacing or pausing is considered.  Exists as the baseline
-    the full planner is measured against: a leg built at the speed cap
-    never takes more slots than one built at any constant slower speed.
+    Steps of ``v`` with the remainder on the final step of each phase; the
+    detour grows one slot at a time exactly as in the main planner but no
+    sub-speed pacing or pausing is considered.  It is built from the
+    planners' parts: a ``_Walk`` at ``v``, ``_Line``, ``_summed`` and
+    ``_leg``.  Exists as the baseline the full planner is measured against:
+    a leg built at the speed cap never takes more slots than one built at
+    any constant slower speed.
     """
-
     if residual_data < 0:
         raise ValueError("residual_data must be non-negative")
+    ends: dict[Position3, float] = {}  # every line ends at ``end``
     dlb = _slots(start.dist(end), v)
-    line = _Line(start, end, dlb, False, v, cp, {})
-    pts, rates = line.points(), line.filled()
+    line = _Line(start, end, dlb, False, v, cp, ends)
     granted = _grant_window(is_granted, first_slot, dlb)
-    if residual_data <= 0 or _granted_total(rates, granted) >= residual_data:
-        return Leg(start, end, residual_data, pts, rates, start, 0, dlb)
+    if residual_data <= 0 or _summed(line, granted, 0, 0.0, residual_data) >= residual_data:
+        return _leg(start, end, residual_data, line)
     cap = max(_MAX_DETOUR_FACTOR * max(dlb, 1), 20)
-    detour: list[Position3] = []
-    detour_rates: list[float] = []
-    pos = start
+    walk = _Walk(start, cp, kin, v)
+    walk_total = 0.0
     for d1 in range(1, cap + 1):
-        pos = _gradient_step(pos, v, cp, kin)
-        detour.append(pos)
-        detour_rates.append(rate_at(pos.x, pos.y, pos.z, cp))
-        d2 = _slots(pos.dist(end), v)
-        route = _Line(pos, end, d2, False, v, cp, {})
-        leg_rates = detour_rates + route.filled()
-        granted = _grant_window(is_granted, first_slot, len(leg_rates))
-        if _granted_total(leg_rates, granted) >= residual_data:
-            return Leg(start, end, residual_data, detour + route.points(), leg_rates, pos,
-                       d1, d2)
+        walk.extend(d1)
+        tp = walk.pts[-1]
+        d2 = _slots(tp.dist(end), v)
+        if len(granted) < d1 + d2:
+            granted += _grant_window(is_granted, first_slot + len(granted),
+                                     d1 + d2 - len(granted))
+        if granted[d1 - 1]:
+            walk_total += walk.rates[-1]
+        route = _Line(tp, end, d2, False, v, cp, ends)
+        if _summed(route, granted, d1, walk_total, residual_data) >= residual_data:
+            return _leg(start, end, residual_data, route, 0, walk, d1)
     raise LegInfeasible(
         f"no feasible constant-speed leg from {start} to {end} within {cap} detour slots")
 

@@ -14,7 +14,6 @@ from uavsense.bench import (
     Scenario,
     ScenarioConfig,
     audit_solution,
-    fsl_plan,
     generate_scenario,
     load_config,
     nc_config,
@@ -117,11 +116,19 @@ class TestGeneration:
         assert ScenarioConfig(kinematics=KinematicParams(h_min=7.66)).kinematics.h_min == 7.66
         assert parse_config_text("kinematics.h_min = 7.66\n").kinematics.h_min == 7.66
 
+    def test_negative_seed_refused(self):
+        # numpy's generator would refuse it later, inside generate_scenario
+        with pytest.raises(ValueError, match=r"seed=-1 must be non-negative"):
+            ScenarioConfig(seed=-1)
+        with pytest.raises(ValueError, match=r"seed=-1 must be non-negative"):
+            parse_config_text("seed = -1\n")
+        assert ScenarioConfig(seed=0).seed == 0
+
 
 class TestSchemes:
     def test_fsl_pins_altitude_and_skips_placement(self):
         sc = generate_scenario(ScenarioConfig(seed=2, scheme="fsl"))
-        sol = fsl_plan(sc, ItssoConfig(rng_seed=2))
+        sol = run_scheme(sc, ItssoConfig(rng_seed=2))
         for p in sol.plans:
             for loc in p.sensing_locations:
                 assert loc.z == 50.0
@@ -133,12 +140,12 @@ class TestSchemes:
                                               sensing=sensing))
         # four workers 50 m above the task fall short of the threshold
         assert sensing_success_coop([50.0] * 4, sensing) == pytest.approx(0.976, abs=1e-3)
-        sol = fsl_plan(sc, ItssoConfig(rng_seed=5), record_trace=True)
+        sol = run_scheme(sc, ItssoConfig(rng_seed=5), record_trace=True)
         assert audit_solution(sc, sol) == []
 
     def test_fsl_audit_skips_sensing_probability(self):
         sc = generate_scenario(ScenarioConfig(seed=2, scheme="fsl"))
-        sol = fsl_plan(sc, ItssoConfig(rng_seed=2), record_trace=True)
+        sol = run_scheme(sc, ItssoConfig(rng_seed=2), record_trace=True)
         assert audit_solution(sc, sol) == []
 
     def test_all_schemes_audit_clean(self):
@@ -152,14 +159,14 @@ class TestSchemes:
 
     def test_audit_flags_a_tampered_objective(self):
         sc = generate_scenario(ScenarioConfig(seed=2, scheme="fsl"))
-        sol = fsl_plan(sc, ItssoConfig(rng_seed=2), record_trace=True)
+        sol = run_scheme(sc, ItssoConfig(rng_seed=2), record_trace=True)
         sol.t_max -= 1
         assert audit_solution(sc, sol) == [
             f"trace ends at slot {sol.t_max + 1} but the solution claims t_max {sol.t_max}"]
 
     def test_audit_flags_a_trace_cut_short_by_one_slot(self):
         sc = generate_scenario(ScenarioConfig(seed=2, scheme="fsl"))
-        sol = fsl_plan(sc, ItssoConfig(rng_seed=2), record_trace=True)
+        sol = run_scheme(sc, ItssoConfig(rng_seed=2), record_trace=True)
         last = [u for u, t in sol.outcome.completion_times.items() if t == sol.t_max]
         sol.outcome.trace = [r for r in sol.outcome.trace if r.slot < sol.t_max]
         problems = audit_solution(sc, sol)
@@ -180,9 +187,10 @@ class TestExperiments:
         # an empty sweep would write CSV files that hold only a header
         with pytest.raises(ValueError, match="at least 1 instance"):
             run_experiment(experiment, instances=instances, out_dir=tmp_path)
-        with pytest.raises(ValueError, match="at least 1 instance"):
+        with pytest.raises(SystemExit) as exit_:
             cli_main(["experiment", "--id", experiment, "--instances", str(instances),
                       "--out", str(tmp_path / "d")])
+        assert exit_.value.code == 2
         assert not any(tmp_path.iterdir())
 
     def test_fig5_structure_and_raw_consistency(self, tmp_path):
@@ -380,6 +388,25 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "25.697712"
         assert cli_main(["analyze", "--op", "minq", "--pr-th", "0.999999"]) == 0
         assert capsys.readouterr().out.strip() == "6"
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--id", "fig4", "--instances", "1", "--set", "kinematics.h_min=5"],
+        ["experiment", "--id", "fig4", "--instances", "0"],
+        ["validate", "--trace", "missing.csv"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--no-such-option"],
+    ], ids=["bad-value", "no-instances", "missing-file", "negative-seed", "argparse"])
+    def test_refused_input_exits_2_with_one_error_line(self, argv, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv)
+        # an exception other than argparse's exit would escape pytest.raises
+        assert exit_.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("uavsense: error: ")
+        assert sum("error:" in line for line in lines) == 1
+        assert not any(tmp_path.iterdir())
 
     def test_experiment_command(self, tmp_path, capsys):
         rc = cli_main(["experiment", "--id", "fig8", "--instances", "1",

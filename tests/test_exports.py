@@ -19,7 +19,10 @@ REMOVED = {
     "analysis": ["DominanceModel", "dominance_threshold", "fit_eta", "knee_subcarriers"],
     "scheduler": ["OnDemand"],  # each slot mapping reads the UAV state itself
     "placement": ["adjust_collinear"],  # placement has one move, the retreat
-    "trajectory": ["grant_from_mask"],  # planners read the observed mask itself
+    # planners read the observed mask itself; constant_speed_leg sums with _summed
+    "trajectory": ["grant_from_mask", "_granted_total"],
+    "bench": ["fsl_plan"],  # run_scheme runs every scheme
+    "itsso": ["_CollectorPaused"],  # run_itsso pauses the collector itself
 }
 
 
@@ -57,7 +60,7 @@ def test_removed_functions_are_gone(module):
 
 
 def test_removed_members_are_gone():
-    from uavsense import itsso, placement, simulator, trajectory
+    from uavsense import bench, itsso, placement, simulator, trajectory
     from uavsense.bench import ExperimentResult, ScenarioConfig
     from uavsense.channel import Position3
     from uavsense.scheduler import _Estimates, schedule_slot
@@ -94,6 +97,10 @@ def test_removed_members_are_gone():
         assert not hasattr(placement._Search, member)
     # one grant representation: the observed mask, a function or None
     assert not hasattr(trajectory, "_MaskGrant") and not hasattr(trajectory, "GrantFn")
+    # one table of experiments; nothing the search computes goes unread
+    assert not hasattr(bench, "_SWEEPS") and not hasattr(bench, "_MANIFESTS")
+    assert "t_max_history" not in {f.name for f in dataclasses.fields(
+        placement.SensingAssignment)}
 
 
 @pytest.mark.parametrize("name", MODULES)

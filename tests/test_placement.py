@@ -360,10 +360,12 @@ class TestLocalSearch:
         sc = generate_scenario(ScenarioConfig(seed=23))
         slow = _build_plans(sc, overhead_locations(sc, sc.kinematics.h_min))
         plans = replan_plans(slow, sc.tasks, CP, KIN, None, None)
+        # a pass that raised the network's planned completion would raise
+        # AssertionError inside the search
         out = optimize_sensing_locations(plans, sc.tasks, CP, KIN, SP)
-        hist = out.t_max_history
-        assert all(b <= a for a, b in zip(hist, hist[1:]))
         assert out.passes >= 1
+        assert (max(p.planned_completion() for p in out.plans)
+                <= max(p.planned_completion() for p in plans))
 
     def test_two_uav_single_task_matches_brute_force(self):
         # exhaustive search over collinear location pairs at slot resolution

@@ -1099,6 +1099,35 @@ class TestSpeedOptimality:
                 assert best <= ref
 
 
+def _constant_speed_corpus():
+    """constant_speed_leg calls: 40 random legs, each at four speeds against
+    no mask, an observed-style mask and a function; about a third detour."""
+    rng = np.random.default_rng(808)
+    calls = []
+    for _ in range(40):
+        start, end = random_position(rng), random_position(rng)
+        residual = rng.uniform(10e6, 120e6)
+        mask = [bool(g) for g in rng.random(int(rng.integers(20, 120))) >= 0.5]
+        first_slot = int(rng.integers(1, 12))
+        for grant in (None, mask, lambda s: s % 3 != 1):
+            for frac in (0.5, 0.7, 0.9, 1.0):
+                calls.append((start, end, residual, frac * KIN.v_max, grant, first_slot))
+    return calls
+
+
+class TestConstantSpeedPin:
+    def test_legs_match_the_golden(self):
+        # the whole leg, not only the slot count criterion 8 reads; the
+        # golden was computed before the builder moved onto the shared
+        # walk, line and sum
+        h = hashlib.sha256()
+        for start, end, residual, v, grant, first_slot in _constant_speed_corpus():
+            leg = constant_speed_leg(start, end, residual, v, CP, KIN, grant, first_slot)
+            h.update(repr((leg.waypoints, leg.rates, leg.turning_point, leg.detour_slots,
+                           leg.route_slots)).encode())
+        assert h.hexdigest()[:16] == "8d14278d861860ec"
+
+
 class TestDrainLeg:
     def test_empty_for_no_data(self):
         start = Position3(100, 100, 30)
