@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -406,7 +407,9 @@ def run_experiment(
                 for idx in range(instances):
                     jobs.append((label, x, idx, replace(cfg, seed=seed + idx)))
         if workers and workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # spawned, not forked: numpy's BLAS pool makes this process threaded
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
                 raw = list(pool.map(_run_job, jobs, chunksize=4))
         else:
             raw = [_run_job(j) for j in jobs]

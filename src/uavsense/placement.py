@@ -3,12 +3,25 @@
 Optimal sensing locations lie on the line through the incoming leg's
 turning point and the task (for the first task the UAV's start stands in
 for the turning point), so the search moves locations along that line in
-one-slot quanta.  The search has one move.  Each pass visits every task:
-the worker with the largest completion time retreats one slot toward its
-turning point, and the retreat is rolled back unless the group still meets
-the sensing threshold, the worker's completion time fell and the group's
-did not rise.  Group completion times never increase, which makes the pass
-loop converge.
+one-slot quanta.  The search has one move.  A pass attempts the tasks in
+id order: the worker with the largest completion time retreats one slot
+toward its turning point, and the retreat is rolled back unless the group
+still meets the sensing threshold, the worker's completion time fell and
+the group's did not rise.  Group completion times never increase, which
+makes the pass loop converge.
+
+Two rules skip work whose outcome is decided, so plans, passes and
+completion times equal those of attempting every task in every pass and
+planning both legs of every move.  An attempt reads only its workers'
+completion times, locations for the task and budget, and the chosen
+worker's plan and mask; a failed one restores all it changed, and a kept
+move changes one UAV.  So a failed attempt settles its task until a kept
+move of one of its workers, and passes skip settled tasks.  A move changes
+the slots of the legs into and out of the moved location only, and a
+planned leg has at least ``delta_lower_bound`` slots (a drain with a
+payload at least one): a move that this floor for the leg out keeps from
+lowering the UAV's completion time is rolled back before that leg is
+planned, so a leg out that no planner can fit no longer raises there.
 
 Retreats are confined to a per-worker distance budget around each task:
 the hemispheroid radius within which a sensing location may wander, set to
@@ -44,6 +57,7 @@ from .trajectory import (
     _ROOT_SLACK_M,
     KinematicParams,
     LegCache,
+    delta_lower_bound,
     drain_leg,
     replan_leg,
 )
@@ -176,13 +190,26 @@ class _Search(_Replanner):
             for idx, tid in enumerate(p.task_ids):
                 self.route_index[(p.uav, tid)] = idx
         self.t = {u: p.planned_completion() for u, p in self.plans.items()}
+        # tasks whose last attempt failed, none of whose workers moved since
+        self.settled: set[int] = set()
 
-    def move(self, uav: int, idx: int, loc: Position3) -> None:
+    def move(self, uav: int, idx: int, loc: Position3) -> bool:
+        """Move location ``idx`` of ``uav`` to ``loc`` and plan legs ``idx``
+        and ``idx + 1`` again.  False, with leg ``idx + 1`` not planned and
+        the caller to restore, when the floor of that leg's slots already
+        keeps ``t`` from falling."""
         p = self.plans[uav]
+        last = idx + 1 == p.n_tasks
+        old = p.legs[idx].slots + (p.drain if last else p.legs[idx + 1]).slots
         p.sensing_locations[idx] = loc
         self.replan(p, idx)
+        floor = (int(self.tasks[p.task_ids[idx]].data_size > 0) if last
+                 else delta_lower_bound(loc, p.sensing_locations[idx + 1], self.kin))
+        if p.legs[idx].slots + floor >= old:
+            return False
         self.replan(p, idx + 1)
         self.t[uav] = p.planned_completion()
+        return True
 
     # -- bookkeeping -------------------------------------------------------
     def snapshot(self, uav: int):
@@ -205,7 +232,7 @@ class _Search(_Replanner):
         return sensing_success_coop(dists, self.sp)
 
     def group_max(self, task: Task) -> int:
-        return max(self.t[m] for m in task.workers)
+        return max(map(self.t.__getitem__, task.workers))
 
     def lower_bound(self, uav: int, idx: int) -> int:
         """Slots of leg ``idx`` with its sensing location on the turning
@@ -216,7 +243,10 @@ class _Search(_Replanner):
                          p.first_slot(idx), cache=self.cache).slots
 
     def adjust_task(self, task: Task) -> bool:
-        """One adjustment attempt for one task; True if a change was kept."""
+        """One adjustment attempt for one task; True if a change was kept.
+        A failed attempt settles the task, a kept one unsettles every task
+        of the moved worker."""
+        self.settled.add(task.id)
         i = min(task.workers, key=lambda m: (-self.t[m], m))
         idx = self.route_index[(i, task.id)]
         plan = self.plans[i]
@@ -229,12 +259,12 @@ class _Search(_Replanner):
         t_ref = self.t[i]
         group_before = self.group_max(task)
         snap = self.snapshot(i)
-        self.move(i, idx, new_loc)
         # the budget keeps the threshold met up to rounding (module docstring)
-        if (self.coop_prob(task) < self.sp.pr_th or self.t[i] >= t_ref
-                or self.group_max(task) > group_before):
+        if (not self.move(i, idx, new_loc) or self.coop_prob(task) < self.sp.pr_th
+                or self.t[i] >= t_ref or self.group_max(task) > group_before):
             self.restore(snap)
             return False
+        self.settled.difference_update(plan.task_ids)
         return True
 
 
@@ -247,19 +277,22 @@ def optimize_sensing_locations(
     masks: Mapping[int, list[bool]] | None = None,
     cache: LegCache | None = None,
 ) -> SensingAssignment:
-    """Run the local search until a full pass leaves every task's group
-    completion time unchanged.  The input plans are not modified.
+    """Run the local search until a pass leaves every task's group
+    completion time unchanged; a pass skips the settled tasks (module
+    docstring).  The input plans are not modified.
 
     ``cache`` shares gradient walks and line rates with the caller's other
     plans; without one the search makes its own for the length of the call.
     """
     search = _Search(plans, tasks, cp, kin, sp, masks, cache)
     ordered_tasks = [tasks[j] for j in sorted(tasks)]
+    after = [search.group_max(task) for task in ordered_tasks]
     for passes in range(1, _MAX_PASSES + 1):
         t_max = max(search.t.values(), default=0)
-        before = [search.group_max(task) for task in ordered_tasks]
+        before = after
         for task in ordered_tasks:
-            search.adjust_task(task)
+            if task.id not in search.settled:
+                search.adjust_task(task)
         after = [search.group_max(task) for task in ordered_tasks]
         if max(search.t.values(), default=0) > t_max:
             raise AssertionError("local search increased the completion time")

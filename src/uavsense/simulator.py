@@ -90,7 +90,10 @@ class UavPlan:
     def first_slot(self, idx: int) -> int:
         """First slot of leg ``idx`` (the drain when ``idx == n_tasks``) as
         planned: each earlier leg's slots and then its sensing slot."""
-        return sum(leg.slots for leg in self.legs[:idx]) + idx + 1
+        first = idx + 1
+        for leg in self.legs[:idx]:
+            first += leg.slots
+        return first
 
     def planned_completion(self) -> int:
         """Last slot of the drain as planned, every slot granted."""

@@ -228,6 +228,27 @@ class TestExperiments:
         assert len(inline.raw) == 15
         assert pooled.rows == inline.rows and pooled.raw == inline.raw
 
+    def test_process_pool_spawns_its_workers(self, monkeypatch):
+        # forking a process that has threads (numpy's BLAS pool) can deadlock
+        contexts = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context=None):
+                contexts.append(mp_context)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        run_experiment("fig6", instances=1, seed=90, workers=2)
+        assert [c.get_start_method() for c in contexts] == ["spawn"]
+
     def test_deterministic_rerun(self, tmp_path):
         a = run_experiment("fig4", instances=1, seed=70)
         b = run_experiment("fig4", instances=1, seed=70)

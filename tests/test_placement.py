@@ -1,13 +1,16 @@
-"""Local-search placement tests: retreats, the budget, bounds, convergence, oracle."""
+"""Local-search placement tests: retreats, the budget, bounds, the skipped
+work, convergence, oracle."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uavsense import itsso
 from uavsense.bench import ScenarioConfig, generate_scenario
 from uavsense.channel import ChannelParams, Position3
 from uavsense.itsso import (
@@ -18,6 +21,7 @@ from uavsense.itsso import (
     run_itsso,
 )
 from uavsense.placement import (
+    _MAX_PASSES,
     _retreat,
     _Search,
     optimize_sensing_locations,
@@ -36,6 +40,8 @@ from uavsense.trajectory import (
     _ROOT_SLACK_M,
     KinematicParams,
     LegCache,
+    LegInfeasible,
+    delta_lower_bound,
     drain_leg,
     optimize_leg,
     replan_leg,
@@ -245,6 +251,143 @@ class TestDeltaBounds:
             if prev_slots is not None:
                 assert slots <= prev_slots
             prev_slots = slots
+
+
+_coord = st.floats(-400, 400)
+_point = st.builds(Position3, _coord, _coord, st.floats(10, 120))
+_offset = st.builds(Position3, st.floats(-150, 150), st.floats(-150, 150), st.floats(-60, 60))
+# three denied slots to one granted, as in crowded runs, or no mask
+_mask = st.none() | st.lists(st.sampled_from([False, False, False, True]), max_size=60)
+
+
+class TestSlotFloor:
+    """Every leg a move plans has at least ``delta_lower_bound`` slots, and a
+    drain with a payload at least one: the floor by which ``_Search.move``
+    rules a move out before it plans the move's second leg."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(start=_point, offset=_offset, residual=st.just(0.0) | st.floats(0, 120e6),
+           mask=_mask, first_slot=st.integers(1, 40))
+    def test_planned_legs_keep_the_floor(self, start, offset, residual, mask, first_slot):
+        end = Position3(start.x + offset.x, start.y + offset.y, max(10.0, start.z + offset.z))
+        floor = delta_lower_bound(start, end, KIN)
+        try:
+            assert optimize_leg(start, end, residual, CP, KIN, mask, first_slot).slots >= floor
+        except LegInfeasible:
+            pass  # replan_leg then plans it as if every slot were granted
+        assert replan_leg(start, end, residual, CP, KIN, mask, first_slot).slots >= floor
+        drain = drain_leg(start, residual, CP, KIN, mask, first_slot)
+        assert drain.slots >= (1 if residual > 0 else 0)
+
+    def test_a_move_the_floor_rules_out_plans_one_leg_and_is_rolled_back(self, monkeypatch):
+        sc = generate_scenario(ScenarioConfig(seed=20))
+        slow = _build_plans(sc, overhead_locations(sc, sc.kinematics.h_min))
+        plans = replan_plans(slow, sc.tasks, CP, KIN, None, None)
+        search = _Search(plans, sc.tasks, CP, KIN, SP, None, None)
+        calls = []
+        replan = _Search.replan
+        monkeypatch.setattr(_Search, "replan",
+                            lambda self, p, idx: calls.append(idx) or replan(self, p, idx))
+        for task in (sc.tasks[tid] for tid in sorted(sc.tasks)):
+            i = min(task.workers, key=lambda m: (-search.t[m], m))
+            snaps = {m: search.snapshot(m) for m in task.workers}
+            calls.clear()
+            kept = search.adjust_task(task)
+            if not kept and len(calls) == 1:
+                break
+        else:
+            pytest.fail("no attempt was ruled out by the floor")
+        assert all(search.snapshot(m) == snap for m, snap in snaps.items())
+        assert task.id in search.settled
+        # planning the second leg as well would have rolled the move back too
+        idx = search.route_index[(i, task.id)]
+        p = search.plans[i]
+        p.sensing_locations[idx] = _retreat(p.sensing_locations[idx],
+                                            p.legs[idx].turning_point, task.location,
+                                            search.budget[task.id], KIN)
+        search.replan(p, idx)
+        search.replan(p, idx + 1)
+        assert p.planned_completion() >= snaps[i][4]
+
+
+def _parent_search(plans, tasks, sp, masks):
+    """The search without settled tasks or the slot floor, as a reference:
+    every pass attempts every task and every move plans both its legs.
+    Returns the search, its passes and its attempts."""
+    search = _Search(plans, tasks, CP, KIN, sp, masks, LegCache(CP, KIN))
+    attempts = 0
+
+    def group_max(task):
+        return max(search.t[m] for m in task.workers)
+
+    def adjust_task(task):
+        nonlocal attempts
+        attempts += 1
+        i = min(task.workers, key=lambda m: (-search.t[m], m))
+        idx = search.route_index[(i, task.id)]
+        plan = search.plans[i]
+        if plan.legs[idx].slots <= search.lower_bound(i, idx):
+            return
+        new_loc = _retreat(plan.sensing_locations[idx], plan.legs[idx].turning_point,
+                           task.location, search.budget[task.id], KIN)
+        if new_loc is None:
+            return
+        t_ref, group_before = search.t[i], group_max(task)
+        snap = search.snapshot(i)
+        plan.sensing_locations[idx] = new_loc
+        search.replan(plan, idx)
+        search.replan(plan, idx + 1)
+        search.t[i] = plan.planned_completion()
+        if (search.coop_prob(task) < sp.pr_th or search.t[i] >= t_ref
+                or group_max(task) > group_before):
+            search.restore(snap)
+
+    ordered = [tasks[j] for j in sorted(tasks)]
+    for passes in range(1, _MAX_PASSES + 1):
+        before = [group_max(task) for task in ordered]
+        for task in ordered:
+            adjust_task(task)
+        if [group_max(task) for task in ordered] == before:
+            break
+    return search, passes, attempts
+
+
+class TestSkippedWork:
+    def test_the_search_equals_the_parent_loop_with_fewer_attempts(self, monkeypatch):
+        # every search of ITSSO runs on table (K=10), crowded (M=N=10, K=2),
+        # q=1 and q=8, each from replan_plans' output under the previous
+        # run's masks, is also run by the reference loop
+        attempts = {"new": 0, "parent": 0}
+        searches = []
+        adjust, search_fn = _Search.adjust_task, itsso.optimize_sensing_locations
+
+        def counted(self, task):
+            attempts["new"] += 1
+            return adjust(self, task)
+
+        def compared(plans, tasks, cp, kin, sp, masks, cache):
+            out = search_fn(plans, tasks, cp, kin, sp, masks, cache)
+            ref, passes, made = _parent_search(plans, tasks, sp, masks)
+            attempts["parent"] += made
+            assert out.passes == passes
+            for p in out.plans:
+                q = ref.plans[p.uav]
+                assert p.sensing_locations == q.sensing_locations
+                assert p.legs == q.legs and p.drain == q.drain
+                assert p.planned_completion() == ref.t[p.uav]
+            searches.append(out.passes)
+            return out
+
+        monkeypatch.setattr(_Search, "adjust_task", counted)
+        monkeypatch.setattr(itsso, "optimize_sensing_locations", compared)
+        families = [ScenarioConfig(), ScenarioConfig(m=10, n=10, k=2),
+                    ScenarioConfig(m=5, n=20, q=1), ScenarioConfig(m=40, q=8)]
+        for cfg in families:
+            for seed in (3, 4, 5, 6):
+                sc = generate_scenario(replace(cfg, seed=seed))
+                run_itsso(sc, ItssoConfig(rng_seed=seed), record_trace=False)
+        assert len(searches) >= 40
+        assert attempts["new"] < attempts["parent"]
 
 
 class TestReplanPlans:
