@@ -394,6 +394,8 @@ def run_experiment(
         raise ValueError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENT_IDS}")
     if instances < 1:
         raise ValueError(f"an experiment needs at least 1 instance, got {instances}")
+    if workers < 0:
+        raise ValueError(f"workers={workers} must be non-negative (0 runs inline)")
     if base is None:
         base = ScenarioConfig()
 
@@ -406,7 +408,7 @@ def run_experiment(
             for label, cfg in labelled:
                 for idx in range(instances):
                     jobs.append((label, x, idx, replace(cfg, seed=seed + idx)))
-        if workers and workers > 1:
+        if workers > 1:
             # spawned, not forked: numpy's BLAS pool makes this process threaded
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=multiprocessing.get_context("spawn")) as pool:

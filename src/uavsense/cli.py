@@ -125,12 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="closed-form sensitivity values")
     ana.add_argument("--op", required=True, choices=("dtdq", "dtdpr", "minq"))
-    ana.add_argument("--q", type=int, default=4)
-    ana.add_argument("--pr-th", type=float, default=0.9)
-    ana.add_argument("--lam", type=float, default=0.01)
-    ana.add_argument("--n-i", type=int, default=4)
-    ana.add_argument("--v-max", type=float, default=50.0)
-    ana.add_argument("--d0", type=float, default=10.0)
+    table = bench.ScenarioConfig()  # the model's defaults
+    ana.add_argument("--q", type=int, default=table.q)
+    ana.add_argument("--pr-th", type=float, default=table.sensing.pr_th)
+    ana.add_argument("--lam", type=float, default=table.sensing.lam)
+    ana.add_argument("--n-i", type=int, default=table.n_per_uav)
+    ana.add_argument("--v-max", type=float, default=table.kinematics.v_max)
+    ana.add_argument("--d0", type=float, default=table.kinematics.h_min)
     ana.set_defaults(func=_cmd_analyze)
 
     val = sub.add_parser("validate", help="audit a trace file")

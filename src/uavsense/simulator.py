@@ -14,11 +14,12 @@ Only what a run reads is worked out:
   demand: only when a scheduler reads a UAV's estimate in a slot, which
   only the greedy scheduler does, for the requesters of a contended slot.
   A UAV's completion chain, which its projections before the drain leg
-  share, is built on the first of them.  A UAV keeps the slots to drain
-  its leg from its last projection with the leg, waypoint and residual it
-  was made for: a UAV denied while hovering at its leg end keeps all three
-  from slot to slot, so it is projected again without summing its rates
-  again.
+  share, is built on the first of them from the plan: each leg's planned
+  slot count and the drain's all-granted slots.  A UAV keeps the slots to
+  drain its leg from its last projection with the leg, waypoint and
+  residual it was made for: a UAV denied while hovering at its leg end
+  keeps all three from slot to slot, so it is projected again without
+  summing its rates again.
 - A leg's rate is read only in a granted slot of a UAV holding data or
   by a projection, one slot at a time through ``Leg.rate``.  A planned
   leg rates a route point on its first read (``trajectory``), so a point
@@ -96,7 +97,9 @@ class UavPlan:
         return first
 
     def planned_completion(self) -> int:
-        """Last slot of the drain as planned, every slot granted."""
+        """Last slot of the drain as planned: every leg and the drain take
+        the slots they were planned with, against the grants they were
+        planned for (the observed mask, or every slot granted)."""
         return self.first_slot(self.n_tasks) - 1 + self.drain.slots
 
 
@@ -154,9 +157,8 @@ class _Runtime:
         self.done = self.n_tasks == 0
         self.pending_sense = not self.done and self.leg_slots == 0  # a first leg of no slots
         self.t_done = 0
-        # chain[j]: all-granted slots from "about to walk leg j" to
-        # completion, built on the first projection before the drain leg
-        self.chain: list[float] | None = None
+        # built on the first projection before the drain leg
+        self.chain: list[int] | None = None
         self.wake = 0
         # (leg, w, residual, slots to drain) of the last projection
         self.drain_memo: tuple = (None, 0, 0.0, 0)
@@ -222,14 +224,16 @@ def _slots_to_drain(leg: Leg, residual: float, w: int) -> int:
     return (n - w) + max(extra, 1 if total < residual else 0)
 
 
-def _completion_chain(plan: UavPlan) -> list[float]:
+def _completion_chain(plan: UavPlan) -> list[int]:
+    """``chain[j]``: all-granted slots from "about to walk leg j" to
+    completion.  Each leg takes its planned slots, within which it carries
+    its payload (``trajectory.Leg``); the drain takes its all-granted
+    slots, at most its planned ones."""
     n = plan.n_tasks
-    chain = [0.0] * (n + 1)
+    chain = [0] * (n + 1)
     chain[n] = _slots_to_drain(plan.drain, plan.drain.residual_data, 0)
     for j in range(n - 1, -1, -1):
-        leg = plan.legs[j]
-        walk = max(leg.slots, _slots_to_drain(leg, leg.residual_data, 0))
-        chain[j] = walk + 1 + chain[j + 1]
+        chain[j] = plan.legs[j].slots + 1 + chain[j + 1]
     return chain
 
 
@@ -247,9 +251,12 @@ def run(
     mappings are keyed by UAV id and filled on first read: a UAV's
     completion projection (all future transmission slots granted) and its
     residual bits, both as they stand after the slot's moves.  A scheduler
-    that ranks nobody, as in every uncontended slot, projects nobody.
-    A run still going after ``_MAX_SLOTS`` slots raises ``RuntimeError``
-    naming the UAV that holds the most data.
+    that ranks nobody, as in every uncontended slot, projects nobody.  A
+    projection counts each leg after the current one as its planned slots
+    (``_completion_chain``), so a hand-edited plan whose leg cannot carry
+    its payload is projected as if it could.  A run still going after
+    ``_MAX_SLOTS`` slots raises ``RuntimeError`` naming the UAV that holds
+    the most data.
 
     Without a trace, a UAV with nothing to send on a leg to a sensing
     location sleeps through the empty slots left on that leg: it would
@@ -357,7 +364,7 @@ def run(
                     t, uav, stype, x, y, z, 1 if got else 0, applied, st.residual))
             if st.residual == 0.0:
                 if st.cur >= st.n_tasks:
-                    if stype != SENSING or applied > 0.0:
+                    if stype != SENSING:
                         st.done = True
                         st.t_done = t
                         left = True

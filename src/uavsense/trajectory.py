@@ -150,6 +150,15 @@ class Leg:
     point that no capacity check summed is rated on its first read and kept
     in the line, so a ``ChannelDomainError`` for such a point surfaces
     there, not when the leg is planned.  Legs compare equal by content.
+
+    The capacity contract: a planner returns a leg only once its rates in
+    the granted slots, summed left to right, reach ``residual_data``
+    (``initial_leg`` grants every slot; ``replan_leg``'s fallback plans as
+    if every slot were granted).  Rates are non-negative and float addition
+    is monotone, so the sum over every slot reaches it too: with every slot
+    granted, a planned leg delivers its payload within its ``slots``.  The
+    simulator's completion projections count on it.  A leg made from given
+    lists is not checked.
     """
 
     __slots__ = ("start", "end", "residual_data", "turning_point", "detour_slots",
@@ -229,8 +238,12 @@ def rate_gradient(
     average pathloss rises); it raises ``ChannelDomainError`` wherever
     ``rate_at`` does.  If a full-speed move along it would sink below the
     altitude floor, the vertical component is dropped and the rest
-    renormalized.  Returns None when no ascent direction exists (degenerate
-    gradient); callers fall back to a horizontal step toward the BS.
+    renormalized.  Returns None when no ascent direction exists; callers
+    hover; this happens only on the BS's vertical axis (``hypot(x, y)``
+    below 1e-9 m).  The floor rule acts only below ``h_min + v_max``, where
+    (up to about 500 m) every point off the axis has a horizontal pull
+    toward the BS; the norm is 0 or not finite only astronomically far
+    from the BS or at a subnormal distance from it.
     """
     gx, gy, gz = rate_gradient_at(pos.x, pos.y, pos.z, params)
     norm = math.sqrt(gx * gx + gy * gy + gz * gz)
@@ -250,19 +263,12 @@ def _gradient_step(pos: Position3, speed: float, cp: ChannelParams,
     """Advance one slot along the rate gradient, respecting floor and BS standoff."""
     g = rate_gradient(pos, cp, kin)
     if g is None:
-        # no ascent direction: head horizontally for the BS ground projection
-        h = math.hypot(pos.x, pos.y)
-        if h <= 1e-9:
-            return pos  # right above the BS, nothing better than hovering
-        d = min(speed, h)
-        g = (-pos.x / h, -pos.y / h, 0.0)
-        nxt = Position3(pos.x + d * g[0], pos.y + d * g[1], pos.z)
-    else:
-        nxt = Position3(
-            pos.x + speed * g[0],
-            pos.y + speed * g[1],
-            max(pos.z + speed * g[2], kin.h_min),
-        )
+        return pos  # no ascent direction (on the BS's vertical axis): hover
+    nxt = Position3(
+        pos.x + speed * g[0],
+        pos.y + speed * g[1],
+        max(pos.z + speed * g[2], kin.h_min),
+    )
     bs = cp.bs_position
     if nxt.dist(bs) < _BS_STANDOFF:
         # stop where the step enters the standoff sphere, so the link stays
@@ -523,6 +529,7 @@ def optimize_leg(
     returned is equal with or without it.  A leg of n slots depends only on
     the grants of leg slots 0..n-1 (see ``_plan_leg``), so a kept leg whose
     grants there equal the current ones is the leg a new plan would give.
+    The leg keeps ``Leg``'s capacity contract.
     """
     if residual_data < 0:
         raise ValueError("residual_data must be non-negative")

@@ -21,7 +21,7 @@ from uavsense.bench import (
     run_experiment,
     run_scheme,
 )
-from uavsense.cli import main as cli_main
+from uavsense.cli import build_parser, main as cli_main
 from uavsense.itsso import ItssoConfig
 from uavsense.sensing import SensingParams, sensing_success_coop
 from uavsense.trajectory import KinematicParams
@@ -124,6 +124,29 @@ class TestGeneration:
             parse_config_text("seed = -1\n")
         assert ScenarioConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 29, 41, 62])
+    def test_a_stuck_deal_is_reshuffled(self, seed):
+        # four buckets of five for 5 tasks x 4 copies: every bucket must hold
+        # every task once, so the swap repair can get stuck past its guard
+        # and the deal starts over from a fresh shuffle
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.shuffles = rng, 0
+
+            def shuffle(self, x):
+                self.shuffles += 1
+                self.rng.shuffle(x)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        rng = CountingRng(np.random.default_rng(seed))
+        buckets = bench._deal_assignment(rng, 5, 4, [5] * 4)
+        assert rng.shuffles >= 2
+        assert all(len(set(b)) == len(b) == 5 for b in buckets)
+        dealt = [t for b in buckets for t in b]
+        assert sorted(dealt) == sorted(list(range(5)) * 4)
+
 
 class TestSchemes:
     def test_fsl_pins_altitude_and_skips_placement(self):
@@ -221,6 +244,11 @@ class TestExperiments:
         assert sim[1.0] == 1 and sim[6.0] == 6
         for x in sim:
             assert abs(sim[x] - theo[x]) <= 1
+
+    def test_negative_workers_refused(self):
+        # a negative pool size used to run inline without a word
+        with pytest.raises(ValueError, match=r"workers=-1 must be non-negative"):
+            run_experiment("fig6", instances=1, workers=-1)
 
     def test_process_pool_matches_inline(self):
         inline = run_experiment("fig6", instances=1, seed=90)
@@ -410,13 +438,22 @@ class TestCli:
         assert cli_main(["analyze", "--op", "minq", "--pr-th", "0.999999"]) == 0
         assert capsys.readouterr().out.strip() == "6"
 
+    def test_analyze_defaults_are_the_models(self):
+        args = build_parser().parse_args(["analyze", "--op", "dtdq"])
+        table, sensing, kin = ScenarioConfig(), SensingParams(), KinematicParams()
+        assert (args.q, args.n_i) == (table.q, table.n_per_uav)
+        assert (args.pr_th, args.lam) == (sensing.pr_th, sensing.lam)
+        assert (args.v_max, args.d0) == (kin.v_max, kin.h_min)
+
     @pytest.mark.parametrize("argv", [
         ["experiment", "--id", "fig4", "--instances", "1", "--set", "kinematics.h_min=5"],
         ["experiment", "--id", "fig4", "--instances", "0"],
         ["validate", "--trace", "missing.csv"],
         ["simulate", "--seed", "-1"],
         ["simulate", "--no-such-option"],
-    ], ids=["bad-value", "no-instances", "missing-file", "negative-seed", "argparse"])
+        ["experiment", "--id", "fig4", "--instances", "1", "--workers", "-1"],
+    ], ids=["bad-value", "no-instances", "missing-file", "negative-seed", "argparse",
+            "negative-workers"])
     def test_refused_input_exits_2_with_one_error_line(self, argv, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.chdir(tmp_path)

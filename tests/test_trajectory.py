@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavsense import trajectory
+from uavsense import simulator, trajectory
 from uavsense.channel import (
     ChannelDomainError,
     ChannelParams,
@@ -255,6 +255,24 @@ class TestRateGradient:
         assert angle(g, ref) < 1e-3
         fine = np.asarray(central_differences(Position3(x, y, z), cp, 1e-4)) / 2e-4
         assert np.linalg.norm(g) == pytest.approx(np.linalg.norm(fine), rel=1e-4)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(log_r=st.floats(-8.99, 5.0), theta=st.floats(0.0, 2 * math.pi),
+           z=st.floats(KIN.h_min, 200.0))
+    def test_a_direction_exists_off_the_bs_vertical_axis(self, log_r, theta, z):
+        # None would leave the walk hovering; off the axis it never is: the
+        # floor rule acts below h_min + v_max = 60 m, where the horizontal
+        # part of the gradient pulls toward the BS
+        pos = Position3(10.0 ** log_r * math.cos(theta), 10.0 ** log_r * math.sin(theta), z)
+        assume(math.hypot(pos.x, pos.y) > 1e-9 and pos.dist(CP.bs_position) >= 1.0)
+        assert rate_gradient(pos, CP, KIN) is not None
+
+    def test_on_the_bs_vertical_axis_the_walk_hovers(self):
+        # straight above the BS below 60 m the gradient points down into the
+        # floor; dropping its vertical part leaves no direction
+        pos = Position3(0.0, 0.0, 40.0)
+        assert rate_gradient(pos, CP, KIN) is None
+        assert _gradient_step(pos, KIN.v_max, CP, KIN) is pos
 
     @pytest.mark.parametrize("pos", [
         CP.bs_position, Position3(30.0, 0.0, 0.0), Position3(0.0, 0.0, -5.0),
@@ -864,6 +882,53 @@ class TestLegMemo:
         fallback = replan_leg(start, end, 84e6, CP, KIN, denied, 1, cache)
         assert fallback is optimize_leg(start, end, 84e6, CP, KIN, cache=cache)
         assert fallback == optimize_leg(start, end, 84e6, CP, KIN)
+
+
+_SHARED = LegCache(CP, KIN)  # one cache across every example of TestCapacityContract
+
+
+class TestCapacityContract:
+    """Every leg builder keeps ``Leg``'s capacity contract: with every slot
+    granted, a leg delivers its payload within its slots.  The simulator's
+    completion chain counts a leg's planned slots on that ground.  The
+    floors that ``placement._Search.move`` reads hold too: a leg to a
+    location takes at least ``delta_lower_bound`` slots, a drain with a
+    payload at least one."""
+
+    @staticmethod
+    def _carries(leg):
+        return simulator._slots_to_drain(leg, leg.residual_data, 0) <= leg.slots
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(start=_point, offset=_offset, residual=st.just(0.0) | st.floats(0, 120e6),
+           mask=_mask, kind=st.sampled_from(["none", "mask", "function"]),
+           first_slot=st.integers(-3, 40), v0=st.sampled_from([2.5, 5.0, 20.0]))
+    def test_every_builder_carries_its_payload_within_its_slots(
+            self, start, offset, residual, mask, kind, first_slot, v0):
+        end = Position3(start.x + offset.x, start.y + offset.y, max(10.0, start.z + offset.z))
+        grants = {"none": None, "mask": mask, "function": _asked(mask)}[kind]
+        floor = delta_lower_bound(start, end, KIN)
+        to_location = [initial_leg(start, end, residual, v0, CP, KIN),
+                       replan_leg(start, end, residual, CP, KIN, grants, first_slot),
+                       replan_leg(start, end, residual, CP, KIN, grants, first_slot, _SHARED)]
+        for cache in (None, _SHARED):
+            try:
+                to_location.append(optimize_leg(start, end, residual, CP, KIN, grants,
+                                                first_slot, cache))
+            except LegInfeasible:
+                pass  # replan_leg then plans it as if every slot were granted
+        # a mask that denies every slot the planner reads forces the fallback
+        denied = replan_leg(start, end, residual, CP, KIN, [False] * 400, 1)
+        if residual > 0:
+            assert denied == optimize_leg(start, end, residual, CP, KIN)
+        to_location.append(denied)
+        for leg in to_location:
+            assert self._carries(leg)
+            assert leg.slots >= floor
+        for cache in (None, _SHARED):
+            drain = drain_leg(start, residual, CP, KIN, grants, first_slot, cache)
+            assert self._carries(drain)
+            assert drain.slots >= (1 if residual > 0 else 0)
 
 
 def _asked(mask):
