@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Mapping
 
 from .channel import ChannelParams, Position3
@@ -304,8 +305,22 @@ def solution_from_json(text: str) -> tuple[list[UavPlan], list[frozenset[int]]]:
 
 
 def replay(plans, schedule, scenario, record_trace: bool = True) -> SimOutcome:
-    """Re-run a dumped solution under its recorded schedule."""
-    return run(
+    """Re-run a dumped solution under its recorded schedule.
+
+    The replay must grant exactly the schedule: a recorded grant to a UAV
+    that does not request in its slot, a grant in a slot without requests,
+    or a run longer or shorter than the schedule raises ``RuntimeError``.
+    """
+    outcome = run(
         plans, ReplayScheduler(schedule), scenario.tasks,
         scenario.channel, scenario.kinematics, record_trace=record_trace,
     )
+    want = [frozenset(g) for g in schedule]
+    if outcome.grants != want:
+        slot, got, wanted = next(
+            (t, sorted(a or ()), sorted(b or ()))
+            for t, (a, b) in enumerate(zip_longest(outcome.grants, want), 1) if a != b)
+        raise RuntimeError(
+            f"replay diverged: slot {slot} grants {got}, the schedule {wanted} "
+            f"({len(outcome.grants)} slots replayed, {len(want)} scheduled)")
+    return outcome

@@ -7,7 +7,7 @@ larger residual data, then lower UAV id, so schedules are reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,53 +20,24 @@ __all__ = [
 ]
 
 
-def schedule_slot(
-    requests: Iterable[int],
-    completion_times: Mapping[int, float],
-    k: int,
-    residuals: Mapping[int, float],
-) -> frozenset[int]:
-    """Grant up to ``k`` subcarriers among the requesting UAVs.
+def schedule_slot(keys: Iterable[tuple[float, float, int]], k: int) -> frozenset[int]:
+    """Grant ``k`` subcarriers by rank: the UAV ids of the ``k`` smallest
+    ``(-completion_estimate, -residual, uav)`` keys, so the largest
+    completion-time estimates win and larger residual data, then the
+    lower id, break ties.  Fewer keys than ``k`` are all granted."""
+    return frozenset([uav for _, _, uav in sorted(keys)[:k]])
 
-    Everyone wins when demand fits; otherwise the k largest completion-time
-    estimates win (residual data, then lower id, break ties).
+
+def update_completion_estimates(requesters: Sequence, slot: int
+                                ) -> list[tuple[float, float, int]]:
+    """The ranking keys of ``slot``'s contention, one per requester, in
+    the requesters' order: ``(-projection, -residual, uav)``, where the
+    projection is the completion slot if every later transmission slot
+    were granted (``projected_completion(slot)``, which the simulator's
+    requester states provide).  Only a contended slot is ranked, so an
+    uncontended one projects nobody.
     """
-    req = list(requests)
-    if len(req) <= k:
-        return frozenset(req)
-    ranked = sorted([(-completion_times[i], -residuals[i], i) for i in req])
-    return frozenset([i for _, _, i in ranked[:k]])
-
-
-class _ProjectsCompletion(Protocol):
-    def projected_completion(self, slot: int) -> float: ...
-
-
-class _Estimates(dict):
-    """``uav -> completion-slot projection`` in one slot, each made on its
-    first read and then kept, so ``len`` counts the UAVs read.  Read it by
-    key: ``get`` and iteration see only the values read so far.  Read only
-    a requester of the slot: a UAV that has stepped onto a waypoint of its
-    leg holding data, neither done nor about to sense; the simulator's
-    projection is defined for no other UAV."""
-
-    __slots__ = ("states", "slot")
-
-    def __missing__(self, uav):
-        value = self[uav] = self.states[uav].projected_completion(self.slot)
-        return value
-
-
-def update_completion_estimates(states: Mapping[int, _ProjectsCompletion],
-                                slot: int) -> _Estimates:
-    """Completion-slot projections for ``slot``'s contention, made on demand.
-
-    A UAV is projected, as if every future transmission slot were granted,
-    the first time a scheduler reads it; uncontended slots read nobody.
-    """
-    estimates = _Estimates()
-    estimates.states, estimates.slot = states, slot
-    return estimates
+    return [(-st.projected_completion(slot), -st.residual, st.uav) for st in requesters]
 
 
 class GreedyScheduler:
@@ -77,8 +48,11 @@ class GreedyScheduler:
             raise ValueError("need at least one subcarrier")
         self.k = k
 
-    def grant(self, slot, requests, estimates, residuals):
-        return schedule_slot(requests, estimates, self.k, residuals)
+    def grant(self, slot, requesters):
+        k = self.k
+        if len(requesters) <= k:
+            return frozenset([st.uav for st in requesters])
+        return schedule_slot(update_completion_estimates(requesters, slot), k)
 
 
 class RandomScheduler:
@@ -90,8 +64,8 @@ class RandomScheduler:
         self.k = k
         self._rng = np.random.default_rng(seed)
 
-    def grant(self, slot, requests, estimates, residuals):
-        req = sorted(requests)
+    def grant(self, slot, requesters):
+        req = [st.uav for st in requesters]  # in id order
         if len(req) <= self.k:
             return frozenset(req)
         picked = self._rng.choice(len(req), size=self.k, replace=False)
@@ -108,9 +82,9 @@ class ReplayScheduler:
     def __init__(self, grants: list[frozenset[int]]):
         self.grants = grants
 
-    def grant(self, slot, requests, estimates, residuals):
+    def grant(self, slot, requesters):
         if slot - 1 >= len(self.grants):
             raise RuntimeError(
                 f"replay diverged: slot {slot} requests a subcarrier after the "
                 f"{len(self.grants)} recorded slots")
-        return frozenset(self.grants[slot - 1]) & frozenset(requests)
+        return frozenset(self.grants[slot - 1]) & {st.uav for st in requesters}

@@ -11,19 +11,21 @@ that slack on the next pass by re-planning against the observed grants.
 
 Only what a run reads is worked out:
 - Completion projections, the greedy scheduler's priority, are made on
-  demand: only when a scheduler reads a UAV's estimate in a slot, which
-  only the greedy scheduler does, for the requesters of a contended slot.
-  A UAV's completion chain, which its projections before the drain leg
+  demand: the scheduler gets the slot's requesters themselves and asks
+  for a projection (``_Runtime.projected_completion``) only where it
+  ranks, which only the greedy scheduler does, in a contended slot.  A
+  UAV's completion chain, which its projections before the drain leg
   share, is built on the first of them from the plan: each leg's planned
-  slot count and the drain's all-granted slots.  A UAV keeps the slots to
-  drain its leg from its last projection with the leg, waypoint and
-  residual it was made for: a UAV denied while hovering at its leg end
-  keeps all three from slot to slot, so it is projected again without
-  summing its rates again.
-- A leg's rate is read only in a granted slot of a UAV holding data or
-  by a projection, one slot at a time through ``Leg.rate``.  A planned
-  leg rates a route point on its first read (``trajectory``), so a point
-  that planning did not rate is rated only where the run reads it.
+  slot count and the drain's all-granted slots.  The slots to drain the
+  current leg are counted by ``Leg.slots_to_deliver``, which sums the
+  leg's parts in place.  A UAV keeps that count from its last projection
+  with the leg, waypoint and residual it was made for: a UAV denied while
+  hovering at its leg end keeps all three from slot to slot, so it is
+  projected again without summing its rates again.
+- A leg's rate is read only in a granted slot of a UAV holding data
+  (``Leg.rate``) or by a projection.  A planned leg rates a route point
+  on its first read (``trajectory``), so a point that planning did not
+  rate is rated only where the run reads it.
 - Waypoints are read only by a traced run, which lists each leg's
   waypoints once, when the UAV enters the leg.
 - Idle UAVs sleep in untraced runs: a UAV with nothing to send on a leg
@@ -37,13 +39,11 @@ Only what a run reads is worked out:
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .channel import ChannelParams, Position3
-from .scheduler import update_completion_estimates
 from .sensing import Task
 from .trajectory import KinematicParams, Leg
 
@@ -179,49 +179,25 @@ class _Runtime:
 
     def projected_completion(self, slot: int) -> float:
         """Completion slot if every transmission slot after ``slot`` were
-        granted, for a requester of ``slot`` (see ``_Estimates``)."""
+        granted, for a requester of ``slot``: a UAV that has stepped onto a
+        waypoint of its leg holding data, neither done nor about to sense;
+        the projection is defined for no other UAV."""
         leg, w, residual = self.leg, self.w, self.residual
         memo = self.drain_memo
         if memo[0] is leg and memo[1] == w and memo[2] == residual:
             drain_slots = memo[3]  # e.g. denied while hovering at the leg end
         else:
-            drain_slots = _slots_to_drain(leg, residual, w)
+            drain_slots = leg.slots_to_deliver(w, residual)
             self.drain_memo = (leg, w, residual, drain_slots)
         if self.cur >= self.n_tasks:
             return slot + drain_slots
         chain = self.chain
         if chain is None:
             chain = self.chain = _completion_chain(self.plan)
-        rem = max(self.leg_slots - w, drain_slots)
+        rem = self.leg_slots - w
+        if drain_slots > rem:
+            rem = drain_slots
         return slot + rem + 1 + chain[self.cur + 1]
-
-
-class _Residuals(dict):
-    """``uav -> residual bits`` in one slot, filled as ``_Estimates`` is."""
-
-    __slots__ = ("states",)
-
-    def __missing__(self, uav):
-        value = self[uav] = self.states[uav].residual
-        return value
-
-
-def _slots_to_drain(leg: Leg, residual: float, w: int) -> int:
-    """Additional all-granted slots until ``residual`` bits are delivered,
-    starting just after waypoint ``w`` of ``leg`` (hovering at the leg end
-    once waypoints run out)."""
-    if residual <= 0:
-        return 0
-    n, rate = leg.slots, leg.rate
-    total = 0.0
-    for j in range(w, n):
-        total += rate(j)
-        if total >= residual:
-            return j - w + 1
-    if not n:
-        raise RuntimeError("a leg carrying data must have waypoints")
-    extra = math.ceil((residual - total) / rate(n - 1) - 1e-12)
-    return (n - w) + max(extra, 1 if total < residual else 0)
 
 
 def _completion_chain(plan: UavPlan) -> list[int]:
@@ -231,7 +207,7 @@ def _completion_chain(plan: UavPlan) -> list[int]:
     slots, at most its planned ones."""
     n = plan.n_tasks
     chain = [0] * (n + 1)
-    chain[n] = _slots_to_drain(plan.drain, plan.drain.residual_data, 0)
+    chain[n] = plan.drain.slots_to_deliver(0, plan.drain.residual_data)
     for j in range(n - 1, -1, -1):
         chain[j] = plan.legs[j].slots + 1 + chain[j + 1]
     return chain
@@ -247,16 +223,17 @@ def run(
 ) -> SimOutcome:
     """Run the protocol until every UAV finishes all its tasks.
 
-    ``sched`` provides ``grant(slot, requests, estimates, residuals)``.  Both
-    mappings are keyed by UAV id and filled on first read: a UAV's
-    completion projection (all future transmission slots granted) and its
-    residual bits, both as they stand after the slot's moves.  A scheduler
-    that ranks nobody, as in every uncontended slot, projects nobody.  A
-    projection counts each leg after the current one as its planned slots
-    (``_completion_chain``), so a hand-edited plan whose leg cannot carry
-    its payload is projected as if it could.  A run still going after
-    ``_MAX_SLOTS`` slots raises ``RuntimeError`` naming the UAV that holds
-    the most data.
+    ``sched`` provides ``grant(slot, requesters) -> set of UAV ids``, called
+    in every slot with requests.  ``requesters`` are the requesting UAVs'
+    runtime states, in UAV id order, as they stand after the slot's moves:
+    each has ``uav``, ``residual`` (bits) and ``projected_completion(slot)``
+    (the completion slot if every later transmission slot were granted).
+    A scheduler that ranks nobody, as in every uncontended slot, projects
+    nobody.  A projection counts each leg after the current one as its
+    planned slots (``_completion_chain``), so a hand-edited plan whose leg
+    cannot carry its payload is projected as if it could.  A run still
+    going after ``_MAX_SLOTS`` slots raises ``RuntimeError`` naming the UAV
+    that holds the most data.
 
     Without a trace, a UAV with nothing to send on a leg to a sensing
     location sleeps through the empty slots left on that leg: it would
@@ -308,7 +285,7 @@ def run(
         if woken:
             active += woken
             active.sort(key=attrgetter("uav"))
-        requests: list[int] = []
+        requesters: list[_Runtime] = []
         for st in active:
             if st.pending_sense:
                 # hover and collect: the position stays, data arrives in full
@@ -329,19 +306,17 @@ def run(
             # else: waypoints exhausted; hover in place at the leg end
             if st.residual > 0:
                 st.stype = TRANSMISSION
-                requests.append(st.uav)
+                requesters.append(st)
             else:
                 st.stype = EMPTY
 
-        if requests:
-            residuals = _Residuals()
-            residuals.states = by_id
-            granted = sched.grant(t, requests, update_completion_estimates(by_id, t),
-                                  residuals)
+        if requesters:
+            requests_log.append(frozenset([st.uav for st in requesters]))
+            granted = frozenset(sched.grant(t, requesters))
         else:
+            requests_log.append(frozenset())
             granted = frozenset()
-        requests_log.append(frozenset(requests))
-        grants_log.append(frozenset(granted))
+        grants_log.append(granted)
 
         left = False  # whether a UAV finished or fell asleep
         for st in active:

@@ -64,10 +64,12 @@ on geometry; the mask and the residual only decide which rates are summed.
   walk prefix it uses, pauses, its route ``_Line`` and pauses at the end.
   ``Leg.rate(k)`` reads one slot's rate, and a route point is rated on
   its first read and kept in the line; ``waypoints`` and ``rates`` build
-  fresh lists in bulk.  Only a traced simulator run and a dump read
-  waypoints; the simulator rates the points it sums in granted slots, and
-  a dump rates the rest.  The stretches of one ``initial_leg`` share
-  their end point's rate.
+  fresh lists in bulk.  ``slots_to_deliver``, which the simulator's
+  completion projections count with, sums those parts in place.  Only a
+  traced simulator run and a dump read waypoints; the simulator rates the
+  points it sums in granted slots or projections, and a dump rates the
+  rest.  The stretches of one ``initial_leg`` share their end point's
+  rate.
 Capacities are summed left to right over granted slots, exactly as a
 plain loop over every slot would, so a plan is bit-identical to the one a
 dense scan of every point gives, with or without a cache.
@@ -184,6 +186,57 @@ class Leg:
             j = route.n - 1
         r = route.rates[j]
         return route.rate(j) if r != r else r
+
+    def slots_to_deliver(self, w: int, residual: float) -> int:
+        """Slots after waypoint ``w`` until ``residual`` bits are delivered
+        with every slot granted, hovering at the leg end once the waypoints
+        run out.
+
+        Each part of the leg (head, pauses, route, end pauses) is summed in
+        place, left to right, as reading ``rate`` slot by slot would, so the
+        count is the same; a route point is rated on its first read.
+        """
+        if residual <= 0:
+            return 0
+        n = self.slots
+        if not n:
+            raise RuntimeError("a leg carrying data must have waypoints")
+        d1, r0, route = self._d1, self._r0, self._route
+        total = 0.0
+        k = w  # the next leg slot summed
+        if k < d1:
+            for r in self._rates[k:d1]:
+                total += r
+                k += 1
+                if total >= residual:
+                    return k - w
+        if k < r0:
+            r = self._rates[d1 - 1]
+            while k < r0:
+                total += r
+                k += 1
+                if total >= residual:
+                    return k - w
+        if route is not None:
+            m, rates = route.n, route.rates
+            for j in range(k - r0, m):
+                r = rates[j]
+                if r != r:
+                    r = route.rate(j)
+                total += r
+                if total >= residual:
+                    return r0 + j + 1 - w
+            if k < r0 + m:
+                k = r0 + m
+            if k < n:
+                r = route.rate(m - 1)
+                while k < n:
+                    total += r
+                    k += 1
+                    if total >= residual:
+                        return k - w
+        extra = math.ceil((residual - total) / self.rate(n - 1) - 1e-12)
+        return (n - w) + max(extra, 1)
 
     def _spread(self, head: list, route: list) -> list:
         """The leg's items from the head's and the route's."""

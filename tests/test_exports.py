@@ -17,7 +17,9 @@ REMOVED = {
     "channel": ["los_probability", "average_pathloss", "snr", "link_rate",
                 "_check_geometry"],
     "analysis": ["DominanceModel", "dominance_threshold", "fit_eta", "knee_subcarriers"],
-    "scheduler": ["OnDemand"],  # each slot mapping reads the UAV state itself
+    # the greedy scheduler ranks the requesters' own states: no slot mapping
+    "scheduler": ["OnDemand", "_Estimates", "_ProjectsCompletion"],
+    "simulator": ["_Residuals", "_slots_to_drain"],  # Leg.slots_to_deliver
     "placement": ["adjust_collinear"],  # placement has one move, the retreat
     # planners read the observed mask itself; constant_speed_leg sums with _summed
     "trajectory": ["grant_from_mask", "_granted_total"],
@@ -63,7 +65,7 @@ def test_removed_members_are_gone():
     from uavsense import bench, itsso, placement, simulator, trajectory
     from uavsense.bench import ExperimentResult, ScenarioConfig
     from uavsense.channel import Position3
-    from uavsense.scheduler import _Estimates, schedule_slot
+    from uavsense.scheduler import schedule_slot
     from uavsense.simulator import SimOutcome, run
     from uavsense.trajectory import drain_leg
 
@@ -73,13 +75,12 @@ def test_removed_members_are_gone():
     assert not hasattr(Position3, "is_finite")
     assert not hasattr(ExperimentResult, "mean")
     assert "tran_durations" not in {f.name for f in dataclasses.fields(SimOutcome)}
-    for mapping in (_Estimates, simulator._Residuals):
-        # plain dict.get, which never fills, and no Python-level __init__
-        assert "get" not in vars(mapping) and "__init__" not in vars(mapping)
     assert "max_slots" not in inspect.signature(run).parameters
     assert "max_slots" not in inspect.signature(drain_leg).parameters
-    residuals = inspect.signature(schedule_slot).parameters["residuals"]
-    assert residuals.default is inspect.Parameter.empty
+    # a rank key carries its residual; nothing is left to default
+    params = inspect.signature(schedule_slot).parameters
+    assert list(params) == ["keys", "k"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
     # legs are re-planned only by placement; the initial builder has one mode
     assert set(inspect.signature(itsso._build_plans).parameters) == {
         "scenario", "locations", "cache"}

@@ -317,6 +317,31 @@ class TestExportReplay:
         with pytest.raises(RuntimeError, match=rf"replay diverged: slot {len(cut) + 1} "):
             replay(sol.plans, cut, sc)
 
+    @pytest.mark.parametrize("tamper", ["non_requester", "no_requests", "past_the_end"])
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_a_grant_the_replay_does_not_make_raises(self, tamper, record_trace):
+        # the replay would drop a grant to a UAV that does not request in
+        # its slot, never read one in a slot without requests, and stop
+        # before a recorded slot past the run's end: each returns another
+        # grant log than the schedule, so the replay has diverged
+        sc = generate_scenario(ScenarioConfig(seed=6))
+        sol = run_itsso(sc, ItssoConfig(rng_seed=6))
+        grants, requests = sol.outcome.grants, sol.outcome.requests
+        uavs = {p.uav for p in sol.plans}
+        assert replay(sol.plans, list(grants), sc, record_trace).grants == grants
+        schedule = list(grants)
+        if tamper == "non_requester":
+            slot = next(t for t, req in enumerate(requests, 1) if req and uavs - req)
+            schedule[slot - 1] = grants[slot - 1] | {min(uavs - requests[slot - 1])}
+        elif tamper == "no_requests":
+            slot = next(t for t, req in enumerate(requests, 1) if not req)
+            schedule[slot - 1] = frozenset([min(uavs)])
+        else:
+            slot = len(grants) + 1
+            schedule.append(frozenset())
+        with pytest.raises(RuntimeError, match=rf"replay diverged: slot {slot} "):
+            replay(sol.plans, schedule, sc, record_trace)
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             solution_from_json('{"format": "something-else"}')

@@ -7,7 +7,12 @@ import pytest
 from uavsense import scheduler, simulator
 from uavsense.bench import ScenarioConfig, nc_config
 from uavsense.channel import ChannelParams, Position3, rate_at
-from uavsense.scheduler import GreedyScheduler, RandomScheduler, update_completion_estimates
+from uavsense.scheduler import (
+    GreedyScheduler,
+    RandomScheduler,
+    ReplayScheduler,
+    update_completion_estimates,
+)
 from uavsense.sensing import Task
 from uavsense.simulator import (
     EMPTY,
@@ -213,7 +218,7 @@ class TestStarvation:
     def test_never_granted_uav_raises_diagnostic(self, monkeypatch):
         monkeypatch.setattr(simulator, "_MAX_SLOTS", 200)
         class NeverScheduler:
-            def grant(self, slot, requests, estimates, residuals):
+            def grant(self, slot, requesters):
                 return frozenset()
 
         tasks = {0: Task(0, Position3(100, 0, 0), 20e6, (0,))}
@@ -225,27 +230,29 @@ class TestStarvation:
 class _EagerReads(GreedyScheduler):
     """Reads every requester's estimate and residual before ranking."""
 
-    def grant(self, slot, requests, estimates, residuals):
-        for uav in requests:
-            estimates[uav]
-            residuals[uav]
-        return super().grant(slot, requests, estimates, residuals)
+    def grant(self, slot, requesters):
+        update_completion_estimates(requesters, slot)
+        return super().grant(slot, requesters)
 
 
 class _UncontendedReadsNothing(GreedyScheduler):
-    """Fails when a slot whose demand fits in K projects anybody."""
+    """Fails when a slot whose demand fits in K projects anybody, or a
+    contended one projects other than each requester once; ``projected``
+    lists the slot's ``(slot, uav)`` projections."""
 
-    def __init__(self, k):
+    def __init__(self, k, projected):
         super().__init__(k)
         self.contended = 0
+        self.projected = projected
 
-    def grant(self, slot, requests, estimates, residuals):
-        granted = super().grant(slot, requests, estimates, residuals)
-        if len(requests) <= self.k:
-            assert len(estimates) == 0 and len(residuals) == 0
+    def grant(self, slot, requesters):
+        self.projected.clear()
+        granted = super().grant(slot, requesters)
+        if len(requesters) <= self.k:
+            assert self.projected == []
         else:
             self.contended += 1
-            assert set(estimates) == set(requests)
+            assert self.projected == [(slot, st.uav) for st in requesters]
         return granted
 
 
@@ -274,58 +281,66 @@ class TestOnDemandProjections:
         assert eager.trace == lazy.trace
         assert eager.completion_times == lazy.completion_times
 
-    def test_only_contended_slots_project(self):
+    def test_only_contended_slots_project(self, monkeypatch):
+        # uncontended slots project nobody; a contended one projects each
+        # requester once, in UAV order
         from uavsense.bench import ScenarioConfig
 
+        projected = []
+        project = simulator._Runtime.projected_completion
+        monkeypatch.setattr(simulator._Runtime, "projected_completion",
+                            lambda st, slot: projected.append((slot, st.uav))
+                            or project(st, slot))
         sc, plans = _final_plans(ScenarioConfig(m=10, n=10, k=2, seed=4))
-        sched = _UncontendedReadsNothing(sc.k)
+        sched = _UncontendedReadsNothing(sc.k, projected)
         out = run(plans, sched, sc.tasks, sc.channel, sc.kinematics)
         assert sched.contended == sum(len(r) > sc.k for r in out.requests) > 0
 
-    def test_mapping_fills_once(self):
-        # both slot mappings read a UAV's state on its first read only, so
-        # their length counts the UAVs read
+    def test_keys_project_each_requester_once(self):
+        # one key per requester, in the requesters' order, from one
+        # projection and one residual read each
         class State:
             def __init__(self, uav):
+                self.uav = uav
                 self.residual = 100.0 * uav
                 self.calls = []
 
             def projected_completion(self, slot):
                 self.calls.append(slot)
-                return 10.0 * slot
+                return 10.0 * slot + self.uav
 
-        states = {1: State(1), 2: State(2)}
-        estimates = update_completion_estimates(states, 7)
-        assert len(estimates) == 0
-        assert estimates[1] == 70.0
-        assert estimates[1] == 70.0
-        assert states[1].calls == [7] and states[2].calls == []
-        assert dict(estimates) == {1: 70.0}
-        residuals = simulator._Residuals()
-        residuals.states = states
-        assert residuals[2] == 200.0
-        states[2].residual = 0.0
-        assert residuals[2] == 200.0
-        assert dict(residuals) == {2: 200.0}
+        states = [State(2), State(1)]
+        assert update_completion_estimates(states, 7) == [(-72.0, -200.0, 2),
+                                                          (-71.0, -100.0, 1)]
+        assert [s.calls for s in states] == [[7], [7]]
+        assert update_completion_estimates([], 7) == []
 
-    def test_run_calls_its_estimate_binding_in_every_slot_with_requests(self, monkeypatch):
-        # perfbench times the projections as the span of the function the
-        # simulator binds by this name, so run must call it there, once per
-        # slot with requests
-        assert simulator.update_completion_estimates is scheduler.update_completion_estimates
+    def test_estimate_binding_runs_once_per_contended_slot(self, monkeypatch):
+        # perfbench times the projections as the span of
+        # scheduler.update_completion_estimates, the module binding that
+        # GreedyScheduler calls: once per contended slot, and only there;
+        # the random and replay schedulers never call it
+        assert not hasattr(simulator, "update_completion_estimates")
         slots = []
 
-        def counted(states, slot):
+        def counted(requesters, slot):
             slots.append(slot)
-            return scheduler.update_completion_estimates(states, slot)
+            return update_completion_estimates(requesters, slot)
 
-        monkeypatch.setattr(simulator, "update_completion_estimates", counted)
+        monkeypatch.setattr(scheduler, "update_completion_estimates", counted)
         sc, plans = _final_plans(ScenarioConfig(m=10, n=10, k=2, seed=4))
         for record_trace in (False, True):
             slots.clear()
             out = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
                       record_trace=record_trace)
-            assert slots == [t for t, r in enumerate(out.requests, start=1) if r]
+            contended = [t for t, r in enumerate(out.requests, start=1) if len(r) > sc.k]
+            assert contended and slots == contended
+            slots.clear()
+            for sched in (RandomScheduler(sc.k, 3), ReplayScheduler(out.grants)):
+                other = run(plans, sched, sc.tasks, sc.channel, sc.kinematics,
+                            record_trace=record_trace)
+                assert any(len(r) > sc.k for r in other.requests)
+                assert slots == []
 
 
 class TestProjectionMemo:
@@ -335,7 +350,7 @@ class TestProjectionMemo:
         # reuses the first one's slots to drain
         reads, sums = {}, {}
         uav = [None]
-        project, to_drain = simulator._Runtime.projected_completion, simulator._slots_to_drain
+        project, to_drain = simulator._Runtime.projected_completion, Leg.slots_to_deliver
 
         def counted_projection(st, slot):
             uav[0] = st.uav
@@ -344,15 +359,15 @@ class TestProjectionMemo:
                 reads[key] = reads.get(key, 0) + 1
             return project(st, slot)
 
-        def counted_drain(leg, residual, w):
+        def counted_drain(leg, w, residual):
             if w == leg.slots > 0:
                 key = (uav[0], id(leg), w, residual)
                 sums[key] = sums.get(key, 0) + 1
-            return to_drain(leg, residual, w)
+            return to_drain(leg, w, residual)
 
         sc, plans = _final_plans(ScenarioConfig(m=10, n=10, k=2, seed=4))
         monkeypatch.setattr(simulator._Runtime, "projected_completion", counted_projection)
-        monkeypatch.setattr(simulator, "_slots_to_drain", counted_drain)
+        monkeypatch.setattr(Leg, "slots_to_deliver", counted_drain)
         run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
         assert sum(n > 1 for n in reads.values()) > 10
         assert sums == dict.fromkeys(reads, 1)
@@ -528,9 +543,10 @@ class _ReadsEveryEstimate(GreedyScheduler):
         super().__init__(k)
         self.reads: list[tuple[int, float]] = []
 
-    def grant(self, slot, requests, estimates, residuals):
-        self.reads += [(uav, estimates[uav]) for uav in requests]
-        return super().grant(slot, requests, estimates, residuals)
+    def grant(self, slot, requesters):
+        self.reads += [(uav, -key) for key, _, uav in
+                       update_completion_estimates(requesters, slot)]
+        return super().grant(slot, requesters)
 
 
 class TestProjectionRelation:

@@ -1,6 +1,7 @@
 """Leg-planner tests: bounds, gradient direction, detour search, speed optimality."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavsense import simulator, trajectory
+from uavsense import trajectory
 from uavsense.channel import (
     ChannelDomainError,
     ChannelParams,
@@ -897,7 +898,7 @@ class TestCapacityContract:
 
     @staticmethod
     def _carries(leg):
-        return simulator._slots_to_drain(leg, leg.residual_data, 0) <= leg.slots
+        return leg.slots_to_deliver(0, leg.residual_data) <= leg.slots
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(start=_point, offset=_offset, residual=st.just(0.0) | st.floats(0, 120e6),
@@ -929,6 +930,130 @@ class TestCapacityContract:
             drain = drain_leg(start, residual, CP, KIN, grants, first_slot, cache)
             assert self._carries(drain)
             assert drain.slots >= (1 if residual > 0 else 0)
+
+
+def slots_to_deliver_by_reads(leg, w, residual):
+    """Reference for ``Leg.slots_to_deliver``: the per-slot loop it replaced,
+    one ``rate`` read per slot, then the hover at the leg end."""
+    if residual <= 0:
+        return 0
+    n, rate = leg.slots, leg.rate
+    total = 0.0
+    for j in range(w, n):
+        total += rate(j)
+        if total >= residual:
+            return j - w + 1
+    if not n:
+        raise RuntimeError("a leg carrying data must have waypoints")
+    extra = math.ceil((residual - total) / rate(n - 1) - 1e-12)
+    return (n - w) + max(extra, 1 if total < residual else 0)
+
+
+def _delivery_legs():
+    """One fresh leg of every builder: ``_family_legs``' planner families,
+    drains and initial leg, and ``replan_leg``'s fallback to an unmasked
+    plan."""
+    makers = {name: (lambda make=make: make()[0]) for name, make in _family_legs().items()}
+    start, end = Position3(400, 400, 40), Position3(350, 420, 30)
+    makers["replan_fallback"] = lambda: replan_leg(start, end, 84e6, CP, KIN, [False] * 200, 1)
+    return makers
+
+
+def _loaded(leg):
+    """``leg`` as ``solution_from_json`` loads it from a dump."""
+    from types import SimpleNamespace
+
+    from uavsense.itsso import solution_from_json, solution_to_json
+    from uavsense.simulator import UavPlan
+
+    plan = UavPlan(0, leg.start, [], [], [], leg)
+    sol = SimpleNamespace(t_max=0, history=[], plans=[plan], outcome=SimpleNamespace(grants=[]))
+    (back,), _ = solution_from_json(solution_to_json(sol))
+    return back.drain
+
+
+def _unrated(leg):
+    """Which route points of ``leg`` are still unrated, if it has a route."""
+    route = leg._route
+    return None if route is None else [r != r for r in route.rates]
+
+
+class TestSlotsToDeliver:
+    """``Leg.slots_to_deliver`` sums a leg's parts in place and counts what
+    a read of ``rate`` per slot counts, rating the same route points."""
+
+    @staticmethod
+    def _check(make, w, residual):
+        leg, ref = make(), make()  # the same leg twice, each rated on its own
+        try:
+            want = slots_to_deliver_by_reads(ref, w, residual)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                leg.slots_to_deliver(w, residual)
+            return None
+        assert leg.slots_to_deliver(w, residual) == want
+        assert _unrated(leg) == _unrated(ref)
+        return want
+
+    @staticmethod
+    def _residual(data, make, w):
+        """0, a sum of the leg's rates from ``w`` (where the count steps),
+        or any amount up past its capacity, into the hover at the end."""
+        rates = make().rates[w:]
+        steps = [0.0] + list(itertools.accumulate(rates))
+        capacity = steps[-1]
+        return data.draw(st.sampled_from(steps) | st.floats(0.0, 2.0 * capacity + 1e6)
+                         | st.just(math.nextafter(capacity, math.inf)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(sorted(_delivery_legs())), loaded=st.booleans(),
+           data=st.data())
+    def test_every_builder_counts_as_the_per_slot_reads(self, family, loaded, data):
+        made = _delivery_legs()[family]
+        make = (lambda: _loaded(made())) if loaded else made
+        n = made().slots
+        w = data.draw(st.integers(0, n + 2))
+        self._check(make, w, self._residual(data, make, w))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(start=_point, offset=_offset, residual=st.floats(0, 120e6), mask=_mask,
+           builder=st.sampled_from(["optimize", "replan", "drain", "initial"]),
+           data=st.data())
+    def test_planned_legs_count_as_the_per_slot_reads(self, start, offset, residual, mask,
+                                                      builder, data):
+        end = Position3(start.x + offset.x, start.y + offset.y, max(10.0, start.z + offset.z))
+        make = {
+            "optimize": lambda: optimize_leg(start, end, residual, CP, KIN),
+            "replan": lambda: replan_leg(start, end, residual, CP, KIN, mask, 1),
+            "drain": lambda: drain_leg(start, residual, CP, KIN, mask, 1),
+            "initial": lambda: initial_leg(start, end, residual, 5.0, CP, KIN),
+        }[builder]
+        w = data.draw(st.integers(0, make().slots + 2))
+        self._check(make, w, self._residual(data, make, w))
+
+    def test_every_family_is_covered(self):
+        # the shapes the property runs over: a walk head with pauses, an
+        # evenly paced and a full-speed route, pauses at the end, all head
+        legs = {name: make() for name, make in _delivery_legs().items()}
+        assert legs["detour"]._d1 < legs["detour"]._r0 and legs["detour"]._route.even
+        assert legs["even_line"]._route.even
+        assert legs["hover_at_end"].slots > legs["hover_at_end"]._route.n
+        assert legs["drain"]._route is None and legs["drain"].slots == legs["drain"]._d1
+        assert legs["replan_fallback"] == optimize_leg(legs["replan_fallback"].start,
+                                                       legs["replan_fallback"].end,
+                                                       84e6, CP, KIN)
+        assert _loaded(legs["detour"])._route is None
+
+    def test_data_on_a_leg_without_waypoints_raises(self):
+        leg = drain_leg(Position3(0, 0, 40), 0.0, CP, KIN)
+        assert leg.slots == 0
+        for w in (0, 1, 2):
+            assert leg.slots_to_deliver(w, 0.0) == 0
+            with pytest.raises(RuntimeError, match="a leg carrying data must have waypoints"):
+                leg.slots_to_deliver(w, 1.0)
+        assert _loaded(leg).slots_to_deliver(0, 0.0) == 0
+        with pytest.raises(RuntimeError, match="a leg carrying data must have waypoints"):
+            _loaded(leg).slots_to_deliver(0, 1.0)
 
 
 def _asked(mask):
