@@ -33,7 +33,7 @@ from .itsso import (
     InfeasibleScenario,
     ItssoConfig,
     Solution,
-    initial_solution,
+    _check_feasible,
     overhead_locations,
     run_itsso,
 )
@@ -59,6 +59,7 @@ __all__ = [
 SCHEMES = ("itsso", "nc", "fsl")
 
 _ITSSO_SEED_OFFSET = 1_000_003  # decouples the schedule RNG from scenario draws
+_FIG8_Q_CAP = 16  # largest group size fig8 probes
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     return Scenario(config=config, uav_starts=starts, tasks=tasks, routes=routes)
 
 
-def nc_config(base: ScenarioConfig, seed: int | None = None) -> ScenarioConfig:
+def nc_config(base: ScenarioConfig) -> ScenarioConfig:
     """Non-cooperative variant: q = 1, same tasks and per-UAV load.
 
     The UAV count scales to n / n_per_uav; when that is fractional the
@@ -227,7 +228,7 @@ def nc_config(base: ScenarioConfig, seed: int | None = None) -> ScenarioConfig:
     """
     n_i = base.n_per_uav
     m = max(1, (2 * base.n + n_i) // (2 * n_i))
-    return replace(base, m=m, q=1, scheme="nc", seed=base.seed if seed is None else seed)
+    return replace(base, m=m, q=1, scheme="nc")
 
 
 def run_scheme(scenario: Scenario, cfg: ItssoConfig | None = None,
@@ -275,9 +276,6 @@ class ExperimentResult:
     rows: list[tuple[str, float, float, float, int]]  # scheme, x, mean, std, n
     raw: list[tuple[str, float, int, float]]  # scheme, x, instance, value
     manifest: str
-
-    def raw_values(self, scheme: str, x: float) -> list[float]:
-        return [v for s, xv, _, v in self.raw if s == scheme and xv == x]
 
 
 def _table_point(base: ScenarioConfig, *, m: int, n: int, q: int, **kw) -> ScenarioConfig:
@@ -350,18 +348,19 @@ def _run_job(job) -> tuple[str, float, int, float]:
     return (label, x, idx, float(sol.t_max))
 
 
-def _min_q_simulated(base: ScenarioConfig, q_cap: int = 16) -> int:
-    """Smallest group size the pipeline accepts: probes the initial-solution
-    feasibility of a one-task scenario at each q."""
-    for q in range(1, q_cap + 1):
-        cfg = replace(base, m=q, n=1, q=q, scheme="itsso")
-        scenario = generate_scenario(cfg)
+def _min_q_simulated(base: ScenarioConfig) -> int:
+    """Smallest group size the pipeline accepts: the ITSSO feasibility
+    rule, every worker right above the task at ``h_min``, on a one-task
+    scenario at each q."""
+    for q in range(1, _FIG8_Q_CAP + 1):
+        scenario = generate_scenario(replace(base, m=q, n=1, q=q, scheme="itsso"))
         try:
-            initial_solution(scenario, ItssoConfig(rng_seed=cfg.seed))
+            _check_feasible(scenario, overhead_locations(scenario, base.kinematics.h_min))
             return q
         except InfeasibleScenario:
             continue
-    raise RuntimeError(f"no feasible group size up to {q_cap} for pr_th={base.sensing.pr_th}")
+    raise RuntimeError(
+        f"no feasible group size up to {_FIG8_Q_CAP} for pr_th={base.sensing.pr_th}")
 
 
 def _run_fig8(base: ScenarioConfig, instances: int, seed: int):

@@ -178,9 +178,9 @@ def run_itsso(
     dropped with it.
 
     Iterates are simulated untraced.  With ``record_trace`` the returned
-    solution's trace comes from one replay of its plans under its own grant
-    schedule; a replay that does not reproduce ``t_max`` and the grants
-    raises ``RuntimeError``.
+    solution's trace comes from one ``replay`` of its plans under its own
+    grant schedule.  ``replay`` is the one divergence check: it raises
+    ``RuntimeError`` if its grants differ, and equal grants mean equal ``t_max``.
 
     The cyclic garbage collector is paused for the call and the caller's
     setting restored on every exit, after the returned ``Solution`` is
@@ -193,44 +193,37 @@ def run_itsso(
     try:
         cfg = cfg or ItssoConfig()
         cache = LegCache(scenario.channel, scenario.kinematics)
-        best = initial_solution(scenario, cfg, locations=fixed_locations, cache=cache)
-        history = list(best.history)
-        candidates = list(best.candidate_history)
+        init = initial_solution(scenario, cfg, locations=fixed_locations, cache=cache)
+        plans, outcome = init.plans, init.outcome
+        history = [outcome.t_max]
+        candidates = [outcome.t_max]
         passes = 0
         for iterations in range(1, _MAX_ITERATIONS + 1):
-            masks = masks_from_outcome(best.outcome)
-            plans = replan_plans(best.plans, scenario.tasks, scenario.channel,
-                                 scenario.kinematics, masks, cache)
+            masks = masks_from_outcome(outcome)
+            candidate = replan_plans(plans, scenario.tasks, scenario.channel,
+                                     scenario.kinematics, masks, cache)
             if fixed_locations is None:
                 assignment = optimize_sensing_locations(
-                    plans, scenario.tasks, scenario.channel, scenario.kinematics,
+                    candidate, scenario.tasks, scenario.channel, scenario.kinematics,
                     scenario.sensing, masks, cache=cache,
                 )
-                plans = assignment.plans
+                candidate = assignment.plans
                 passes += assignment.passes
-            outcome = run(
-                plans, GreedyScheduler(scenario.k), scenario.tasks,
+            result = run(
+                candidate, GreedyScheduler(scenario.k), scenario.tasks,
                 scenario.channel, scenario.kinematics, record_trace=False,
             )
-            candidates.append(outcome.t_max)
-            if outcome.t_max < best.t_max:
-                best = Solution(plans, outcome, outcome.t_max, [], [], 0)
-                history.append(outcome.t_max)
-            else:
+            candidates.append(result.t_max)
+            if result.t_max >= outcome.t_max:
                 break
-        outcome = best.outcome
+            plans, outcome = candidate, result
+            history.append(outcome.t_max)
         if record_trace:
-            outcome = replay(best.plans, best.outcome.grants, scenario)
-            if outcome.t_max != best.t_max or outcome.grants != best.outcome.grants:
-                raise RuntimeError(
-                    f"trace replay diverged from the run it re-records: t_max "
-                    f"{outcome.t_max} against {best.t_max}, grants "
-                    f"{'equal' if outcome.grants == best.outcome.grants else 'differ'}"
-                )
+            outcome = replay(plans, outcome.grants, scenario)
         return Solution(
-            plans=best.plans,
+            plans=plans,
             outcome=outcome,
-            t_max=best.t_max,
+            t_max=outcome.t_max,
             history=history,
             candidate_history=candidates,
             iterations=iterations,

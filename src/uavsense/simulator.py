@@ -376,13 +376,19 @@ def write_trace(rows: Iterable[TraceRow], path) -> None:
 
 
 def read_trace(path) -> list[TraceRow]:
+    """Rows of a ``write_trace`` file; an empty file, another header or a
+    row without its 9 fields raises ``ValueError`` naming the line."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != _TRACE_HEADER:
-            raise ValueError(f"unexpected trace header {header}")
+            raise ValueError(f"{path}: line 1: expected the trace header, got "
+                             f"{'an empty file' if header is None else header}")
         for rec in reader:
+            if len(rec) != len(_TRACE_HEADER):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(_TRACE_HEADER)} fields, got {len(rec)}")
             rows.append(TraceRow(
                 int(rec[0]), int(rec[1]), rec[2],
                 float(rec[3]), float(rec[4]), float(rec[5]),

@@ -223,7 +223,7 @@ class TestExperiments:
         schemes = {row[0] for row in res.rows}
         assert schemes == {"itsso", "nc", "fsl"}
         for scheme, x, mean, std, n in res.rows:
-            raw = res.raw_values(scheme, x)
+            raw = [v for s, xv, _, v in res.raw if s == scheme and xv == x]
             assert n == 2 == len(raw)
             assert mean == pytest.approx(float(np.mean(raw)))
         # CSV audit: means in the summary equal the mean of the raw dump
@@ -465,6 +465,19 @@ class TestCli:
         assert lines[-1].startswith("uavsense: error: ")
         assert sum("error:" in line for line in lines) == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text", ["", "slot,uav,slot_type,x,y,z,granted,rate_bits,"
+                                      "residual_bits\n1,0,sensing\n"], ids=["empty", "short-row"])
+    def test_validate_refuses_a_malformed_trace(self, text, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text)
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["validate", "--trace", str(trace)])
+        assert exit_.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("uavsense: error: ")
+        assert sum("error:" in line for line in lines) == 1
+        assert f"line {1 if not text else 2}: expected" in lines[-1]
 
     def test_experiment_command(self, tmp_path, capsys):
         rc = cli_main(["experiment", "--id", "fig8", "--instances", "1",

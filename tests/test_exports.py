@@ -102,6 +102,11 @@ def test_removed_members_are_gone():
     assert not hasattr(bench, "_SWEEPS") and not hasattr(bench, "_MANIFESTS")
     assert "t_max_history" not in {f.name for f in dataclasses.fields(
         placement.SensingAssignment)}
+    # options and helpers no caller reads; fig8 checks feasibility without a run
+    assert "seed" not in inspect.signature(bench.nc_config).parameters
+    assert "q_cap" not in inspect.signature(bench._min_q_simulated).parameters
+    assert not hasattr(ExperimentResult, "raw_values")
+    assert not hasattr(bench, "initial_solution")
 
 
 @pytest.mark.parametrize("name", MODULES)

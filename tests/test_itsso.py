@@ -6,10 +6,13 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavsense.bench import (
     _ITSSO_SEED_OFFSET,
     ScenarioConfig,
+    audit_solution,
     generate_scenario,
     nc_config,
     run_scheme,
@@ -26,7 +29,7 @@ from uavsense.itsso import (
     solution_from_json,
     solution_to_json,
 )
-from uavsense.scheduler import GreedyScheduler, RandomScheduler
+from uavsense.scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
 from uavsense.sensing import SensingParams, sensing_success_coop
 from uavsense.simulator import run
 from uavsense.trajectory import drain_leg
@@ -283,18 +286,58 @@ class TestTraceReplay:
         assert dc_replace(out, trace=None) == dc_replace(init.outcome, trace=None)
 
     def test_diverging_replay_raises(self, monkeypatch):
-        import uavsense.itsso as itsso
+        # the replay itself notices a run that leaves its schedule: here its
+        # scheduler drops the first recorded grant it makes
+        real_grant = ReplayScheduler.grant
+        dropped = []
 
-        def off_by_one(plans, schedule, scenario, record_trace=True):
-            out = replay(plans, schedule, scenario, record_trace)
-            return dc_replace(out, grants=out.grants + [frozenset()])
+        def drop_first(sched, slot, requesters):
+            got = real_grant(sched, slot, requesters)
+            if got and not dropped:
+                dropped.append(slot)
+                return got - {min(got)}
+            return got
 
-        monkeypatch.setattr(itsso, "replay", off_by_one)
+        monkeypatch.setattr(ReplayScheduler, "grant", drop_first)
         sc = generate_scenario(ScenarioConfig(m=6, n=6, q=2, k=3, seed=26))
         # an untraced run never replays
         assert run_itsso(sc, ItssoConfig(rng_seed=26), record_trace=False).t_max > 0
-        with pytest.raises(RuntimeError, match="replay diverged"):
+        assert not dropped
+        with pytest.raises(RuntimeError, match="replay diverged") as err:
             run_itsso(sc, ItssoConfig(rng_seed=26), record_trace=True)
+        assert len(dropped) == 1
+        assert f"slot {dropped[0]} grants []" in str(err.value)  # replay's own check
+
+
+@st.composite
+def _small_config(draw):
+    """A scenario of at most 6 UAVs and 6 tasks, K of 1 to 3, in any scheme."""
+    m = draw(st.integers(1, 6))
+    q = draw(st.integers(1, m))
+    n = draw(st.sampled_from([n for n in range(1, 7) if n * q % m == 0]))
+    config = ScenarioConfig(m=m, n=n, q=q, k=draw(st.integers(1, 3)),
+                            seed=draw(st.integers(0, 2**32)))
+    scheme = draw(st.sampled_from(("itsso", "nc", "fsl")))
+    return nc_config(config) if scheme == "nc" else dc_replace(config, scheme=scheme)
+
+
+class TestSmallScenarioProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(config=_small_config())
+    def test_a_run_audits_clean_replays_its_dump_and_converges(self, config):
+        sc = generate_scenario(config)
+        cfg = ItssoConfig(rng_seed=config.seed + _ITSSO_SEED_OFFSET)
+        traced = run_scheme(sc, cfg, record_trace=True)
+        assert audit_solution(sc, traced) == []
+        plans, schedule = solution_from_json(solution_to_json(traced))
+        out = replay(plans, schedule, sc)
+        assert (out.grants, out.t_max, out.trace) == \
+            (traced.outcome.grants, traced.t_max, traced.outcome.trace)
+        assert all(a > b for a, b in zip(traced.history, traced.history[1:]))
+        # the traced solution is the untraced one plus its trace
+        plain = run_scheme(sc, cfg, record_trace=False)
+        assert plain.outcome.trace is None
+        assert dc_replace(traced, outcome=dc_replace(traced.outcome, trace=None)) == plain
 
 
 class TestExportReplay:

@@ -383,6 +383,18 @@ class TestTraceIo:
         back = read_trace(path)
         assert back == out.trace
 
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("slot,uav\n", 1),
+        (",".join(simulator._TRACE_HEADER) + "\n1,0,sensing,0,0,40,0,0.0,2e7\n1,0,empty\n", 3),
+        (",".join(simulator._TRACE_HEADER) + "\n1,0,sensing,0,0,40,0,0.0,2e7,9\n", 2),
+    ], ids=["empty", "header", "short-row", "long-row"])
+    def test_a_malformed_file_raises_naming_the_line(self, tmp_path, text, line):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: expected"):
+            read_trace(path)
+
 
 class TestPlanTimeline:
     """``UavPlan.first_slot`` and ``planned_completion`` against simulated
@@ -471,6 +483,14 @@ class TestIdleUavsSleep:
                 assert fast.completion_times == slow.completion_times
                 assert fast.grants == slow.grants
                 assert fast.requests == slow.requests
+                replayed = run(plans, ReplayScheduler(fast.grants), sc.tasks, sc.channel,
+                               sc.kinematics)
+                assert replayed.grants == fast.grants
+                for out in (fast, slow, replayed):
+                    # one grant set per slot, up to the slot the last UAV completes
+                    # in: equal grants imply an equal t_max
+                    assert len(out.grants) == len(out.requests) == out.t_max == \
+                        max(out.completion_times.values(), default=0)
 
     def test_untraced_run_reads_no_waypoint(self, monkeypatch):
         sc, plans = _final_plans(ScenarioConfig(seed=7_150_004))
