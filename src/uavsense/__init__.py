@@ -23,7 +23,6 @@ from .sensing import (
     min_cooperative_uavs,
     required_sensing_radius,
     sensing_success_coop,
-    sensing_success_single,
 )
 from .simulator import SimOutcome, UavPlan, run
 from .trajectory import KinematicParams, Leg, delta_lower_bound, optimize_leg, rate_gradient

@@ -1,6 +1,8 @@
 """Outer iterative optimizer.
 
-Starts from a deliberately slow but feasible plan, then cycles three
+Starts from a deliberately slow but feasible plan, each worker sensing from
+right above its task at the altitude where the task's uplink rate peaks
+below the group's symmetric radius (``rate_max_locations``), then cycles three
 sub-solvers until the network completion time stops improving: re-plan
 every leg at full speed against the grants observed in the previous run
 (``placement.replan_plans``, with the per-leg re-plan that the sensing
@@ -24,12 +26,12 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Mapping
 
-from .channel import ChannelParams, Position3
+from .channel import ChannelParams, Position3, rate_at
 from .placement import optimize_sensing_locations, replan_plans
 from .scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
-from .sensing import SensingParams, sensing_success_coop
+from .sensing import SensingParams, required_sensing_radius, sensing_success_coop
 from .simulator import SimOutcome, UavPlan, run
-from .trajectory import KinematicParams, Leg, LegCache, drain_leg, initial_leg
+from .trajectory import _ROOT_SLACK_M, KinematicParams, Leg, LegCache, drain_leg, initial_leg
 
 __all__ = [
     "ItssoConfig",
@@ -43,6 +45,7 @@ __all__ = [
 
 _MAX_ITERATIONS = 100  # candidate iterates per run; the loop stops at the first non-improving one
 _INITIAL_SPEED_RATIO = 0.1  # pace of the initial iterate's legs, as a fraction of v_max
+_START_GRID = 41  # altitudes rated per task by the rate-max start, h_min to the radius
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,28 @@ def overhead_locations(scenario, height: float) -> dict[tuple[int, int], Positio
     route index)."""
     tasks = scenario.tasks
     return {(uav, idx): Position3(tasks[tid].location.x, tasks[tid].location.y, height)
+            for uav, route in scenario.routes.items() for idx, tid in enumerate(route)}
+
+
+def rate_max_locations(scenario) -> dict[tuple[int, int], Position3]:
+    """Every worker right above its task at the altitude of the task's
+    largest ``rate_at``, keyed by (UAV, route index).
+
+    The altitudes rated are ``_START_GRID`` evenly spaced points from
+    ``h_min`` to ``_ROOT_SLACK_M`` inside the group's symmetric radius, so
+    that rounding cannot leave the group short of the threshold; a tie goes
+    to the lowest.
+    """
+    cp, h_min = scenario.channel, scenario.kinematics.h_min
+    height = {}
+    for task in scenario.tasks.values():
+        radius = required_sensing_radius(len(task.workers), scenario.sensing)
+        step = (max(radius - _ROOT_SLACK_M, h_min) - h_min) / (_START_GRID - 1)
+        x, y = task.location.x, task.location.y
+        height[task.id] = max((h_min + i * step for i in range(_START_GRID)),
+                              key=lambda z: rate_at(x, y, z, cp))
+    tasks = scenario.tasks
+    return {(uav, idx): Position3(tasks[tid].location.x, tasks[tid].location.y, height[tid])
             for uav, route in scenario.routes.items() for idx, tid in enumerate(route)}
 
 
@@ -138,16 +163,18 @@ def initial_solution(
 ) -> Solution:
     """Feasible slow-speed starting point with a seeded random schedule.
 
-    Without ``locations`` every worker senses from right above its task,
-    and a scenario whose threshold no placement can meet raises
-    ``InfeasibleScenario``.  Pinned ``locations`` are taken as given: the
+    Without ``locations`` a scenario whose threshold no placement can meet,
+    not even every worker right above its task at ``h_min``, raises
+    ``InfeasibleScenario``; otherwise every worker senses from right above
+    its task at the altitude of the task's best rate
+    (``rate_max_locations``).  Pinned ``locations`` are taken as given: the
     threshold is not checked against them.  ``cache`` shares the drain
     legs' gradient walks with the caller's later plans, whose drains start
     from the same last sensing locations.
     """
     if locations is None:
-        locations = overhead_locations(scenario, scenario.kinematics.h_min)
-        _check_feasible(scenario, locations)
+        _check_feasible(scenario, overhead_locations(scenario, scenario.kinematics.h_min))
+        locations = rate_max_locations(scenario)
     plans = _build_plans(scenario, locations, cache)
     outcome = run(
         plans, RandomScheduler(scenario.k, cfg.rng_seed), scenario.tasks,

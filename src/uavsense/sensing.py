@@ -19,7 +19,6 @@ from .channel import Position3
 __all__ = [
     "SensingParams",
     "Task",
-    "sensing_success_single",
     "sensing_success_coop",
     "required_sensing_radius",
     "min_cooperative_uavs",
@@ -54,13 +53,6 @@ class Task:
             raise ValueError(f"task {self.id} needs a positive data size")
         if len(set(self.workers)) != len(self.workers) or not self.workers:
             raise ValueError(f"task {self.id} workers must be distinct and non-empty")
-
-
-def sensing_success_single(distance: float, params: SensingParams) -> float:
-    """Success probability of one UAV sensing from the given distance."""
-    if distance < 0 or not math.isfinite(distance):
-        raise ValueError(f"distance must be finite and non-negative, got {distance}")
-    return math.exp(-params.lam * distance)
 
 
 def sensing_success_coop(distances: Sequence[float] | Iterable[float],

@@ -376,8 +376,9 @@ def write_trace(rows: Iterable[TraceRow], path) -> None:
 
 
 def read_trace(path) -> list[TraceRow]:
-    """Rows of a ``write_trace`` file; an empty file, another header or a
-    row without its 9 fields raises ``ValueError`` naming the line."""
+    """Rows of a ``write_trace`` file; an empty file, another header, a row
+    without its 9 fields or a field that does not parse raises
+    ``ValueError`` naming the line."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -389,9 +390,12 @@ def read_trace(path) -> list[TraceRow]:
             if len(rec) != len(_TRACE_HEADER):
                 raise ValueError(f"{path}: line {reader.line_num}: expected "
                                  f"{len(_TRACE_HEADER)} fields, got {len(rec)}")
-            rows.append(TraceRow(
-                int(rec[0]), int(rec[1]), rec[2],
-                float(rec[3]), float(rec[4]), float(rec[5]),
-                int(rec[6]), float(rec[7]), float(rec[8]),
-            ))
+            try:
+                rows.append(TraceRow(
+                    int(rec[0]), int(rec[1]), rec[2],
+                    float(rec[3]), float(rec[4]), float(rec[5]),
+                    int(rec[6]), float(rec[7]), float(rec[8]),
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     return rows

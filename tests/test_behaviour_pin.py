@@ -37,11 +37,11 @@ FAMILIES = {
 SEEDS = (7_130_000, 7_130_001, 7_130_002)
 
 GOLDEN = {
-    "table": "0e5a217b992025d8",
-    "k2": "e2b8f4ad79f0e27a",
+    "table": "7cb5399123b0e6dd",
+    "k2": "1576c7d12a47b798",
     "fsl": "968a6fdb084d5465",
-    "nc": "f1a0eca35b204ca8",
-    "k1": "27c11838d1eabc16",
+    "nc": "a90c57d16b7d7451",
+    "k1": "e569c819ffcf18f4",
 }
 
 

@@ -466,9 +466,15 @@ class TestCli:
         assert sum("error:" in line for line in lines) == 1
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("text", ["", "slot,uav,slot_type,x,y,z,granted,rate_bits,"
-                                      "residual_bits\n1,0,sensing\n"], ids=["empty", "short-row"])
-    def test_validate_refuses_a_malformed_trace(self, text, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: expected"),
+        ("slot,uav,slot_type,x,y,z,granted,rate_bits,residual_bits\n1,0,sensing\n",
+         "line 2: expected"),
+        ("slot,uav,slot_type,x,y,z,granted,rate_bits,residual_bits\n"
+         "1,0,sensing,0,0,40,0,0.0,2e7\none,0,sensing,0,0,40,0,0.0,2e7\n",
+         "trace.csv: line 3: invalid literal for int()"),
+    ], ids=["empty", "short-row", "unparsed-slot"])
+    def test_validate_refuses_a_malformed_trace(self, text, message, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text(text)
         with pytest.raises(SystemExit) as exit_:
@@ -477,7 +483,7 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert lines[-1].startswith("uavsense: error: ")
         assert sum("error:" in line for line in lines) == 1
-        assert f"line {1 if not text else 2}: expected" in lines[-1]
+        assert message in lines[-1]
 
     def test_experiment_command(self, tmp_path, capsys):
         rc = cli_main(["experiment", "--id", "fig8", "--instances", "1",

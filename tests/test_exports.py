@@ -25,6 +25,7 @@ REMOVED = {
     "trajectory": ["grant_from_mask", "_granted_total"],
     "bench": ["fsl_plan"],  # run_scheme runs every scheme
     "itsso": ["_CollectorPaused"],  # run_itsso pauses the collector itself
+    "sensing": ["sensing_success_single"],  # sensing_success_coop([d]) is the same number
 }
 
 

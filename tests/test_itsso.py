@@ -17,22 +17,24 @@ from uavsense.bench import (
     nc_config,
     run_scheme,
 )
-from uavsense.channel import Position3
+from uavsense.channel import Position3, rate_at
 from uavsense.itsso import (
     InfeasibleScenario,
     ItssoConfig,
+    _check_feasible,
     initial_solution,
     masks_from_outcome,
     overhead_locations,
+    rate_max_locations,
     replay,
     run_itsso,
     solution_from_json,
     solution_to_json,
 )
 from uavsense.scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
-from uavsense.sensing import SensingParams, sensing_success_coop
+from uavsense.sensing import SensingParams, required_sensing_radius, sensing_success_coop
 from uavsense.simulator import run
-from uavsense.trajectory import drain_leg
+from uavsense.trajectory import _ROOT_SLACK_M, drain_leg
 
 
 class TestInitialSolution:
@@ -68,40 +70,129 @@ class TestInitialSolution:
     def test_initial_legs_are_rated_only_where_they_send(self, monkeypatch):
         # a slow initial leg rates the points up to where its all-granted
         # upload fits, and the simulator those it sums in granted slots; the
-        # drain legs' gradient walks are counted apart
+        # drain legs' gradient walks and the start's altitude grid are
+        # counted apart
         import sys
 
         import uavsense.channel as channel
         import uavsense.itsso as itsso
 
         real_rate_at = channel.rate_at
-        calls = {"legs": 0, "drain": 0}
+        calls = {"legs": 0, "drain": 0, "start": 0}
         where = ["legs"]
 
         def counted(*args):
             calls[where[0]] += 1
             return real_rate_at(*args)
 
-        def drain_counted(*args, **kwargs):
-            where[0] = "drain"
-            try:
-                return drain_leg(*args, **kwargs)
-            finally:
-                where[0] = "legs"
+        def counted_apart(key, fn):
+            def wrapped(*args, **kwargs):
+                where[0] = key
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where[0] = "legs"
+            return wrapped
 
         for name, module in list(sys.modules.items()):
             if (name.startswith("uavsense.") and module is not channel
                     and getattr(module, "rate_at", None) is real_rate_at):
                 monkeypatch.setattr(module, "rate_at", counted)
-        monkeypatch.setattr(itsso, "drain_leg", drain_counted)
+        monkeypatch.setattr(itsso, "drain_leg", counted_apart("drain", drain_leg))
+        monkeypatch.setattr(itsso, "rate_max_locations",
+                            counted_apart("start", itsso.rate_max_locations))
         sc = generate_scenario(ScenarioConfig(seed=0))
         sol = initial_solution(sc, ItssoConfig(rng_seed=_ITSSO_SEED_OFFSET))
         granted = sum(len(g) for g in sol.outcome.grants)
         legs = sum(p.n_tasks for p in sol.plans)
         waypoints = sum(leg.slots for p in sol.plans for leg in p.legs)
         assert calls["drain"] > 0
+        assert calls["start"] == 41 * len(sc.tasks)
         assert calls["legs"] <= granted + 2 * legs
         assert waypoints > 4 * (granted + 2 * legs)  # rating them all would fail
+
+
+class TestRateMaxStart:
+    """Without pinned locations every worker starts right above its task at
+    the altitude of the task's largest rate, on a 41-point grid from h_min to
+    just inside the group's symmetric radius."""
+
+    CONFIGS = [
+        ScenarioConfig(seed=7_180_100),
+        ScenarioConfig(m=10, n=10, k=2, seed=7_180_101),
+        ScenarioConfig(m=8, n=8, q=2, seed=7_180_102),
+        ScenarioConfig(m=5, n=5, q=1, seed=7_180_103, sensing=SensingParams(0.01, 0.5)),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["table", "crowded", "q2", "q1"])
+    def test_overhead_below_the_radius_and_feasible(self, cfg):
+        sc = generate_scenario(cfg)
+        h_min = sc.kinematics.h_min
+        locs = rate_max_locations(sc)
+        assert locs.keys() == overhead_locations(sc, h_min).keys()
+        for (uav, idx), loc in locs.items():
+            task = sc.tasks[sc.routes[uav][idx]]
+            radius = required_sensing_radius(len(task.workers), sc.sensing)
+            assert (loc.x, loc.y) == (task.location.x, task.location.y)
+            assert h_min <= loc.z < radius
+        _check_feasible(sc, locs)
+        assert any(loc.z > h_min for loc in locs.values())
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["table", "crowded", "q2", "q1"])
+    def test_each_altitude_is_the_grid_argmax(self, cfg):
+        sc = generate_scenario(cfg)
+        h_min = sc.kinematics.h_min
+        locs = rate_max_locations(sc)
+        for task in sc.tasks.values():
+            radius = required_sensing_radius(len(task.workers), sc.sensing)
+            grid = np.linspace(h_min, radius - _ROOT_SLACK_M, 41)
+            x, y = task.location.x, task.location.y
+            rates = [rate_at(x, y, float(z), sc.channel) for z in grid]
+            best = grid[rates.index(max(rates))]
+            heights = {locs[(uav, sc.routes[uav].index(task.id))].z for uav in task.workers}
+            assert len(heights) == 1
+            assert heights.pop() == pytest.approx(best, abs=1e-9)
+
+    def test_a_tie_goes_to_the_lowest_altitude(self, monkeypatch):
+        import uavsense.itsso as itsso
+
+        monkeypatch.setattr(itsso, "rate_at", lambda x, y, z, cp: 1.0)
+        sc = generate_scenario(self.CONFIGS[1])
+        assert {loc.z for loc in rate_max_locations(sc).values()} == {sc.kinematics.h_min}
+
+    def test_an_infeasible_scenario_raises_before_the_start_is_rated(self, monkeypatch):
+        import uavsense.itsso as itsso
+
+        def unrated(scenario):
+            raise AssertionError("the start was rated")
+
+        monkeypatch.setattr(itsso, "rate_max_locations", unrated)
+        cfg = ScenarioConfig(m=4, n=4, q=1, k=4, seed=2,
+                             sensing=SensingParams(0.01, 1 - 1e-6))
+        with pytest.raises(InfeasibleScenario, match="best-case sensing probability"):
+            initial_solution(generate_scenario(cfg), ItssoConfig(rng_seed=0))
+
+    def test_the_start_is_used_without_pinned_locations(self):
+        sc = generate_scenario(self.CONFIGS[1])
+        locs = rate_max_locations(sc)
+        sol = initial_solution(sc, ItssoConfig(rng_seed=0))
+        for p in sol.plans:
+            assert p.sensing_locations == [locs[(p.uav, i)] for i in range(p.n_tasks)]
+
+    @pytest.mark.parametrize("overrides,n", [
+        (dict(m=10, n=10, k=2), 60),
+        (dict(k=4), 12),
+    ], ids=["crowded", "table-k4"])
+    def test_itsso_is_at_or_below_fsl_where_subcarriers_are_scarce(self, overrides, n):
+        # FSL is ITSSO with every location pinned overhead at 50 m: over
+        # paired seeds ITSSO must not lose to it
+        totals = {"itsso": 0, "fsl": 0}
+        for seed in range(7_180_000, 7_180_000 + n):
+            for scheme in totals:
+                sc = generate_scenario(ScenarioConfig(seed=seed, scheme=scheme, **overrides))
+                totals[scheme] += run_scheme(
+                    sc, ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET)).t_max
+        assert totals["itsso"] <= totals["fsl"]
 
 
 class TestRunItsso:
@@ -206,14 +297,14 @@ class TestCollectorPause:
 
 
 class TestCrowdedPins:
-    """Crowded geometry (M=10, N=10, K=2): objective histories recorded before
-    the leg planners shared gradient walks and line rates.  Cached planning
-    is bit-identical to cold planning, so these must not move."""
+    """Crowded geometry (M=10, N=10, K=2): objective histories recorded
+    from the rate-max start.  Cached planning is bit-identical to cold
+    planning, so a speed change must not move these."""
 
     @pytest.mark.parametrize("seed,history", [
-        (1, [273, 75, 63]),
-        (2, [229, 72, 59, 58, 57]),
-        (3, [265, 72, 60]),
+        (1, [273, 56, 54]),
+        (2, [227, 54, 48]),
+        (3, [264, 54, 52]),
     ])
     def test_t_max(self, seed, history):
         sc = generate_scenario(ScenarioConfig(m=10, n=10, k=2, seed=seed))
@@ -224,13 +315,14 @@ class TestCrowdedPins:
 
 class TestTablePins:
     """Table point (M=20, N=20, K=10), ITSSO and FSL: objective histories
-    recorded before projections became on-demand and placement stopped
-    computing unread leg bounds.  Neither may move a schedule."""
+    recorded from the rate-max start (FSL's before projections became
+    on-demand and placement stopped computing unread leg bounds).  A speed
+    change must not move a schedule."""
 
     @pytest.mark.parametrize("scheme,seed,history", [
-        ("itsso", 1, [292, 33, 30]),
-        ("itsso", 2, [278, 31, 30, 29]),
-        ("itsso", 3, [313, 34, 32, 31]),
+        ("itsso", 1, [291, 30]),
+        ("itsso", 2, [278, 30]),
+        ("itsso", 3, [312, 32]),
         ("fsl", 1, [291, 37]),
         ("fsl", 2, [278, 36]),
         ("fsl", 3, [312, 38]),

@@ -33,7 +33,6 @@ from uavsense.sensing import (
     Task,
     required_sensing_radius,
     sensing_success_coop,
-    sensing_success_single,
 )
 from uavsense.simulator import UavPlan, run
 from uavsense.trajectory import (
@@ -465,7 +464,7 @@ class TestLocalSearch:
         for p in sol.plans:
             for idx, tid in enumerate(p.task_ids):
                 d = p.sensing_locations[idx].dist(sc.tasks[tid].location)
-                assert sensing_success_single(d, SP) >= SP.pr_th - 1e-9
+                assert sensing_success_coop([d], SP) >= SP.pr_th - 1e-9
                 assert d <= d_max + 1e-6
 
     def test_all_at_lower_bound_unchanged(self):

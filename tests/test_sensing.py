@@ -12,27 +12,28 @@ from uavsense.sensing import (
     min_cooperative_uavs,
     required_sensing_radius,
     sensing_success_coop,
-    sensing_success_single,
 )
 
 SP = SensingParams()  # lam=0.01, pr_th=0.9
 
 
 class TestSingle:
+    """A group of one senses with probability exp(-lam * d)."""
+
     def test_zero_distance(self):
-        assert sensing_success_single(0.0, SP) == 1.0
+        assert sensing_success_coop([0.0], SP) == 1.0
 
     def test_e_minus_one(self):
-        assert sensing_success_single(100.0, SP) == pytest.approx(
+        assert sensing_success_coop([100.0], SP) == pytest.approx(
             0.36787944117144233, rel=1e-12)
 
     def test_inverted_point(self):
         # -ln(0.1)/0.01 = 230.2585...
-        assert sensing_success_single(230.2585, SP) == pytest.approx(0.1, abs=1e-7)
+        assert sensing_success_coop([230.2585], SP) == pytest.approx(0.1, abs=1e-7)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            sensing_success_single(-1.0, SP)
+            sensing_success_coop([-1.0], SP)
 
 
 class TestCoop:
@@ -45,7 +46,7 @@ class TestCoop:
 
     def test_single_element_matches_single(self):
         assert sensing_success_coop([42.0], SP) == pytest.approx(
-            sensing_success_single(42.0, SP), rel=1e-15)
+            math.exp(-SP.lam * 42.0), rel=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -383,16 +383,21 @@ class TestTraceIo:
         back = read_trace(path)
         assert back == out.trace
 
-    @pytest.mark.parametrize("text, line", [
-        ("", 1),
-        ("slot,uav\n", 1),
-        (",".join(simulator._TRACE_HEADER) + "\n1,0,sensing,0,0,40,0,0.0,2e7\n1,0,empty\n", 3),
-        (",".join(simulator._TRACE_HEADER) + "\n1,0,sensing,0,0,40,0,0.0,2e7,9\n", 2),
-    ], ids=["empty", "header", "short-row", "long-row"])
-    def test_a_malformed_file_raises_naming_the_line(self, tmp_path, text, line):
+    @pytest.mark.parametrize("text, line, what", [
+        ("", 1, "expected"),
+        ("slot,uav\n", 1, "expected"),
+        (",".join(simulator._TRACE_HEADER) + "\n1,0,sensing,0,0,40,0,0.0,2e7\n1,0,empty\n", 3,
+         "expected"),
+        (",".join(simulator._TRACE_HEADER) + "\n1,0,sensing,0,0,40,0,0.0,2e7,9\n", 2, "expected"),
+        (",".join(simulator._TRACE_HEADER) + "\n1,0,sensing,0,0,40,0,0.0,2e7\n"
+         "one,0,sensing,0,0,40,0,0.0,2e7\n", 3, "invalid literal for int"),
+        (",".join(simulator._TRACE_HEADER) + "\n2,0,sensing,0,0,high,0,0.0,2e7\n", 2,
+         "could not convert string to float"),
+    ], ids=["empty", "header", "short-row", "long-row", "unparsed-slot", "unparsed-altitude"])
+    def test_a_malformed_file_raises_naming_the_line(self, tmp_path, text, line, what):
         path = tmp_path / "trace.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"line {line}: expected"):
+        with pytest.raises(ValueError, match=f"trace.csv: line {line}: {what}"):
             read_trace(path)
 
 
@@ -533,10 +538,17 @@ class TestIdleUavsSleep:
         # every UAV sleeps through its first leg from slot 0, so the slots
         # before the first sensing slot are skipped whole, each logged as the
         # shared empty set; the traced run steps them to the same logs
-        sc, plans = _final_plans(ScenarioConfig(seed=7_150_004))
-        fast = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics,
-                   record_trace=False)
-        slow = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel, sc.kinematics)
+        tasks = {0: Task(0, Position3(400, 0, 0), 20e6, (0,)),
+                 1: Task(1, Position3(0, 400, 0), 20e6, (1,)),
+                 2: Task(2, Position3(300, 300, 0), 20e6, (0, 1))}
+        plans = [
+            make_plan(0, Position3(0, 0, 40), [Position3(400, 0, 15), Position3(300, 290, 20)],
+                      [0, 2], tasks),
+            make_plan(1, Position3(50, 0, 40), [Position3(0, 400, 15), Position3(290, 300, 20)],
+                      [1, 2], tasks),
+        ]
+        fast = run(plans, GreedyScheduler(1), tasks, CP, KIN, record_trace=False)
+        slow = run(plans, GreedyScheduler(1), tasks, CP, KIN)
         first = min(p.legs[0].slots for p in plans if p.n_tasks)
         assert first >= 2
         skipped = [t for t, req in enumerate(fast.requests, 1) if req is simulator._NOTHING]
@@ -590,4 +602,4 @@ class TestProjectionRelation:
                         below += est < done
                         equal += est == done
                         above += est > done
-        assert (below, equal, above) == (0, 2035, 1370)
+        assert (below, equal, above) == (0, 1968, 1157)
