@@ -34,7 +34,7 @@ from .itsso import (
     ItssoConfig,
     Solution,
     _check_feasible,
-    overhead_locations,
+    _pinned_height,
     run_itsso,
 )
 from .sensing import SensingParams, Task, min_cooperative_uavs
@@ -60,6 +60,7 @@ SCHEMES = ("itsso", "nc", "fsl")
 
 _ITSSO_SEED_OFFSET = 1_000_003  # decouples the schedule RNG from scenario draws
 _FIG8_Q_CAP = 16  # largest group size fig8 probes
+_FIG8_INSTANCE_CAP = 10  # fig8 rows per exponent and column, at most
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,8 @@ def nc_config(base: ScenarioConfig) -> ScenarioConfig:
     return replace(base, m=m, q=1, scheme="nc")
 
 
-def run_scheme(scenario: Scenario, cfg: ItssoConfig | None = None,
-               record_trace: bool = False) -> Solution:
-    """Run the scenario's scheme.  FSL pins every worker right above its
-    task at ``fsl_height``: no placement search, the probability constraint
-    waived."""
-    config = scenario.config
-    fixed = overhead_locations(scenario, config.fsl_height) if config.scheme == "fsl" else None
-    return run_itsso(scenario, cfg, fixed_locations=fixed, record_trace=record_trace)
+# every scheme runs through ITSSO, which reads FSL's pin from the scenario
+run_scheme = run_itsso
 
 
 def audit_solution(scenario: Scenario, solution: Solution) -> list[str]:
@@ -259,10 +254,10 @@ def audit_solution(scenario: Scenario, solution: Solution) -> list[str]:
 def audit_rows(scenario: Scenario, rows: Sequence[TraceRow],
                completion_times: Mapping[int, int] | None = None) -> list[str]:
     """Independent constraint audit of trace rows made from ``scenario``.
-    FSL senses from a fixed height, so its sensing threshold is not checked."""
+    FSL senses from a pinned height, so its sensing threshold is not checked."""
     return audit_trace(rows, scenario.uav_starts, scenario.routes, scenario.tasks,
                        scenario.channel, scenario.kinematics, scenario.sensing, scenario.k,
-                       check_sensing_prob=(scenario.config.scheme != "fsl"),
+                       check_sensing_prob=_pinned_height(scenario) is None,
                        completion_times=completion_times)
 
 
@@ -332,7 +327,9 @@ _EXPERIMENTS: dict[str, tuple[str, Optional[Callable]]] = {
              "nc: q=1, m=round(20/8)=3 with near-equal loads 7/7/6", _fig7_points),
     "fig8": ("minimum group size vs threshold 1-10^-x, x=1..6; simulated = smallest q "
              "whose best placement (directly above the task at h_min) is feasible in "
-             "the pipeline; theoretical = closed-form ceiling with d0 = h_min", None),
+             "the pipeline; theoretical = closed-form ceiling with d0 = h_min; both "
+             "columns depend only on h_min, lambda and pr_th, so each exponent repeats "
+             f"one value over min(instances, {_FIG8_INSTANCE_CAP}) instances", None),
     "fig9": ("subcarrier sweep K=1..10 at R_s in {10,20,30,40} Mbit; m=20,q=4,n=20; "
              "one scheme label per payload level", _fig9_points),
 }
@@ -355,7 +352,7 @@ def _min_q_simulated(base: ScenarioConfig) -> int:
     for q in range(1, _FIG8_Q_CAP + 1):
         scenario = generate_scenario(replace(base, m=q, n=1, q=q, scheme="itsso"))
         try:
-            _check_feasible(scenario, overhead_locations(scenario, base.kinematics.h_min))
+            _check_feasible(scenario)
             return q
         except InfeasibleScenario:
             continue
@@ -368,9 +365,9 @@ def _run_fig8(base: ScenarioConfig, instances: int, seed: int):
     for exponent in range(1, 7):
         sensing = SensingParams(lam=base.sensing.lam, pr_th=1.0 - 10.0 ** (-exponent))
         theoretical = float(min_cooperative_uavs(base.kinematics.h_min, sensing))
-        for idx in range(min(instances, 10)):
-            cfg = replace(base, seed=seed + idx, sensing=sensing)
-            raw.append(("simulated", float(exponent), idx, float(_min_q_simulated(cfg))))
+        simulated = float(_min_q_simulated(replace(base, seed=seed, sensing=sensing)))
+        for idx in range(min(instances, _FIG8_INSTANCE_CAP)):
+            raw.append(("simulated", float(exponent), idx, simulated))
             raw.append(("theoretical", float(exponent), idx, theoretical))
     return raw
 

@@ -8,9 +8,11 @@ every leg at full speed against the grants observed in the previous run
 (``placement.replan_plans``, with the per-leg re-plan that the sensing
 location search's moves use), locally optimize the sensing locations, and
 let the greedy per-slot scheduler resolve the new contention inside the
-simulator.  The simulator
-is the single source of truth for the objective; a candidate iterate that
-fails to improve it terminates the loop and the best solution seen wins.
+simulator.  The scenario's scheme decides the rest: FSL pins every worker
+right above its task at ``fsl_height`` and skips the location search
+(``_pinned_height``).  The simulator is the single source of truth for the
+objective; a candidate iterate that fails to improve it terminates the loop
+and the best solution seen wins.
 
 Every iterate is simulated without a slot trace.  When a trace is asked
 for, it is recorded once, for the returned iterate only, by replaying its
@@ -59,25 +61,40 @@ class Solution:
 
     plans: list[UavPlan]
     outcome: SimOutcome
-    t_max: int
     history: list[int]  # objective of each accepted iterate (initial first)
     candidate_history: list[int]  # every simulated candidate, accepted or not
-    iterations: int
     placement_passes: int = 0
+
+    @property
+    def t_max(self) -> int:
+        return self.outcome.t_max
+
+    @property
+    def iterations(self) -> int:
+        """Candidates simulated after the initial iterate."""
+        return len(self.candidate_history) - 1
 
 
 class InfeasibleScenario(RuntimeError):
     """No sensing placement can meet the probability threshold."""
 
 
-def _check_feasible(scenario, locations) -> None:
+def _pinned_height(scenario) -> float | None:
+    """FSL's rule, read from the scenario: the altitude at which every
+    worker senses right above its task, with no sensing-location search and
+    the probability threshold waived; None for the searched schemes."""
+    config = scenario.config
+    return config.fsl_height if config.scheme == "fsl" else None
+
+
+def _check_feasible(scenario) -> None:
+    """Raise ``InfeasibleScenario`` unless every group meets its threshold
+    with all its workers right above the task at ``h_min``, the best case."""
     sp: SensingParams = scenario.sensing
+    h_min = scenario.kinematics.h_min
     for task in scenario.tasks.values():
-        dists = []
-        for m in task.workers:
-            idx = scenario.routes[m].index(task.id)
-            dists.append(locations[(m, idx)].dist(task.location))
-        prob = sensing_success_coop(dists, sp)
+        dist = Position3(task.location.x, task.location.y, h_min).dist(task.location)
+        prob = sensing_success_coop([dist] * len(task.workers), sp)
         if prob < sp.pr_th:
             raise InfeasibleScenario(
                 f"task {task.id}: best-case sensing probability {prob:.6f} "
@@ -85,12 +102,18 @@ def _check_feasible(scenario, locations) -> None:
             )
 
 
+def _above_tasks(scenario, heights: Mapping[int, float]) -> dict[tuple[int, int], Position3]:
+    """Every worker right above its task at the task's height, keyed by
+    (UAV, route index)."""
+    tasks = scenario.tasks
+    return {(uav, idx): Position3(tasks[tid].location.x, tasks[tid].location.y, heights[tid])
+            for uav, route in scenario.routes.items() for idx, tid in enumerate(route)}
+
+
 def overhead_locations(scenario, height: float) -> dict[tuple[int, int], Position3]:
     """Every worker right above its task at ``height``, keyed by (UAV,
     route index)."""
-    tasks = scenario.tasks
-    return {(uav, idx): Position3(tasks[tid].location.x, tasks[tid].location.y, height)
-            for uav, route in scenario.routes.items() for idx, tid in enumerate(route)}
+    return _above_tasks(scenario, dict.fromkeys(scenario.tasks, height))
 
 
 def rate_max_locations(scenario) -> dict[tuple[int, int], Position3]:
@@ -110,9 +133,7 @@ def rate_max_locations(scenario) -> dict[tuple[int, int], Position3]:
         x, y = task.location.x, task.location.y
         height[task.id] = max((h_min + i * step for i in range(_START_GRID)),
                               key=lambda z: rate_at(x, y, z, cp))
-    tasks = scenario.tasks
-    return {(uav, idx): Position3(tasks[tid].location.x, tasks[tid].location.y, height[tid])
-            for uav, route in scenario.routes.items() for idx, tid in enumerate(route)}
+    return _above_tasks(scenario, height)
 
 
 def _build_plans(
@@ -155,52 +176,39 @@ def masks_from_outcome(outcome: SimOutcome) -> dict[int, list[bool]]:
     return masks
 
 
-def initial_solution(
-    scenario,
-    cfg: ItssoConfig,
-    locations: Mapping[tuple[int, int], Position3] | None = None,
-    cache: LegCache | None = None,
-) -> Solution:
+def initial_solution(scenario, cfg: ItssoConfig, cache: LegCache | None = None) -> Solution:
     """Feasible slow-speed starting point with a seeded random schedule.
 
-    Without ``locations`` a scenario whose threshold no placement can meet,
-    not even every worker right above its task at ``h_min``, raises
+    FSL pins every worker right above its task at ``fsl_height``
+    (``_pinned_height``), and its threshold is not checked.  In the other
+    schemes a scenario whose threshold no placement can meet, not even
+    every worker right above its task at ``h_min``, raises
     ``InfeasibleScenario``; otherwise every worker senses from right above
     its task at the altitude of the task's best rate
-    (``rate_max_locations``).  Pinned ``locations`` are taken as given: the
-    threshold is not checked against them.  ``cache`` shares the drain
-    legs' gradient walks with the caller's later plans, whose drains start
-    from the same last sensing locations.
+    (``rate_max_locations``).  ``cache`` shares the drain legs' gradient
+    walks with the caller's later plans, whose drains start from the same
+    last sensing locations.
     """
-    if locations is None:
-        _check_feasible(scenario, overhead_locations(scenario, scenario.kinematics.h_min))
+    height = _pinned_height(scenario)
+    if height is None:
+        _check_feasible(scenario)
         locations = rate_max_locations(scenario)
+    else:
+        locations = overhead_locations(scenario, height)
     plans = _build_plans(scenario, locations, cache)
     outcome = run(
         plans, RandomScheduler(scenario.k, cfg.rng_seed), scenario.tasks,
         scenario.channel, scenario.kinematics, record_trace=False,
     )
-    return Solution(
-        plans=plans,
-        outcome=outcome,
-        t_max=outcome.t_max,
-        history=[outcome.t_max],
-        candidate_history=[outcome.t_max],
-        iterations=0,
-    )
+    return Solution(plans, outcome, [outcome.t_max], [outcome.t_max])
 
 
-def run_itsso(
-    scenario,
-    cfg: ItssoConfig | None = None,
-    fixed_locations: Mapping[tuple[int, int], Position3] | None = None,
-    record_trace: bool = False,
-) -> Solution:
+def run_itsso(scenario, cfg: ItssoConfig | None = None,
+              record_trace: bool = False) -> Solution:
     """Full optimization loop; see the module docstring.
 
-    ``fixed_locations`` realizes schemes that pin sensing locations: they
-    are never moved by the sensing-location search and never checked
-    against the probability threshold.  One ``LegCache`` serves every leg
+    FSL's pinned locations (``_pinned_height``) are never moved: its runs
+    skip the sensing-location search.  One ``LegCache`` serves every leg
     planned in this call, the initial iterate's drains included, and is
     dropped with it.
 
@@ -220,16 +228,17 @@ def run_itsso(
     try:
         cfg = cfg or ItssoConfig()
         cache = LegCache(scenario.channel, scenario.kinematics)
-        init = initial_solution(scenario, cfg, locations=fixed_locations, cache=cache)
+        search = _pinned_height(scenario) is None
+        init = initial_solution(scenario, cfg, cache=cache)
         plans, outcome = init.plans, init.outcome
         history = [outcome.t_max]
         candidates = [outcome.t_max]
         passes = 0
-        for iterations in range(1, _MAX_ITERATIONS + 1):
+        for _ in range(_MAX_ITERATIONS):
             masks = masks_from_outcome(outcome)
             candidate = replan_plans(plans, scenario.tasks, scenario.channel,
                                      scenario.kinematics, masks, cache)
-            if fixed_locations is None:
+            if search:
                 assignment = optimize_sensing_locations(
                     candidate, scenario.tasks, scenario.channel, scenario.kinematics,
                     scenario.sensing, masks, cache=cache,
@@ -247,15 +256,7 @@ def run_itsso(
             history.append(outcome.t_max)
         if record_trace:
             outcome = replay(plans, outcome.grants, scenario)
-        return Solution(
-            plans=plans,
-            outcome=outcome,
-            t_max=outcome.t_max,
-            history=history,
-            candidate_history=candidates,
-            iterations=iterations,
-            placement_passes=passes,
-        )
+        return Solution(plans, outcome, history, candidates, passes)
     finally:
         if enabled:
             gc.enable()

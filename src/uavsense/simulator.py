@@ -32,8 +32,9 @@ Only what a run reads is worked out:
   to a sensing location skips the empty slots left on that leg and is
   back in the slot loop to sense; a slot in which every UAV sleeps is
   skipped whole.  A traced run steps every UAV in every slot, since each
-  slot needs a row; ``itsso.run_itsso`` checks on every traced run that
-  its stepped replay matches the untraced run.
+  slot needs a row; a traced ITSSO run is a stepped replay of the
+  untraced run's grants, and ``itsso.replay`` raises if its grants differ
+  from them.
 """
 
 from __future__ import annotations

@@ -183,7 +183,7 @@ class TestSchemes:
     def test_audit_flags_a_tampered_objective(self):
         sc = generate_scenario(ScenarioConfig(seed=2, scheme="fsl"))
         sol = run_scheme(sc, ItssoConfig(rng_seed=2), record_trace=True)
-        sol.t_max -= 1
+        sol.outcome.t_max -= 1
         assert audit_solution(sc, sol) == [
             f"trace ends at slot {sol.t_max + 1} but the solution claims t_max {sol.t_max}"]
 
@@ -244,6 +244,16 @@ class TestExperiments:
         assert sim[1.0] == 1 and sim[6.0] == 6
         for x in sim:
             assert abs(sim[x] - theo[x]) <= 1
+
+    def test_fig8_names_its_instance_cap(self, tmp_path):
+        # both columns depend only on h_min, lambda and pr_th: fig8 runs at
+        # most 10 instances per exponent, and its manifest says so
+        res = run_experiment("fig8", instances=12, seed=60, out_dir=tmp_path)
+        assert {n for *_, n in res.rows} == {10}
+        assert {std for *_, std, _ in res.rows} == {0.0}
+        manifest = (tmp_path / "fig8_manifest.txt").read_text(encoding="utf-8")
+        assert "min(instances, 10) instances" in manifest
+        assert "depend only on h_min, lambda and pr_th" in manifest
 
     def test_negative_workers_refused(self):
         # a negative pool size used to run inline without a word

@@ -108,6 +108,29 @@ def test_removed_members_are_gone():
     assert "q_cap" not in inspect.signature(bench._min_q_simulated).parameters
     assert not hasattr(ExperimentResult, "raw_values")
     assert not hasattr(bench, "initial_solution")
+    # the scenario decides FSL's pin (itsso._pinned_height); nothing passes it
+    assert "fixed_locations" not in inspect.signature(itsso.run_itsso).parameters
+    assert "locations" not in inspect.signature(itsso.initial_solution).parameters
+    assert list(inspect.signature(itsso._check_feasible).parameters) == ["scenario"]
+    assert bench.run_scheme is itsso.run_itsso
+    # a solution states its objective and its iteration count once
+    solution_fields = {f.name for f in dataclasses.fields(itsso.Solution)}
+    assert not solution_fields & {"t_max", "iterations"}
+
+
+def test_one_function_reads_fsls_rule():
+    # a comparison with the scheme name "fsl" happens only where the pin is
+    # decided, itsso._pinned_height
+    where = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"uavsense.{name}")))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where += [f"{name}.{fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Compare)
+                          and any(isinstance(c, ast.Constant) and c.value == "fsl"
+                                  for c in [node.left, *node.comparators])]
+    assert where == ["itsso._pinned_height"]
 
 
 @pytest.mark.parametrize("name", MODULES)

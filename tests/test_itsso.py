@@ -52,6 +52,7 @@ class TestInitialSolution:
                 idx = sc.routes[uav].index(task.id)
                 dists.append(locs[(uav, idx)].dist(task.location))
             assert sensing_success_coop(dists, sc.sensing) >= sc.sensing.pr_th
+        _check_feasible(sc)  # the same best case, read from the scenario
 
     def test_infeasible_scenario_raises(self):
         cfg = ScenarioConfig(m=4, n=4, q=1, k=4, seed=2,
@@ -113,9 +114,9 @@ class TestInitialSolution:
 
 
 class TestRateMaxStart:
-    """Without pinned locations every worker starts right above its task at
-    the altitude of the task's largest rate, on a 41-point grid from h_min to
-    just inside the group's symmetric radius."""
+    """Outside FSL every worker starts right above its task at the altitude
+    of the task's largest rate, on a 41-point grid from h_min to just inside
+    the group's symmetric radius."""
 
     CONFIGS = [
         ScenarioConfig(seed=7_180_100),
@@ -135,7 +136,10 @@ class TestRateMaxStart:
             radius = required_sensing_radius(len(task.workers), sc.sensing)
             assert (loc.x, loc.y) == (task.location.x, task.location.y)
             assert h_min <= loc.z < radius
-        _check_feasible(sc, locs)
+        for task in sc.tasks.values():
+            dists = [locs[(uav, sc.routes[uav].index(task.id))].dist(task.location)
+                     for uav in task.workers]
+            assert sensing_success_coop(dists, sc.sensing) >= sc.sensing.pr_th
         assert any(loc.z > h_min for loc in locs.values())
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["table", "crowded", "q2", "q1"])
@@ -334,6 +338,25 @@ class TestTablePins:
         assert sol.history == history
 
 
+class TestFslPinsItself:
+    """An FSL scenario runs as FSL through ``run_itsso`` itself: every
+    worker pinned right above its task at ``fsl_height`` and no location
+    search, with ``TestTablePins``' FSL histories."""
+
+    @pytest.mark.parametrize("seed,history", [(1, [291, 37]), (2, [278, 36]), (3, [312, 38])])
+    def test_run_itsso_reads_the_scheme(self, seed, history):
+        sc = generate_scenario(ScenarioConfig(seed=seed, scheme="fsl"))
+        cfg = ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET)
+        init = initial_solution(sc, cfg)
+        assert {loc for p in init.plans for loc in p.sensing_locations} == {
+            Position3(t.location.x, t.location.y, sc.config.fsl_height)
+            for t in sc.tasks.values()}
+        sol = run_itsso(sc, cfg)
+        assert sol.history == history
+        assert sol.placement_passes == 0
+        assert {loc.z for p in sol.plans for loc in p.sensing_locations} == {50.0}
+
+
 class TestTraceReplay:
     """Iterates run untraced; a traced run records the returned iterate once,
     by replaying its plans under its own grant schedule."""
@@ -413,23 +436,61 @@ def _small_config(draw):
     return nc_config(config) if scheme == "nc" else dc_replace(config, scheme=scheme)
 
 
+def _check_a_run(sc):
+    """A run audits clean, replays its dump bit-identically, strictly
+    improves on every accepted iterate, and traced is untraced plus replay."""
+    cfg = ItssoConfig(rng_seed=sc.config.seed + _ITSSO_SEED_OFFSET)
+    traced = run_scheme(sc, cfg, record_trace=True)
+    assert audit_solution(sc, traced) == []
+    plans, schedule = solution_from_json(solution_to_json(traced))
+    out = replay(plans, schedule, sc)
+    assert (out.grants, out.t_max, out.trace) == \
+        (traced.outcome.grants, traced.t_max, traced.outcome.trace)
+    assert all(a > b for a, b in zip(traced.history, traced.history[1:]))
+    # the traced solution is the untraced one plus its trace
+    plain = run_scheme(sc, cfg, record_trace=False)
+    assert plain.outcome.trace is None
+    assert dc_replace(traced, outcome=dc_replace(traced.outcome, trace=None)) == plain
+
+
 class TestSmallScenarioProperties:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(config=_small_config())
     def test_a_run_audits_clean_replays_its_dump_and_converges(self, config):
+        _check_a_run(generate_scenario(config))
+
+
+def _coincident_tasks(sc):
+    """Every task moved onto the first task's spot."""
+    spot = sc.tasks[0].location
+    for tid, task in sc.tasks.items():
+        sc.tasks[tid] = dc_replace(task, location=spot)
+
+
+def _a_uav_starts_on_the_bs(sc):
+    sc.uav_starts[0] = sc.channel.bs_position
+
+
+def _a_task_under_the_bs(sc):
+    sc.tasks[0] = dc_replace(sc.tasks[0], location=Position3(0.0, 0.0, 0.0))
+
+
+class TestEdgeScenarios:
+    """Geometry the generator draws with probability zero, under the four
+    checks of ``TestSmallScenarioProperties``: M=N=4, q=2, K=1 (nc: its
+    q=1 variant), every scheme."""
+
+    @pytest.mark.parametrize("edit", [_coincident_tasks, _a_uav_starts_on_the_bs,
+                                      _a_task_under_the_bs],
+                             ids=["coincident-tasks", "uav-on-the-bs", "task-under-the-bs"])
+    @pytest.mark.parametrize("scheme", ["itsso", "nc", "fsl"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_run_audits_clean_replays_its_dump_and_converges(self, edit, scheme, seed):
+        config = ScenarioConfig(m=4, n=4, q=2, k=1, seed=seed)
+        config = nc_config(config) if scheme == "nc" else dc_replace(config, scheme=scheme)
         sc = generate_scenario(config)
-        cfg = ItssoConfig(rng_seed=config.seed + _ITSSO_SEED_OFFSET)
-        traced = run_scheme(sc, cfg, record_trace=True)
-        assert audit_solution(sc, traced) == []
-        plans, schedule = solution_from_json(solution_to_json(traced))
-        out = replay(plans, schedule, sc)
-        assert (out.grants, out.t_max, out.trace) == \
-            (traced.outcome.grants, traced.t_max, traced.outcome.trace)
-        assert all(a > b for a, b in zip(traced.history, traced.history[1:]))
-        # the traced solution is the untraced one plus its trace
-        plain = run_scheme(sc, cfg, record_trace=False)
-        assert plain.outcome.trace is None
-        assert dc_replace(traced, outcome=dc_replace(traced.outcome, trace=None)) == plain
+        edit(sc)
+        _check_a_run(sc)
 
 
 class TestExportReplay:

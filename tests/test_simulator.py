@@ -450,12 +450,9 @@ class TestPlanTimeline:
 def _initial_plans(sc):
     """The initial plans of a seeded scheme run (``fsl`` pins its locations)."""
     from uavsense.bench import _ITSSO_SEED_OFFSET
-    from uavsense.itsso import ItssoConfig, initial_solution, overhead_locations
+    from uavsense.itsso import ItssoConfig, initial_solution
 
-    cfg = sc.config
-    fixed = overhead_locations(sc, cfg.fsl_height) if cfg.scheme == "fsl" else None
-    icfg = ItssoConfig(rng_seed=cfg.seed + _ITSSO_SEED_OFFSET)
-    return initial_solution(sc, icfg, locations=fixed).plans
+    return initial_solution(sc, ItssoConfig(rng_seed=sc.config.seed + _ITSSO_SEED_OFFSET)).plans
 
 
 class TestIdleUavsSleep:
