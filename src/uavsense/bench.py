@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
@@ -180,42 +178,36 @@ def _deal_assignment(rng: np.random.Generator, n: int, q: int,
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:
-    """Deterministic instance for the config's seed."""
+    """Deterministic instance for the config's seed.  Its draws equal numpy's
+    ``uniform`` from 0, ``0.0 + high * u`` in C order: ``rng.random``'s
+    doubles are scaled here as plain floats."""
     rng = np.random.default_rng(config.seed)
     ax, ay, az = config.area
-    task_xy = rng.uniform((0.0, 0.0), (ax, ay), size=(config.n, 2))
-    start_xyz = rng.uniform((0.0, 0.0, 0.0), (ax, ay, az), size=(config.m, 3))
+    task_u = rng.random(2 * config.n).tolist()
+    start_u = rng.random(3 * config.m).tolist()
 
     if config.scheme == "nc":
         base, rem = divmod(config.n, config.m)
         sizes = [base + (1 if i < rem else 0) for i in range(config.m)]
     else:
         sizes = [config.n_per_uav] * config.m
-    buckets = _deal_assignment(rng, config.n, config.q, sizes)
+    routes = dict(enumerate(_deal_assignment(rng, config.n, config.q, sizes)))
 
+    # appended in UAV order, so each task's workers come out sorted
     workers: dict[int, list[int]] = {j: [] for j in range(config.n)}
-    routes: dict[int, list[int]] = {}
-    for uav, bucket in enumerate(buckets):
-        routes[uav] = list(bucket)
-        for tid in bucket:
+    for uav, route in routes.items():
+        for tid in route:
             workers[tid].append(uav)
 
+    new = tuple.__new__  # Position3(...) without its Python-level __new__
+    data_size, h_min = config.data_size, config.kinematics.h_min
     tasks = {
-        j: Task(
-            id=j,
-            location=Position3(float(task_xy[j, 0]), float(task_xy[j, 1]), 0.0),
-            data_size=config.data_size,
-            workers=tuple(sorted(workers[j])),
-        )
-        for j in range(config.n)
+        j: Task(j, new(Position3, (ax * u, ay * v, 0.0)), data_size, tuple(workers[j]))
+        for j, u, v in zip(range(config.n), task_u[0::2], task_u[1::2])
     }
-    h_min = config.kinematics.h_min
     starts = {
-        i: Position3(
-            float(start_xyz[i, 0]), float(start_xyz[i, 1]),
-            float(max(start_xyz[i, 2], h_min)),
-        )
-        for i in range(config.m)
+        i: new(Position3, (ax * u, ay * v, max(az * w, h_min)))
+        for i, u, v, w in zip(range(config.m), start_u[0::3], start_u[1::3], start_u[2::3])
     }
     return Scenario(config=config, uav_starts=starts, tasks=tasks, routes=routes)
 
@@ -405,6 +397,8 @@ def run_experiment(
                 for idx in range(instances):
                     jobs.append((label, x, idx, replace(cfg, seed=seed + idx)))
         if workers > 1:
+            import multiprocessing  # imported here: only a pooled sweep needs them
+            from concurrent.futures import ProcessPoolExecutor
             # spawned, not forked: numpy's BLAS pool makes this process threaded
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=multiprocessing.get_context("spawn")) as pool:

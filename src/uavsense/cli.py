@@ -17,6 +17,7 @@ from . import analysis, bench
 from .itsso import InfeasibleScenario, ItssoConfig, solution_to_json
 from .sensing import SensingParams, min_cooperative_uavs
 from .simulator import read_trace, write_trace
+from .trajectory import LegInfeasible
 
 
 def _config_from_args(args) -> bench.ScenarioConfig:
@@ -145,13 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Refused input (a bad value, an infeasible
-    scenario, a file argument that cannot be read or written) exits 2 with
-    one ``error:`` line, as argparse answers a bad option."""
+    scenario, a leg that cannot be planned, a file argument that cannot be
+    read or written) exits 2 with one ``error:`` line, as argparse answers a
+    bad option."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InfeasibleScenario) as exc:
+    except (ValueError, InfeasibleScenario, LegInfeasible) as exc:
         parser.error(str(exc))
     except OSError as exc:
         if exc.filename is None:

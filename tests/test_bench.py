@@ -1,13 +1,20 @@
 """Scenario generation, schemes, experiments, config ingestion and the CLI."""
 
+import concurrent.futures
 import csv
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uavsense
 from uavsense import bench
 from uavsense.bench import (
     EXPERIMENT_IDS,
@@ -147,6 +154,41 @@ class TestGeneration:
         dealt = [t for b in buckets for t in b]
         assert sorted(dealt) == sorted(list(range(5)) * 4)
 
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_draws_equal_numpys_uniform(self, seed):
+        # uniform's tuple bounds, drawn before the deal: tasks on the ground,
+        # then starts in the box with their altitudes floored at h_min
+        area = (300.0, 700.0, 60.0)
+        sc = generate_scenario(ScenarioConfig(m=10, n=20, q=2, area=area, seed=seed))
+        rng = np.random.default_rng(seed)
+        task_xy = rng.uniform((0.0, 0.0), area[:2], size=(20, 2)).tolist()
+        start_xyz = rng.uniform((0.0, 0.0, 0.0), area, size=(10, 3)).tolist()
+        assert [sc.tasks[j].location for j in range(20)] == [(x, y, 0.0) for x, y in task_xy]
+        assert [sc.uav_starts[i] for i in range(10)] == \
+            [(x, y, max(z, 10.0)) for x, y, z in start_xyz]
+
+    # sha256 over seeds 0-49 of each scenario's starts, tasks and routes,
+    # taken from the generator that converted numpy scalars one by one: it
+    # pins every draw, deal and conversion, and the types (a numpy scalar's
+    # repr differs from a float's)
+    @pytest.mark.parametrize("config, digest", [
+        (ScenarioConfig(), "df3dae50261153e1"),
+        (ScenarioConfig(m=10, n=10, k=2), "2738b5982bcb69fb"),
+        (ScenarioConfig(scheme="fsl"), "df3dae50261153e1"),
+        (nc_config(ScenarioConfig()), "49d0fd8577ca1af5"),
+        (ScenarioConfig(m=5, q=1), "49d0fd8577ca1af5"),
+        (ScenarioConfig(m=40, q=8), "8b7d2a6b45367e2e"),
+        (ScenarioConfig(area=(300.0, 700.0, 60.0)), "1b7f7d91af265e09"),
+        (ScenarioConfig(m=4, n=2, q=2), "87e628be778743fc"),
+    ], ids=["table", "crowded", "fsl", "nc", "q1", "q8", "area", "one-task-per-uav"])
+    def test_scenarios_are_pinned_bit_for_bit(self, config, digest):
+        h = hashlib.sha256()
+        for seed in range(50):
+            sc = generate_scenario(replace(config, seed=seed))
+            tasks = [(t.id, t.location, t.data_size, t.workers) for t in sc.tasks.values()]
+            h.update(repr((sc.uav_starts, tasks, sc.routes)).encode())
+        assert h.hexdigest()[:16] == digest
+
 
 class TestSchemes:
     def test_fsl_pins_altitude_and_skips_placement(self):
@@ -283,9 +325,21 @@ class TestExperiments:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        # bench imports the pool inside run_experiment, from its module
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         run_experiment("fig6", instances=1, seed=90, workers=2)
         assert [c.get_start_method() for c in contexts] == ["spawn"]
+
+    def test_the_pool_is_imported_only_for_a_pooled_sweep(self):
+        # a fresh interpreter: this one has imported them for the tests above
+        code = ("import sys, uavsense, uavsense.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        src = str(Path(uavsense.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_deterministic_rerun(self, tmp_path):
         a = run_experiment("fig4", instances=1, seed=70)
@@ -475,6 +529,19 @@ class TestCli:
         assert lines[-1].startswith("uavsense: error: ")
         assert sum("error:" in line for line in lines) == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scheme", ["itsso", "nc", "fsl"])
+    def test_a_leg_that_cannot_be_planned_exits_2_with_one_error_line(self, scheme, tmp_path,
+                                                                      capsys):
+        # 2e9 bits at K=1 outlast every leg's 100 extra slots
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("M = 4\nN = 4\nq = 2\nK = 1\ndata_size = 2e9\nseed = 0\n")
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["simulate", "--config", str(cfg), "--scheme", scheme])
+        assert exit_.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("uavsense: error: no feasible leg from ")
+        assert sum("error:" in line for line in lines) == 1
 
     @pytest.mark.parametrize("text, message", [
         ("", "line 1: expected"),

@@ -34,7 +34,7 @@ from uavsense.itsso import (
 from uavsense.scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
 from uavsense.sensing import SensingParams, required_sensing_radius, sensing_success_coop
 from uavsense.simulator import run
-from uavsense.trajectory import _ROOT_SLACK_M, drain_leg
+from uavsense.trajectory import _ROOT_SLACK_M, KinematicParams, drain_leg
 
 
 class TestInitialSolution:
@@ -476,9 +476,11 @@ def _a_task_under_the_bs(sc):
 
 
 class TestEdgeScenarios:
-    """Geometry the generator draws with probability zero, under the four
-    checks of ``TestSmallScenarioProperties``: M=N=4, q=2, K=1 (nc: its
-    q=1 variant), every scheme."""
+    """Inputs at the model's edges under the four checks of
+    ``TestSmallScenarioProperties``: geometry the generator draws with
+    probability zero (M=N=4, q=2, K=1, nc its q=1 variant, every scheme), an
+    altitude floor near the ceiling and a drain that carries a route's only
+    payload."""
 
     @pytest.mark.parametrize("edit", [_coincident_tasks, _a_uav_starts_on_the_bs,
                                       _a_task_under_the_bs],
@@ -490,6 +492,33 @@ class TestEdgeScenarios:
         config = nc_config(config) if scheme == "nc" else dc_replace(config, scheme=scheme)
         sc = generate_scenario(config)
         edit(sc)
+        _check_a_run(sc)
+
+    @pytest.mark.parametrize("scheme", ["itsso", "fsl"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_floor_near_the_ceiling(self, scheme, seed):
+        # starts are floored into [30, 32] m and FSL senses at 31 m
+        config = ScenarioConfig(m=4, n=4, q=2, k=1, seed=seed, scheme=scheme,
+                                area=(500.0, 500.0, 32.0), fsl_height=31.0,
+                                kinematics=KinematicParams(h_min=30.0))
+        _check_a_run(generate_scenario(config))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_floor_near_the_ceiling_is_too_high_for_one_worker(self, seed):
+        # q=1 at 30 m: exp(-0.01 * 30) = 0.741 is below the 0.9 threshold
+        config = nc_config(ScenarioConfig(m=4, n=4, q=2, k=1, seed=seed,
+                                          area=(500.0, 500.0, 32.0),
+                                          kinematics=KinematicParams(h_min=30.0)))
+        with pytest.raises(InfeasibleScenario, match=r"0\.740818 cannot reach the threshold"):
+            run_scheme(generate_scenario(config), ItssoConfig(rng_seed=seed))
+
+    @pytest.mark.parametrize("scheme", ["itsso", "fsl"])
+    def test_a_drain_that_carries_the_only_payload(self, scheme):
+        # one task per route: its whole 1e10-bit payload rides the drain, the
+        # gradient walk after the route's only sensing slot
+        sc = generate_scenario(ScenarioConfig(m=4, n=2, q=2, k=1, data_size=1e10,
+                                              scheme=scheme))
+        assert all(len(route) == 1 for route in sc.routes.values())
         _check_a_run(sc)
 
 
