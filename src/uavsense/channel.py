@@ -4,10 +4,12 @@ Pure evaluation of the UAV-to-BS link on one subcarrier: ``rate_at``
 carries the whole chain from 3D/horizontal distances through the LoS
 probability, average pathloss and SNR to the per-slot achievable rate.
 Beside it sit the gradient of that rate (which the leg planner's
-detours follow), and an upper bound of the rate over a straight segment
-(which lets the leg planner skip candidates).  All dBm-to-linear
-conversions happen once when the parameter set is constructed; everything
-on the hot path is plain float math in linear milliwatts.
+detours follow), an upper bound of the rate over a straight segment
+(which lets the leg planner skip candidates), and a numpy screen of the
+average pathloss over arrays (which orders the start's altitude grid).
+All dBm-to-linear conversions happen once when the parameter set is
+constructed; everything on the hot path is plain float math in linear
+milliwatts.
 
 Small-scale fading is deliberately absent: the rate is a deterministic
 function of geometry.
@@ -19,12 +21,15 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "ChannelDomainError",
     "Position3",
     "ChannelParams",
     "rate_at",
     "rate_gradient_at",
+    "screened_pathloss",
     "segment_rate_ceiling",
 ]
 
@@ -34,6 +39,7 @@ _LN10 = math.log(10.0)
 _RATE_PER_DB = _LN10 / (10.0 * math.log(2.0))  # -d log2(1 + gamma) / d pl at gamma >> 1
 _CEILING_SLACK_M = 1e-6  # m; waypoints may sit this far off their segment by rounding
 _CEILING_MARGIN = 1e-6  # relative headroom of a rate ceiling over float rounding
+_SCREEN_MIN_SNR_DB = -60.0  # below it the screen does not order points
 
 
 class ChannelDomainError(ValueError):
@@ -134,6 +140,36 @@ def rate_at(x: float, y: float, z: float, params: ChannelParams) -> float:
             f"no channel rate at ({x!r}, {y!r}, {z!r}) with the BS at height "
             f"{params.bs_height!r}: {exc}"
         ) from exc
+
+
+def screened_pathloss(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                      params: ChannelParams) -> np.ndarray:
+    """The average pathloss of ``rate_at``, in dB, over broadcast arrays.
+
+    A screen, not a second channel: numpy's logs and exponentials differ
+    from ``math``'s in the last bits, so it only orders points, and the rate
+    falls strictly as the pathloss rises.  Its value is NaN wherever
+    ``rate_at`` raises, and where the SNR is below ``_SCREEN_MIN_SNR_DB``,
+    where ``rate_at``'s rounding may tie rates this screen tells apart.
+    numpy's floating-point warnings are silenced inside.
+    """
+    with np.errstate(all="ignore"):
+        log_z = np.log10(z)
+        d1 = np.maximum(460.0 * log_z - 700.0, 18.0)
+        d_h = np.hypot(x, y)
+        dz = z - params.bs_height
+        log_d = np.log10(np.sqrt(x * x + y * y + dz * dz))
+        pl_los = 28.0 + 22.0 * log_d + params._fc_db
+        p0 = 4300.0 * log_z - 3800.0
+        e = np.exp((-d_h / p0) * (1.0 - d1 / d_h))
+        p_los = d1 / d_h + e
+        pl_nlos = -17.5 + (46.0 - 7.0 * log_z) * log_d + params._nlos_db
+        los = (d_h <= d1) | (p_los >= 1.0)
+        pl = np.where(los, pl_los, p_los * pl_los + (1.0 - p_los) * pl_nlos)
+        valid = (np.isfinite(log_z) & np.isfinite(pl)
+                 & ((d_h <= d1) | ((p0 != 0.0) & np.isfinite(e)))
+                 & (pl <= params.tx_power - params.noise_power - _SCREEN_MIN_SNR_DB))
+    return np.where(valid, pl, np.nan)
 
 
 def rate_gradient_at(x: float, y: float, z: float,

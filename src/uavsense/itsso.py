@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Mapping
 
-from .channel import ChannelParams, Position3, rate_at
+import numpy as np
+
+from .channel import ChannelParams, Position3, rate_at, screened_pathloss
 from .placement import optimize_sensing_locations, replan_plans
 from .scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
 from .sensing import SensingParams, required_sensing_radius, sensing_success_coop
@@ -48,6 +50,7 @@ __all__ = [
 _MAX_ITERATIONS = 100  # candidate iterates per run; the loop stops at the first non-improving one
 _INITIAL_SPEED_RATIO = 0.1  # pace of the initial iterate's legs, as a fraction of v_max
 _START_GRID = 41  # altitudes rated per task by the rate-max start, h_min to the radius
+_SCREEN_TOLERANCE = 1e-9  # relative pathloss margin within which the start rates exactly
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,35 @@ def rate_max_locations(scenario) -> dict[tuple[int, int], Position3]:
     ``h_min`` to ``_ROOT_SLACK_M`` inside the group's symmetric radius, so
     that rounding cannot leave the group short of the threshold; a tie goes
     to the lowest.
+
+    One ``screened_pathloss`` call per group size orders every task's grid.
+    The rate falls strictly as the pathloss rises, and the screen is off by
+    far less than ``_SCREEN_TOLERANCE``, so a point screened further than
+    that (relative, absolute below 1 dB) above its row's least has a smaller
+    rate.  A row with one point left takes it unrated; any other row rates
+    what is left, or its whole grid where the screen has a NaN, with
+    ``rate_at``, task by task as listed, so an out-of-domain grid point
+    raises ``ChannelDomainError`` as an exhaustive search would.
     """
     cp, h_min = scenario.channel, scenario.kinematics.h_min
+    groups: dict[int, list] = {}
+    for task in scenario.tasks.values():
+        groups.setdefault(len(task.workers), []).append(task)
+    left = {}
+    for q, tasks in groups.items():
+        radius = required_sensing_radius(q, scenario.sensing)
+        step = (max(radius - _ROOT_SLACK_M, h_min) - h_min) / (_START_GRID - 1)
+        grid = [h_min + i * step for i in range(_START_GRID)]
+        pl = screened_pathloss(np.array([[t.location.x] for t in tasks]),
+                               np.array([[t.location.y] for t in tasks]), np.array(grid), cp)
+        least = pl.min(axis=1, keepdims=True)  # NaN in a row with a NaN
+        near = pl <= least + _SCREEN_TOLERANCE * (np.abs(least) + 1.0)
+        for task, row in zip(tasks, near.tolist()):
+            left[task.id] = [z for z, kept in zip(grid, row) if kept] or grid
     height = {}
     for task in scenario.tasks.values():
-        radius = required_sensing_radius(len(task.workers), scenario.sensing)
-        step = (max(radius - _ROOT_SLACK_M, h_min) - h_min) / (_START_GRID - 1)
-        x, y = task.location.x, task.location.y
-        height[task.id] = max((h_min + i * step for i in range(_START_GRID)),
-                              key=lambda z: rate_at(x, y, z, cp))
+        zs, x, y = left[task.id], task.location.x, task.location.y
+        height[task.id] = zs[0] if len(zs) == 1 else max(zs, key=lambda z: rate_at(x, y, z, cp))
     return _above_tasks(scenario, height)
 
 
@@ -163,15 +186,16 @@ def _build_plans(
 
 
 def masks_from_outcome(outcome: SimOutcome) -> dict[int, list[bool]]:
-    """Per-UAV slot mask from an observed run: False only where a request
-    was denied (unknown slots stay optimistic)."""
+    """Per-UAV slot mask from an observed run, for the UAVs with a denied
+    request only: False where a request was denied, True elsewhere.  A
+    planner grants every slot outside a mask, and to a UAV without one, so
+    an all-True mask would plan exactly as no mask."""
     horizon = len(outcome.requests)
     masks: dict[int, list[bool]] = {}
     for t, (req, got) in enumerate(zip(outcome.requests, outcome.grants)):
-        for uav in req:
+        for uav in req - got:
             if uav not in masks:
                 masks[uav] = [True] * horizon
-        for uav in req - got:
             masks[uav][t] = False
     return masks
 

@@ -20,6 +20,7 @@ from uavsense.channel import (
     Position3,
     rate_at,
     rate_gradient_at,
+    screened_pathloss,
 )
 
 CP = ChannelParams()  # table defaults: H=25, 2 GHz, 1 MHz, -96 dBm, 23 dBm, 1 s
@@ -165,6 +166,66 @@ class TestLinkRate:
         x, y, z = point
         with pytest.raises(ChannelDomainError, match=re.escape(f"({x!r}, {y!r}, {z!r})")):
             fn(x, y, z, CP)
+
+
+class TestScreenedPathloss:
+    """``screened_pathloss`` orders points by ``rate_at``'s average pathloss
+    and is NaN wherever ``rate_at`` has no value."""
+
+    def test_rates_from_the_screen_agree_with_rate_at(self):
+        rng = np.random.default_rng(35)
+        n = 100_000
+        x = rng.uniform(-700.0, 700.0, n)
+        y = rng.uniform(-700.0, 700.0, n)
+        # half over the whole altitude range, half around the 18 m floor of d1
+        z = np.concatenate([rng.uniform(10.0, 200.0, n // 2), rng.uniform(35.0, 38.0, n // 2)])
+        pl = screened_pathloss(x, y, z, CP)
+        assert np.isfinite(pl).all()
+        worst = max(abs(rate_from_pathloss(p, CP) / rate_at(a, b, c, CP) - 1.0)
+                    for a, b, c, p in zip(x.tolist(), y.tolist(), z.tolist(), pl.tolist()))
+        assert worst <= 1e-11
+        # every branch of the formula is covered
+        d_h = np.hypot(x, y)
+        d1 = 460.0 * np.log10(z) - 700.0
+        beyond = d_h > np.maximum(d1, 18.0)
+        p0 = 4300.0 * np.log10(z) - 3800.0
+        d1c = np.maximum(d1, 18.0)
+        p_los = d1c / d_h + np.exp((-d_h / p0) * (1.0 - d1c / d_h))
+        assert (~beyond).sum() > 1000  # inside the breakpoint
+        assert (beyond & (p_los >= 1.0)).sum() > 1000  # saturated LoS probability
+        assert (beyond & (p_los < 1.0)).sum() > 1000  # LoS/NLoS mixture
+        assert (d1 < 18.0).sum() > 1000 and (d1 > 18.0).sum() > 1000
+
+    def test_broadcasts_a_grid_per_row(self):
+        x, y = np.array([[120.0], [-40.0]]), np.array([[80.0], [300.0]])
+        z = np.linspace(10.0, 90.0, 9)
+        pl = screened_pathloss(x, y, z, CP)
+        assert pl.shape == (2, 9)
+        for i in range(2):
+            for j in range(9):
+                rate = rate_at(float(x[i, 0]), float(y[i, 0]), float(z[j]), CP)
+                assert rate_from_pathloss(float(pl[i, j]), CP) == pytest.approx(rate, rel=1e-11)
+
+    @pytest.mark.parametrize("point", [
+        (0.0, 0.0, 25.0),  # on the BS
+        (10.0, 0.0, 0.0),  # on the ground
+        (10.0, 0.0, -5.0),
+        (100.0, 0.0, 10 ** (38 / 43)),  # LoS scale 0 beyond the breakpoint
+        (100.0, 0.0, 7.651),  # decay term overflows
+        (math.inf, 0.0, 10.0),
+        (math.nan, 0.0, 10.0),
+    ])
+    def test_nan_wherever_rate_at_raises(self, point):
+        with pytest.raises(ChannelDomainError):
+            rate_at(*point, CP)
+        with np.errstate(all="raise"):  # the screen silences its own warnings
+            pl = screened_pathloss(*(np.array([c]) for c in point), CP)
+        assert np.isnan(pl).all()
+
+    def test_nan_where_the_rate_is_too_flat_to_order(self):
+        # an SNR below -60 dB: rate_at's rounding may tie what the screen orders
+        pl = screened_pathloss(np.array([1e4, 1e6]), np.array([0.0, 0.0]), np.array(50.0), CP)
+        assert np.isfinite(pl[0]) and np.isnan(pl[1])
 
 
 class TestChannelParams:

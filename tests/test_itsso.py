@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from uavsense.bench import (
     nc_config,
     run_scheme,
 )
-from uavsense.channel import Position3, rate_at
+from uavsense.channel import ChannelDomainError, ChannelParams, Position3, rate_at
 from uavsense.itsso import (
     InfeasibleScenario,
     ItssoConfig,
@@ -31,10 +32,11 @@ from uavsense.itsso import (
     solution_from_json,
     solution_to_json,
 )
+from uavsense.placement import replan_plans
 from uavsense.scheduler import GreedyScheduler, RandomScheduler, ReplayScheduler
 from uavsense.sensing import SensingParams, required_sensing_radius, sensing_success_coop
 from uavsense.simulator import run
-from uavsense.trajectory import _ROOT_SLACK_M, KinematicParams, drain_leg
+from uavsense.trajectory import _ROOT_SLACK_M, KinematicParams, LegCache, drain_leg
 
 
 class TestInitialSolution:
@@ -108,7 +110,9 @@ class TestInitialSolution:
         legs = sum(p.n_tasks for p in sol.plans)
         waypoints = sum(leg.slots for p in sol.plans for leg in p.legs)
         assert calls["drain"] > 0
-        assert calls["start"] == 41 * len(sc.tasks)
+        # the start rates only the rows its pathloss screen leaves undecided,
+        # and on this seed it decides every row
+        assert calls["start"] == 0
         assert calls["legs"] <= granted + 2 * legs
         assert waypoints > 4 * (granted + 2 * legs)  # rating them all would fail
 
@@ -160,7 +164,11 @@ class TestRateMaxStart:
     def test_a_tie_goes_to_the_lowest_altitude(self, monkeypatch):
         import uavsense.itsso as itsso
 
-        monkeypatch.setattr(itsso, "rate_at", lambda x, y, z, cp: 1.0)
+        def flat(x, y, z, cp):  # every grid point a candidate of the screen
+            return np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape))
+
+        monkeypatch.setattr(itsso, "screened_pathloss", flat)
+        monkeypatch.setattr(itsso, "rate_at", lambda x, y, z, cp: 1.0)  # every rate equal
         sc = generate_scenario(self.CONFIGS[1])
         assert {loc.z for loc in rate_max_locations(sc).values()} == {sc.kinematics.h_min}
 
@@ -197,6 +205,100 @@ class TestRateMaxStart:
                 totals[scheme] += run_scheme(
                     sc, ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET)).t_max
         assert totals["itsso"] <= totals["fsl"]
+
+
+    def test_a_grid_point_on_the_bs_is_a_named_error(self):
+        # task 0 right under the BS, whose height is the sixth grid altitude:
+        # the screen has no value there, so the row is rated point by point
+        cfg = ScenarioConfig(m=4, n=4, q=2, k=1, seed=0)
+        h_min = cfg.kinematics.h_min
+        step = (max(required_sensing_radius(2, cfg.sensing) - _ROOT_SLACK_M, h_min)
+                - h_min) / 40
+        sc = generate_scenario(dc_replace(cfg, channel=ChannelParams(bs_height=h_min + 5 * step)))
+        sc.tasks[0] = dc_replace(sc.tasks[0], location=Position3(0.0, 0.0, 0.0))
+        with pytest.raises(ChannelDomainError, match=re.escape(f"(0.0, 0.0, {h_min + 5 * step!r})")):
+            rate_max_locations(sc)
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(),
+        ScenarioConfig(m=10, n=10, k=2),
+        ScenarioConfig(q=1, m=5),
+        ScenarioConfig(q=2, m=10),
+        ScenarioConfig(q=8, m=40),
+        ScenarioConfig(q=1, sensing=SensingParams(0.01, 0.5)),
+        ScenarioConfig(area=(300.0, 700.0, 60.0)),
+    ], ids=["table", "m10-k2", "q1-m5", "q2-m10", "q8-m40", "q1-pr0.5", "area300x700"])
+    def test_the_screened_start_equals_the_exhaustive_grid_search(self, cfg):
+        for seed in range(7_350_000, 7_350_200):
+            sc = generate_scenario(dc_replace(cfg, seed=seed))
+            assert rate_max_locations(sc) == _exhaustive_start(sc), seed
+
+
+def _exhaustive_start(scenario):
+    """The start rated at every grid point with ``rate_at``, the lowest
+    altitude taking a tie: the reference the screened start must equal."""
+    cp, h_min = scenario.channel, scenario.kinematics.h_min
+    height = {}
+    for task in scenario.tasks.values():
+        radius = required_sensing_radius(len(task.workers), scenario.sensing)
+        step = (max(radius - _ROOT_SLACK_M, h_min) - h_min) / 40
+        x, y = task.location.x, task.location.y
+        height[task.id] = max((h_min + i * step for i in range(41)),
+                              key=lambda z: rate_at(x, y, z, cp))
+    return {(uav, idx): Position3(scenario.tasks[tid].location.x,
+                                  scenario.tasks[tid].location.y, height[tid])
+            for uav, route in scenario.routes.items() for idx, tid in enumerate(route)}
+
+
+def _masks_of_every_requester(outcome):
+    """A mask for every UAV that requested, all True but where it was
+    denied: the masks the planners read before only denied UAVs got one."""
+    horizon = len(outcome.requests)
+    masks = {}
+    for t, (req, got) in enumerate(zip(outcome.requests, outcome.grants)):
+        for uav in req:
+            if uav not in masks:
+                masks[uav] = [True] * horizon
+        for uav in req - got:
+            masks[uav][t] = False
+    return masks
+
+
+class TestMasks:
+    """Only a UAV with a denied request gets a mask: a planner grants every
+    slot outside a mask and to a UAV without one."""
+
+    def test_only_denied_uavs_get_a_mask(self):
+        sc = generate_scenario(ScenarioConfig(seed=3))
+        outcome = run_itsso(sc, ItssoConfig(rng_seed=3)).outcome
+        masks = masks_from_outcome(outcome)
+        requesters = set().union(*outcome.requests)
+        denied = {uav for req, got in zip(outcome.requests, outcome.grants) for uav in req - got}
+        assert denied and denied < requesters
+        assert masks.keys() == denied
+        for uav, mask in masks.items():
+            assert mask == [uav not in req or uav in got
+                            for req, got in zip(outcome.requests, outcome.grants)]
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(m=10, n=10, k=2),
+        ScenarioConfig(m=10, n=10, k=1),
+    ], ids=["crowded", "k1"])
+    def test_replanned_legs_equal_those_planned_with_every_requester_masked(self, cfg):
+        for seed in range(7_350_300, 7_350_306):
+            sc = generate_scenario(dc_replace(cfg, seed=seed))
+            args = (sc.tasks, sc.channel, sc.kinematics)
+            init = initial_solution(sc, ItssoConfig(rng_seed=seed))
+            plans, outcome = init.plans, init.outcome
+            for _ in range(3):  # the initial run, then greedy runs of the re-planned legs
+                masks = masks_from_outcome(outcome)
+                got = replan_plans(plans, *args, masks, LegCache(sc.channel, sc.kinematics))
+                want = replan_plans(plans, *args, _masks_of_every_requester(outcome),
+                                    LegCache(sc.channel, sc.kinematics))
+                assert [(p.legs, p.drain) for p in got] == [(p.legs, p.drain) for p in want]
+                plans = got
+                outcome = run(plans, GreedyScheduler(sc.k), sc.tasks, sc.channel,
+                              sc.kinematics, record_trace=False)
 
 
 class TestRunItsso:
