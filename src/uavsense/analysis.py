@@ -6,6 +6,15 @@ to the group size q and the threshold pr_th through that radius alone.
 The marginal slot cost per task is the radius change divided by the top
 speed, times the number of tasks per UAV.  ``uavsense analyze --op
 dtdq`` and ``--op dtdpr`` evaluate them at a given point.
+
+The formulas hold for that idealization, not for the simulated model,
+which adds placement's per-worker distance budget, the rate-max start and
+the upload time.  At the Table point (q=4, n_i=4, lam=0.01, v_max=50),
+dT/dPR_th reads 19.0-22.0 slots per unit threshold at the midpoints of the
+pr_th steps 0.5, 0.6, ..., 0.9, nearly flat, while criterion 4's simulated
+ITSSO means rise by 6.0-31.2 slots per unit over those steps: the formula
+does not track the simulated slope there.  Criterion 6 checks the formulas
+against their own finite differences only.
 """
 
 from __future__ import annotations

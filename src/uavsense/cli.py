@@ -124,8 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="config override, config-file key syntax")
     exp.set_defaults(func=_cmd_experiment)
 
-    ana = sub.add_parser("analyze", help="closed-form sensitivity values")
-    ana.add_argument("--op", required=True, choices=("dtdq", "dtdpr", "minq"))
+    ana = sub.add_parser(
+        "analyze", help="closed-form sensitivity values",
+        description="dtdq and dtdpr assume the symmetric-distance idealization: every "
+                    "worker senses from the radius that exactly meets the threshold.  "
+                    "They do not track the simulator: at the Table point (q=4, n_i=4, "
+                    "lam=0.01, v_max=50) dtdpr reads 19.0-22.0 over pr_th 0.5-0.9, "
+                    "against criterion 4's simulated slopes of 6.0-31.2.  minq is the "
+                    "least group size meeting the threshold with every member at "
+                    "distance d0.")
+    ana.add_argument("--op", required=True, choices=("dtdq", "dtdpr", "minq"),
+                     help="dtdq: slots per added group member; dtdpr: slots per unit "
+                          "threshold (both idealized, see above); minq: least group size")
     table = bench.ScenarioConfig()  # the model's defaults
     ana.add_argument("--q", type=int, default=table.q)
     ana.add_argument("--pr-th", type=float, default=table.sensing.pr_th)

@@ -352,12 +352,18 @@ def solution_from_json(text: str) -> tuple[list[UavPlan], list[frozenset[int]]]:
 def replay(plans, schedule, scenario, record_trace: bool = True) -> SimOutcome:
     """Re-run a dumped solution under its recorded schedule.
 
-    The replay must grant exactly the schedule: a recorded grant to a UAV
-    that does not request in its slot, a grant in a slot without requests,
+    The schedule decides only the contended slots, where more than
+    ``scenario.k`` UAVs request; the simulator grants every requester of the
+    others itself.  The replay must grant exactly the schedule: a recorded
+    grant to a UAV that does not request in its slot, a grant in a slot
+    without requests, a recorded denial in a slot whose requesters fit in K,
     or a run longer or shorter than the schedule raises ``RuntimeError``.
+    It names the first slot whose grants differ, or a contended slot past
+    the schedule's end, where the replay stops rather than schedule on its
+    own.
     """
     outcome = run(
-        plans, ReplayScheduler(schedule), scenario.tasks,
+        plans, ReplayScheduler(schedule, scenario.k), scenario.tasks,
         scenario.channel, scenario.kinematics, record_trace=record_trace,
     )
     want = [frozenset(g) for g in schedule]

@@ -1,8 +1,11 @@
 """Per-slot subcarrier allocation.
 
-At most K UAVs transmit in any slot.  When demand exceeds K, subcarriers go
-to the requesters with the largest projected completion time; ties break on
-larger residual data, then lower UAV id, so schedules are reproducible.
+At most K UAVs transmit in any slot.  A slot whose requesters fit in K
+needs no decision: the simulator grants every requester itself and asks a
+scheduler (its ``k`` subcarriers, ``grant(slot, requesters)``) only when
+more than ``k`` UAVs request.  There, subcarriers go to the requesters with
+the largest projected completion time; ties break on larger residual data,
+then lower UAV id, so schedules are reproducible.
 """
 
 from __future__ import annotations
@@ -49,14 +52,14 @@ class GreedyScheduler:
         self.k = k
 
     def grant(self, slot, requesters):
-        k = self.k
-        if len(requesters) <= k:
-            return frozenset([st.uav for st in requesters])
-        return schedule_slot(update_completion_estimates(requesters, slot), k)
+        return schedule_slot(update_completion_estimates(requesters, slot), self.k)
 
 
 class RandomScheduler:
-    """Uniformly random allocation; seeds the initial ITSSO iterate."""
+    """Uniformly random allocation; seeds the initial ITSSO iterate.
+
+    ``grant`` is called only in a contended slot, with more than ``k``
+    requesters, so the generator draws once per contended slot."""
 
     def __init__(self, k: int, seed: int):
         if k < 1:
@@ -66,8 +69,6 @@ class RandomScheduler:
 
     def grant(self, slot, requesters):
         req = [st.uav for st in requesters]  # in id order
-        if len(req) <= self.k:
-            return frozenset(req)
         picked = self._rng.choice(len(req), size=self.k, replace=False)
         return frozenset(req[i] for i in picked)
 
@@ -75,12 +76,17 @@ class RandomScheduler:
 class ReplayScheduler:
     """Replays a recorded per-slot grant sequence (solution replay).
 
-    A request after the last recorded slot means the replay has left the
-    run it records, so it raises rather than schedule on its own.
+    It decides only the contended slots, with more than ``k`` requesters;
+    the simulator grants every requester of the others itself, so a
+    schedule that differs from the run in such a slot is caught by
+    ``itsso.replay``'s comparison of the whole grant log.  A contended
+    request after the last recorded slot means the replay has left the run
+    it records, so it raises rather than schedule on its own.
     """
 
-    def __init__(self, grants: list[frozenset[int]]):
+    def __init__(self, grants: list[frozenset[int]], k: int):
         self.grants = grants
+        self.k = k
 
     def grant(self, slot, requesters):
         if slot - 1 >= len(self.grants):

@@ -10,6 +10,10 @@ transmission slots until drained, then senses; the outer optimizer absorbs
 that slack on the next pass by re-planning against the observed grants.
 
 Only what a run reads is worked out:
+- Only a contended slot reaches the scheduler.  Every requester transmits
+  while demand fits the K subcarriers, so a slot with at most ``sched.k``
+  requesters is granted to all of them by the simulator itself, and
+  ``sched.grant`` is asked only when more than ``sched.k`` UAVs request.
 - Completion projections, the greedy scheduler's priority, are made on
   demand: the scheduler gets the slot's requesters themselves and asks
   for a projection (``_Runtime.projected_completion``) only where it
@@ -58,7 +62,7 @@ __all__ = [
 ]
 
 _MAX_SLOTS = 100000  # slots; a run needing more raises
-_NOTHING: frozenset[int] = frozenset()  # requests and grants of a slot every UAV sleeps through
+_NOTHING: frozenset[int] = frozenset()  # requests and grants of a slot without a request
 
 SENSING = "sensing"
 TRANSMISSION = "transmission"
@@ -224,15 +228,19 @@ def run(
 ) -> SimOutcome:
     """Run the protocol until every UAV finishes all its tasks.
 
-    ``sched`` provides ``grant(slot, requesters) -> set of UAV ids``, called
-    in every slot with requests.  ``requesters`` are the requesting UAVs'
-    runtime states, in UAV id order, as they stand after the slot's moves:
-    each has ``uav``, ``residual`` (bits) and ``projected_completion(slot)``
-    (the completion slot if every later transmission slot were granted).
-    A scheduler that ranks nobody, as in every uncontended slot, projects
-    nobody.  A projection counts each leg after the current one as its
-    planned slots (``_completion_chain``), so a hand-edited plan whose leg
-    cannot carry its payload is projected as if it could.  A run still
+    ``sched`` provides ``k``, the subcarrier count, and ``grant(slot,
+    requesters) -> set of UAV ids``, called only in a contended slot, where
+    more than ``sched.k`` UAVs request; the run trusts the set it returns.
+    A slot whose requesters fit in ``sched.k`` grants every one of them
+    without asking, and a slot without a request logs the shared empty set
+    as both its requests and its grants.  ``requesters`` are the
+    requesting UAVs' runtime states, in UAV id order, as they stand after
+    the slot's moves: each has ``uav``, ``residual`` (bits) and
+    ``projected_completion(slot)`` (the completion slot if every later
+    transmission slot were granted).  A scheduler that ranks nobody
+    projects nobody.  A projection counts each leg after the current one
+    as its planned slots (``_completion_chain``), so a hand-edited plan
+    whose leg cannot carry its payload is projected as if it could.  A run still
     going after ``_MAX_SLOTS`` slots raises ``RuntimeError`` naming the UAV
     that holds the most data.
 
@@ -244,6 +252,7 @@ def run(
     skipped slot logs empty requests and grants.  A traced run steps every
     UAV, since every slot needs its row.
     """
+    k = sched.k
     states = [_Runtime(p, record_trace) for p in plans]
     by_id = {s.uav: s for s in states}
     if len(by_id) != len(states):
@@ -311,12 +320,16 @@ def run(
             else:
                 st.stype = EMPTY
 
-        if requesters:
+        if not requesters:
+            granted = _NOTHING
+            requests_log.append(granted)
+        elif len(requesters) > k:
             requests_log.append(frozenset([st.uav for st in requesters]))
             granted = frozenset(sched.grant(t, requesters))
         else:
-            requests_log.append(frozenset())
-            granted = frozenset()
+            # demand fits in K: every requester transmits
+            granted = frozenset([st.uav for st in requesters])
+            requests_log.append(granted)
         grants_log.append(granted)
 
         left = False  # whether a UAV finished or fell asleep

@@ -50,6 +50,8 @@ SP = SensingParams()
 
 _CAP = int(os.environ.get("UAVSENSE_ACCEPT_INSTANCES", "0"))
 _WORKERS = min(os.cpu_count() or 1, 4)
+_BOOTSTRAP_SEED = 2018  # fixed, so a report line repeats exactly
+_BOOTSTRAP_RESAMPLES = 4000
 
 
 def n_instances(spec_default: int) -> int:
@@ -82,9 +84,25 @@ def _pool_map(fn, jobs):
     return [fn(j) for j in jobs]
 
 
-def _mean_tmax(cfg: ScenarioConfig, seeds) -> float:
+def _tmax_per_seed(cfg: ScenarioConfig, seeds) -> np.ndarray:
     jobs = [(replace(cfg, seed=s), s + 1_000_003) for s in seeds]
-    return float(np.mean(_pool_map(_tmax_job, jobs)))
+    return np.array(_pool_map(_tmax_job, jobs), dtype=float)
+
+
+def _mean_tmax(cfg: ScenarioConfig, seeds) -> float:
+    return float(np.mean(_tmax_per_seed(cfg, seeds)))
+
+
+def saving_interval(ours: np.ndarray, theirs: np.ndarray) -> str:
+    """Paired bootstrap 95% interval of the saving ``1 - mean(ours) /
+    mean(theirs)``: the seeds are resampled with replacement, each draw
+    keeping a seed's two values together."""
+    rng = np.random.default_rng(_BOOTSTRAP_SEED)
+    idx = rng.integers(0, len(ours), size=(_BOOTSTRAP_RESAMPLES, len(ours)))
+    savings = 1.0 - ours[idx].mean(axis=1) / theirs[idx].mean(axis=1)
+    lo, hi = np.percentile(savings, [2.5, 97.5])
+    return (f"95% interval [{lo:.1%}, {hi:.1%}], paired bootstrap of "
+            f"{_BOOTSTRAP_RESAMPLES} resamples")
 
 
 class TestCriterion1Convergence:
@@ -111,10 +129,13 @@ class TestCriterion2VsNc:
         n = n_instances(200)
         seeds = range(n)
         means = {}
+        per_seed = {}
         for n_i in (2, 4, 6, 8):
             base = ScenarioConfig(m=20, n=5 * n_i, q=4)
-            means[("itsso", n_i)] = _mean_tmax(base, seeds)
-            means[("nc", n_i)] = _mean_tmax(nc_config(base), seeds)
+            per_seed[("itsso", n_i)] = _tmax_per_seed(base, seeds)
+            per_seed[("nc", n_i)] = _tmax_per_seed(nc_config(base), seeds)
+            for scheme in ("itsso", "nc"):
+                means[(scheme, n_i)] = float(np.mean(per_seed[(scheme, n_i)]))
         lower_everywhere = all(
             means[("itsso", n_i)] < means[("nc", n_i)] for n_i in (2, 4, 6, 8))
         saving = 1 - means[("itsso", 4)] / means[("nc", 4)]
@@ -122,8 +143,9 @@ class TestCriterion2VsNc:
         detail = ", ".join(
             f"n_i={n_i}: {means[('itsso', n_i)]:.2f} vs {means[('nc', n_i)]:.2f}"
             for n_i in (2, 4, 6, 8))
+        interval = saving_interval(per_seed[("itsso", 4)], per_seed[("nc", 4)])
         report(2, ok, f"{detail}; saving at n_i=4: {saving:.1%} "
-                      f"(band [5%, 30%], {n} paired seeds)")
+                      f"({interval}; band [5%, 30%], {n} paired seeds)")
 
 
 class TestCriterion3VsFsl:
@@ -131,12 +153,15 @@ class TestCriterion3VsFsl:
         n = n_instances(200)
         seeds = range(n)
         base = ScenarioConfig()  # the threshold-sweep setup at its table point
-        itsso = _mean_tmax(base, seeds)
-        fsl = _mean_tmax(replace(base, scheme="fsl"), seeds)
+        itsso_per_seed = _tmax_per_seed(base, seeds)
+        fsl_per_seed = _tmax_per_seed(replace(base, scheme="fsl"), seeds)
+        itsso = float(np.mean(itsso_per_seed))
+        fsl = float(np.mean(fsl_per_seed))
         saving = 1 - itsso / fsl
         report(3, saving >= 0.30,
                f"ITSSO {itsso:.2f} vs FSL {fsl:.2f}: saving {saving:.1%} "
-               f"(need >=30%, {n} paired seeds)")
+               f"({saving_interval(itsso_per_seed, fsl_per_seed)}; "
+               f"need >=30%, {n} paired seeds)")
 
 
 class TestCriterion4ThresholdMonotonicity:

@@ -1,6 +1,7 @@
 """Outer-loop tests: initialization, convergence, termination, export."""
 
 import gc
+import json
 import math
 import re
 from dataclasses import replace as dc_replace
@@ -504,14 +505,16 @@ class TestTraceReplay:
 
     def test_diverging_replay_raises(self, monkeypatch):
         # the replay itself notices a run that leaves its schedule: here its
-        # scheduler drops the first recorded grant it makes
+        # scheduler, asked only in contended slots, drops the lowest id of
+        # the first recorded grant it makes
         real_grant = ReplayScheduler.grant
         dropped = []
 
         def drop_first(sched, slot, requesters):
             got = real_grant(sched, slot, requesters)
             if got and not dropped:
-                dropped.append(slot)
+                assert len(requesters) > sched.k
+                dropped.append((slot, sorted(got)))
                 return got - {min(got)}
             return got
 
@@ -523,7 +526,40 @@ class TestTraceReplay:
         with pytest.raises(RuntimeError, match="replay diverged") as err:
             run_itsso(sc, ItssoConfig(rng_seed=26), record_trace=True)
         assert len(dropped) == 1
-        assert f"slot {dropped[0]} grants []" in str(err.value)  # replay's own check
+        slot, got = dropped[0]
+        # replay's own check
+        assert f"slot {slot} grants {got[1:]}, the schedule {got} " in str(err.value)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_a_dump_denying_an_uncontended_requester_raises(self, record_trace):
+        # the simulator grants every requester of a slot whose demand fits
+        # in K without asking the schedule, so only replay's comparison of
+        # the whole grant log sees a dump that drops one of those grants
+        sc = generate_scenario(self.SCENARIOS["itsso"])
+        sol = run_itsso(sc, ItssoConfig(rng_seed=21))
+        doc = json.loads(solution_to_json(sol))
+        slot = next(t for t, req in enumerate(sol.outcome.requests, 1) if 0 < len(req) <= sc.k)
+        granted = doc["schedule"][slot - 1]
+        assert granted == sorted(sol.outcome.requests[slot - 1])
+        doc["schedule"][slot - 1] = granted[1:]
+        plans, schedule = solution_from_json(json.dumps(doc))
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"replay diverged: slot {slot} grants {granted}, the schedule {granted[1:]} ")):
+            replay(plans, schedule, sc, record_trace)
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_a_schedule_one_slot_short_raises(self, record_trace):
+        # the run's last slot is uncontended, so the replay grants it without
+        # reading the schedule and ends one slot past it
+        sc = generate_scenario(self.SCENARIOS["itsso"])
+        sol = run_itsso(sc, ItssoConfig(rng_seed=21))
+        grants, requests = sol.outcome.grants, sol.outcome.requests
+        slot = len(grants)
+        assert 0 < len(requests[-1]) <= sc.k
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"replay diverged: slot {slot} grants {sorted(grants[-1])}, the schedule [] "
+                f"({slot} slots replayed, {slot - 1} scheduled)")):
+            replay(sol.plans, grants[:-1], sc, record_trace)
 
 
 @st.composite

@@ -11,6 +11,7 @@ from uavsense.scheduler import (
     GreedyScheduler,
     RandomScheduler,
     ReplayScheduler,
+    schedule_slot,
     update_completion_estimates,
 )
 from uavsense.sensing import Task
@@ -218,6 +219,8 @@ class TestStarvation:
     def test_never_granted_uav_raises_diagnostic(self, monkeypatch):
         monkeypatch.setattr(simulator, "_MAX_SLOTS", 200)
         class NeverScheduler:
+            k = 0  # owns no subcarrier, so it is asked in every slot with a request
+
             def grant(self, slot, requesters):
                 return frozenset()
 
@@ -227,18 +230,25 @@ class TestStarvation:
             run([plan], NeverScheduler(), tasks, CP, KIN)
 
 
-class _EagerReads(GreedyScheduler):
-    """Reads every requester's estimate and residual before ranking."""
+class _EagerReads:
+    """Reads every requester's estimate and residual in every slot with a
+    request, then grants as ``GreedyScheduler(cap)`` would: it owns no
+    subcarrier (``k = 0``), so the simulator asks it in every such slot."""
+
+    k = 0
+
+    def __init__(self, cap):
+        self.cap = cap
 
     def grant(self, slot, requesters):
-        update_completion_estimates(requesters, slot)
-        return super().grant(slot, requesters)
+        return schedule_slot(update_completion_estimates(requesters, slot), self.cap)
 
 
 class _UncontendedReadsNothing(GreedyScheduler):
-    """Fails when a slot whose demand fits in K projects anybody, or a
-    contended one projects other than each requester once; ``projected``
-    lists the slot's ``(slot, uav)`` projections."""
+    """Fails when asked in a slot whose demand fits in K, when anybody is
+    projected between two of its grants, or when a contended slot projects
+    other than each requester once; ``projected`` lists the ``(slot, uav)``
+    projections since its last grant."""
 
     def __init__(self, k, projected):
         super().__init__(k)
@@ -246,13 +256,11 @@ class _UncontendedReadsNothing(GreedyScheduler):
         self.projected = projected
 
     def grant(self, slot, requesters):
-        self.projected.clear()
+        assert len(requesters) > self.k and self.projected == []
+        self.contended += 1
         granted = super().grant(slot, requesters)
-        if len(requesters) <= self.k:
-            assert self.projected == []
-        else:
-            self.contended += 1
-            assert self.projected == [(slot, st.uav) for st in requesters]
+        assert self.projected == [(slot, st.uav) for st in requesters]
+        self.projected.clear()
         return granted
 
 
@@ -282,19 +290,28 @@ class TestOnDemandProjections:
         assert eager.completion_times == lazy.completion_times
 
     def test_only_contended_slots_project(self, monkeypatch):
-        # uncontended slots project nobody; a contended one projects each
-        # requester once, in UAV order
+        # the scheduler is asked only in contended slots, and uncontended
+        # slots project nobody; a contended one projects each requester
+        # once, in UAV order
         from uavsense.bench import ScenarioConfig
 
+        sc, plans = _final_plans(ScenarioConfig(m=10, n=10, k=2, seed=4))
         projected = []
         project = simulator._Runtime.projected_completion
         monkeypatch.setattr(simulator._Runtime, "projected_completion",
                             lambda st, slot: projected.append((slot, st.uav))
                             or project(st, slot))
-        sc, plans = _final_plans(ScenarioConfig(m=10, n=10, k=2, seed=4))
         sched = _UncontendedReadsNothing(sc.k, projected)
         out = run(plans, sched, sc.tasks, sc.channel, sc.kinematics)
         assert sched.contended == sum(len(r) > sc.k for r in out.requests) > 0
+        assert projected == []
+        # the simulator grants an uncontended slot's requesters itself, and
+        # a slot without a request logs the shared empty set twice
+        for req, got in zip(out.requests, out.grants):
+            if not req:
+                assert req is got is simulator._NOTHING
+            elif len(req) <= sc.k:
+                assert got == req
 
     def test_keys_project_each_requester_once(self):
         # one key per requester, in the requesters' order, from one
@@ -336,7 +353,7 @@ class TestOnDemandProjections:
             contended = [t for t, r in enumerate(out.requests, start=1) if len(r) > sc.k]
             assert contended and slots == contended
             slots.clear()
-            for sched in (RandomScheduler(sc.k, 3), ReplayScheduler(out.grants)):
+            for sched in (RandomScheduler(sc.k, 3), ReplayScheduler(out.grants, sc.k)):
                 other = run(plans, sched, sc.tasks, sc.channel, sc.kinematics,
                             record_trace=record_trace)
                 assert any(len(r) > sc.k for r in other.requests)
@@ -485,8 +502,8 @@ class TestIdleUavsSleep:
                 assert fast.completion_times == slow.completion_times
                 assert fast.grants == slow.grants
                 assert fast.requests == slow.requests
-                replayed = run(plans, ReplayScheduler(fast.grants), sc.tasks, sc.channel,
-                               sc.kinematics)
+                replayed = run(plans, ReplayScheduler(fast.grants, sc.k), sc.tasks,
+                               sc.channel, sc.kinematics)
                 assert replayed.grants == fast.grants
                 for out in (fast, slow, replayed):
                     # one grant set per slot, up to the slot the last UAV completes
@@ -531,10 +548,11 @@ class TestIdleUavsSleep:
         assert fast.completion_times == slow.completion_times
         assert fast.grants == slow.grants and fast.requests == slow.requests
 
-    def test_slots_in_which_every_uav_sleeps_are_skipped(self):
+    def test_slots_in_which_every_uav_sleeps_are_skipped(self, monkeypatch):
         # every UAV sleeps through its first leg from slot 0, so the slots
         # before the first sensing slot are skipped whole, each logged as the
-        # shared empty set; the traced run steps them to the same logs
+        # shared empty set; the traced run steps them, a row per UAV each,
+        # to the same logs
         tasks = {0: Task(0, Position3(400, 0, 0), 20e6, (0,)),
                  1: Task(1, Position3(0, 400, 0), 20e6, (1,)),
                  2: Task(2, Position3(300, 300, 0), 20e6, (0, 1))}
@@ -544,14 +562,21 @@ class TestIdleUavsSleep:
             make_plan(1, Position3(50, 0, 40), [Position3(0, 400, 15), Position3(290, 300, 20)],
                       [1, 2], tasks),
         ]
+        sleeps = []
+        real_sleep = simulator._Runtime.sleep
+        monkeypatch.setattr(simulator._Runtime, "sleep",
+                            lambda st, slot: sleeps.append((st.uav, slot)) or
+                            real_sleep(st, slot))
         fast = run(plans, GreedyScheduler(1), tasks, CP, KIN, record_trace=False)
+        assert sleeps[:2] == [(0, 0), (1, 0)]
         slow = run(plans, GreedyScheduler(1), tasks, CP, KIN)
         first = min(p.legs[0].slots for p in plans if p.n_tasks)
         assert first >= 2
         skipped = [t for t, req in enumerate(fast.requests, 1) if req is simulator._NOTHING]
         assert skipped[:first] == list(range(1, first + 1))
         assert all(fast.grants[t - 1] is simulator._NOTHING for t in skipped)
-        assert not any(req is simulator._NOTHING for req in slow.requests)
+        assert [(r.slot, r.uav) for r in slow.trace[:2 * first]] == \
+            [(t, uav) for t in range(1, first + 1) for uav in (0, 1)]
         assert (fast.requests, fast.grants) == (slow.requests, slow.grants)
 
     def test_slot_cap_while_every_uav_sleeps(self, monkeypatch):
@@ -565,17 +590,19 @@ class TestIdleUavsSleep:
                 run([plan], GreedyScheduler(1), tasks, CP, KIN, record_trace=record_trace)
 
 
-class _ReadsEveryEstimate(GreedyScheduler):
-    """Grants like ``GreedyScheduler`` and keeps every requester's estimate."""
+class _ReadsEveryEstimate:
+    """Owns no subcarrier (``k = 0``), so the simulator asks it in every slot
+    with a request; grants every requester and keeps each one's estimate."""
 
-    def __init__(self, k):
-        super().__init__(k)
+    k = 0
+
+    def __init__(self):
         self.reads: list[tuple[int, float]] = []
 
     def grant(self, slot, requesters):
         self.reads += [(uav, -key) for key, _, uav in
                        update_completion_estimates(requesters, slot)]
-        return super().grant(slot, requesters)
+        return frozenset([st.uav for st in requesters])
 
 
 class TestProjectionRelation:
@@ -589,7 +616,7 @@ class TestProjectionRelation:
                 cfg = ScenarioConfig(seed=7_095_000 + i, **overrides)
                 sc, plans = _final_plans(cfg)
                 for plan in plans:
-                    sched = _ReadsEveryEstimate(1)
+                    sched = _ReadsEveryEstimate()
                     out = run([plan], sched, sc.tasks, sc.channel, sc.kinematics,
                               record_trace=False)
                     done = out.completion_times[plan.uav]
