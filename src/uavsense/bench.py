@@ -186,11 +186,9 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     task_u = rng.random(2 * config.n).tolist()
     start_u = rng.random(3 * config.m).tolist()
 
-    if config.scheme == "nc":
-        base, rem = divmod(config.n, config.m)
-        sizes = [base + (1 if i < rem else 0) for i in range(config.m)]
-    else:
-        sizes = [config.n_per_uav] * config.m
+    # ScenarioConfig makes every split but nc's exact; nc's is near-equal
+    base, rem = divmod(config.n * config.q, config.m)
+    sizes = [base + (1 if i < rem else 0) for i in range(config.m)]
     routes = dict(enumerate(_deal_assignment(rng, config.n, config.q, sizes)))
 
     # appended in UAV order, so each task's workers come out sorted
@@ -329,14 +327,6 @@ _EXPERIMENTS: dict[str, tuple[str, Optional[Callable]]] = {
 EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
 
-def _run_job(job) -> tuple[str, float, int, float]:
-    label, x, idx, config = job
-    scenario = generate_scenario(config)
-    cfg = ItssoConfig(rng_seed=config.seed + _ITSSO_SEED_OFFSET)
-    sol = run_scheme(scenario, cfg, record_trace=False)
-    return (label, x, idx, float(sol.t_max))
-
-
 def _min_q_simulated(base: ScenarioConfig) -> int:
     """Smallest group size the pipeline accepts: the ITSSO feasibility
     rule, every worker right above the task at ``h_min``, on a one-task
@@ -370,9 +360,9 @@ def run_experiment(
     instances: int = 200,
     out_dir: str | os.PathLike | None = None,
     seed: int = 1000,
-    workers: int = 0,
 ) -> ExperimentResult:
-    """Run one figure experiment and (optionally) write its CSV files.
+    """Run one figure experiment in this process and (optionally) write its
+    CSV files.
 
     Each sweep point patches ``base`` (the Table defaults when None), so
     fields a figure does not sweep (e.g. k, sensing) come from it.
@@ -382,8 +372,6 @@ def run_experiment(
         raise ValueError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENT_IDS}")
     if instances < 1:
         raise ValueError(f"an experiment needs at least 1 instance, got {instances}")
-    if workers < 0:
-        raise ValueError(f"workers={workers} must be non-negative (0 runs inline)")
     if base is None:
         base = ScenarioConfig()
 
@@ -391,20 +379,14 @@ def run_experiment(
     if sweep is None:
         raw = _run_fig8(base, instances, seed)
     else:
-        jobs = []
+        raw = []
         for x, labelled in sweep(base):
             for label, cfg in labelled:
                 for idx in range(instances):
-                    jobs.append((label, x, idx, replace(cfg, seed=seed + idx)))
-        if workers > 1:
-            import multiprocessing  # imported here: only a pooled sweep needs them
-            from concurrent.futures import ProcessPoolExecutor
-            # spawned, not forked: numpy's BLAS pool makes this process threaded
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=multiprocessing.get_context("spawn")) as pool:
-                raw = list(pool.map(_run_job, jobs, chunksize=4))
-        else:
-            raw = [_run_job(j) for j in jobs]
+                    scenario = generate_scenario(replace(cfg, seed=seed + idx))
+                    itsso_cfg = ItssoConfig(rng_seed=seed + idx + _ITSSO_SEED_OFFSET)
+                    sol = run_scheme(scenario, itsso_cfg, record_trace=False)
+                    raw.append((label, x, idx, float(sol.t_max)))
 
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
     groups: dict[tuple[str, float], list[float]] = {}

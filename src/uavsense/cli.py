@@ -59,8 +59,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     result = bench.run_experiment(
         args.id, base=bench.parse_config_text("\n".join(args.set or [])),
-        instances=args.instances,
-        out_dir=args.out, seed=args.seed, workers=args.workers,
+        instances=args.instances, out_dir=args.out, seed=args.seed,
     )
     print(f"experiment {args.id}: {result.manifest}")
     print("scheme,x,mean_Tmax,std_Tmax,n")
@@ -118,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--instances", type=int, default=200)
     exp.add_argument("--out", help="directory for the CSV output")
     exp.add_argument("--seed", type=int, default=1000)
-    exp.add_argument("--workers", type=int, default=0,
-                     help="process pool size (0 = run inline)")
     exp.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="config override, config-file key syntax")
     exp.set_defaults(func=_cmd_experiment)

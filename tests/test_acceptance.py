@@ -18,6 +18,7 @@ import pytest
 
 from uavsense.analysis import SensitivityInputs, dTmax_dPRth, dTmax_dq
 from uavsense.bench import (
+    _ITSSO_SEED_OFFSET,
     ScenarioConfig,
     audit_solution,
     generate_scenario,
@@ -27,14 +28,12 @@ from uavsense.bench import (
 )
 from uavsense.channel import ChannelParams, Position3
 from uavsense.itsso import ItssoConfig, run_itsso
-from uavsense.scheduler import GreedyScheduler
 from uavsense.sensing import (
     SensingParams,
     Task,
     required_sensing_radius,
     sensing_success_coop,
 )
-from uavsense.simulator import UavPlan, run
 from uavsense.trajectory import (
     KinematicParams,
     constant_speed_leg,
@@ -85,7 +84,7 @@ def _pool_map(fn, jobs):
 
 
 def _tmax_per_seed(cfg: ScenarioConfig, seeds) -> np.ndarray:
-    jobs = [(replace(cfg, seed=s), s + 1_000_003) for s in seeds]
+    jobs = [(replace(cfg, seed=s), s + _ITSSO_SEED_OFFSET) for s in seeds]
     return np.array(_pool_map(_tmax_job, jobs), dtype=float)
 
 
@@ -93,23 +92,41 @@ def _mean_tmax(cfg: ScenarioConfig, seeds) -> float:
     return float(np.mean(_tmax_per_seed(cfg, seeds)))
 
 
-def saving_interval(ours: np.ndarray, theirs: np.ndarray) -> str:
-    """Paired bootstrap 95% interval of the saving ``1 - mean(ours) /
-    mean(theirs)``: the seeds are resampled with replacement, each draw
-    keeping a seed's two values together."""
+def bootstrap_interval(per_seed, statistic, fmt: str = ".1%") -> str:
+    """Paired bootstrap 95% interval of ``statistic`` of the means.
+
+    ``per_seed`` holds one row of per-seed values for each sweep point.  The
+    seeds are resampled with replacement, each draw keeping a seed's values
+    at every point together; ``statistic`` maps the resampled means, one
+    row per point, to one value per draw."""
+    per_seed = np.asarray(per_seed)
+    n = per_seed.shape[1]
     rng = np.random.default_rng(_BOOTSTRAP_SEED)
-    idx = rng.integers(0, len(ours), size=(_BOOTSTRAP_RESAMPLES, len(ours)))
-    savings = 1.0 - ours[idx].mean(axis=1) / theirs[idx].mean(axis=1)
-    lo, hi = np.percentile(savings, [2.5, 97.5])
-    return (f"95% interval [{lo:.1%}, {hi:.1%}], paired bootstrap of "
+    idx = rng.integers(0, n, size=(_BOOTSTRAP_RESAMPLES, n))
+    lo, hi = np.percentile(statistic(per_seed[:, idx].mean(axis=2)), [2.5, 97.5])
+    return (f"95% interval [{lo:{fmt}}, {hi:{fmt}}], paired bootstrap of "
             f"{_BOOTSTRAP_RESAMPLES} resamples")
+
+
+def saving_interval(ours: np.ndarray, theirs: np.ndarray) -> str:
+    """Interval of the saving ``1 - mean(ours) / mean(theirs)``."""
+    return bootstrap_interval([ours, theirs], lambda m: 1.0 - m[0] / m[1])
+
+
+def _smallest_step(means: np.ndarray) -> np.ndarray:
+    return np.diff(means, axis=0).min(axis=0)
+
+
+def _largest_deviation(means: np.ndarray) -> np.ndarray:
+    center = means.mean(axis=0)
+    return (np.abs(means - center) / center).max(axis=0)
 
 
 class TestCriterion1Convergence:
     def test_monotone_and_bounded(self):
         n = n_instances(200)
         t0 = time.time()
-        jobs = [(ScenarioConfig(seed=s), s + 1_000_003) for s in range(n)]
+        jobs = [(ScenarioConfig(seed=s), s + _ITSSO_SEED_OFFSET) for s in range(n)]
         results = _pool_map(_history_job, jobs)
         bad = []
         for s, (history, iterations) in enumerate(results):
@@ -169,11 +186,13 @@ class TestCriterion4ThresholdMonotonicity:
         n = n_instances(100)
         seeds = range(n)
         prs = (0.5, 0.6, 0.7, 0.8, 0.9)
-        it_means, nc_means = [], []
+        it_per_seed, nc_per_seed = [], []
         for pr in prs:
             base = ScenarioConfig(sensing=SensingParams(0.01, pr))
-            it_means.append(_mean_tmax(base, seeds))
-            nc_means.append(_mean_tmax(nc_config(base), seeds))
+            it_per_seed.append(_tmax_per_seed(base, seeds))
+            nc_per_seed.append(_tmax_per_seed(nc_config(base), seeds))
+        it_means = [float(np.mean(v)) for v in it_per_seed]
+        nc_means = [float(np.mean(v)) for v in nc_per_seed]
         fsl_means = [
             _mean_tmax(replace(ScenarioConfig(sensing=SensingParams(0.01, pr)),
                                scheme="fsl"), seeds)
@@ -183,9 +202,13 @@ class TestCriterion4ThresholdMonotonicity:
         nc_ok = all(b >= a for a, b in zip(nc_means, nc_means[1:]))
         center = float(np.mean(fsl_means))
         fsl_ok = all(abs(v - center) / center <= 0.05 for v in fsl_means)
+        it_step = bootstrap_interval(it_per_seed, _smallest_step, ".2f")
+        nc_step = bootstrap_interval(nc_per_seed, _smallest_step, ".2f")
         report(4, it_ok and nc_ok and fsl_ok,
-               f"ITSSO {[round(v, 2) for v in it_means]} non-decreasing: {it_ok}; "
-               f"NC {[round(v, 2) for v in nc_means]} non-decreasing: {nc_ok}; "
+               f"ITSSO {[round(v, 2) for v in it_means]} non-decreasing: {it_ok} "
+               f"(smallest step: {it_step}); "
+               f"NC {[round(v, 2) for v in nc_means]} non-decreasing: {nc_ok} "
+               f"(smallest step: {nc_step}); "
                f"FSL {[round(v, 2) for v in fsl_means]} flat +-5%: {fsl_ok}")
 
 
@@ -230,16 +253,18 @@ class TestCriterion7PayloadKnee:
     def test_flat_band_and_knee(self):
         n = n_instances(100)
         seeds = range(n)
-        means = {}
-        for rs in (5, 10, 15, 20, 25, 30, 35, 40):
-            means[rs] = _mean_tmax(ScenarioConfig(data_size=rs * 1e6), seeds)
+        per_seed = {rs: _tmax_per_seed(ScenarioConfig(data_size=rs * 1e6), seeds)
+                    for rs in (5, 10, 15, 20, 25, 30, 35, 40)}
+        means = {rs: float(np.mean(v)) for rs, v in per_seed.items()}
         band = [means[r] for r in (5, 10, 15, 20, 25)]
         center = float(np.mean(band))
         deviation = max(abs(v - center) / center for v in band)
         strict = means[25] < means[30] < means[35] < means[40]
+        interval = bootstrap_interval([per_seed[r] for r in (5, 10, 15, 20, 25)],
+                                      _largest_deviation)
         report(7, deviation < 0.10 and strict,
                f"means {[round(means[r], 2) for r in sorted(means)]}; "
-               f"max deviation over [5,25] Mbit: {deviation:.1%} (tol 10%); "
+               f"max deviation over [5,25] Mbit: {deviation:.1%} ({interval}; tol 10%); "
                f"strict increase 25->40: {strict}")
 
 
@@ -275,7 +300,7 @@ class TestCriterion9FeasibilityAudit:
                 elif scheme == "fsl":
                     cfg = replace(cfg, scheme="fsl")
                 sc = generate_scenario(cfg)
-                sol = run_scheme(sc, ItssoConfig(rng_seed=seed + 1_000_003),
+                sol = run_scheme(sc, ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET),
                                  record_trace=True)
                 problems = audit_solution(sc, sol)
                 if problems:
@@ -369,7 +394,7 @@ class TestCriterion10SmallOracle:
         for seed in range(20):
             cfg = ScenarioConfig(m=2, n=2, q=1, k=1, seed=seed)
             sc = generate_scenario(cfg)
-            sol = run_itsso(sc, ItssoConfig(rng_seed=seed + 1_000_003),
+            sol = run_itsso(sc, ItssoConfig(rng_seed=seed + _ITSSO_SEED_OFFSET),
                             record_trace=False)
             oracle = _oracle_tmax(sc)
             gaps.append(sol.t_max - oracle)

@@ -1,9 +1,7 @@
 """Scenario generation, schemes, experiments, config ingestion and the CLI."""
 
-import concurrent.futures
 import csv
 import hashlib
-import math
 import os
 import re
 import subprocess
@@ -17,8 +15,6 @@ import pytest
 import uavsense
 from uavsense import bench
 from uavsense.bench import (
-    EXPERIMENT_IDS,
-    Scenario,
     ScenarioConfig,
     audit_solution,
     generate_scenario,
@@ -297,42 +293,10 @@ class TestExperiments:
         assert "min(instances, 10) instances" in manifest
         assert "depend only on h_min, lambda and pr_th" in manifest
 
-    def test_negative_workers_refused(self):
-        # a negative pool size used to run inline without a word
-        with pytest.raises(ValueError, match=r"workers=-1 must be non-negative"):
-            run_experiment("fig6", instances=1, workers=-1)
-
-    def test_process_pool_matches_inline(self):
-        inline = run_experiment("fig6", instances=1, seed=90)
-        pooled = run_experiment("fig6", instances=1, seed=90, workers=2)
-        assert len(inline.raw) == 15
-        assert pooled.rows == inline.rows and pooled.raw == inline.raw
-
-    def test_process_pool_spawns_its_workers(self, monkeypatch):
-        # forking a process that has threads (numpy's BLAS pool) can deadlock
-        contexts = []
-
-        class InlinePool:
-            def __init__(self, max_workers, mp_context=None):
-                contexts.append(mp_context)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        # bench imports the pool inside run_experiment, from its module
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        run_experiment("fig6", instances=1, seed=90, workers=2)
-        assert [c.get_start_method() for c in contexts] == ["spawn"]
-
     def test_the_pool_is_imported_only_for_a_pooled_sweep(self):
-        # a fresh interpreter: this one has imported them for the tests above
+        # there is no pooled sweep: a fresh interpreter runs one and loads no pool
         code = ("import sys, uavsense, uavsense.cli; "
+                "uavsense.bench.run_experiment('fig6', instances=1); "
                 "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
         src = str(Path(uavsense.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -515,9 +479,7 @@ class TestCli:
         ["validate", "--trace", "missing.csv"],
         ["simulate", "--seed", "-1"],
         ["simulate", "--no-such-option"],
-        ["experiment", "--id", "fig4", "--instances", "1", "--workers", "-1"],
-    ], ids=["bad-value", "no-instances", "missing-file", "negative-seed", "argparse",
-            "negative-workers"])
+    ], ids=["bad-value", "no-instances", "missing-file", "negative-seed", "argparse"])
     def test_refused_input_exits_2_with_one_error_line(self, argv, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.chdir(tmp_path)

@@ -5,12 +5,14 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import uavsense
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(uavsense.__path__))
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 # public names deleted because nothing in the pipeline read them
 REMOVED = {
@@ -66,6 +68,7 @@ def test_removed_members_are_gone():
     from uavsense import bench, itsso, placement, simulator, trajectory
     from uavsense.bench import ExperimentResult, ScenarioConfig
     from uavsense.channel import Position3
+    from uavsense.cli import build_parser
     from uavsense.scheduler import schedule_slot
     from uavsense.simulator import SimOutcome, run
     from uavsense.trajectory import drain_leg
@@ -108,6 +111,9 @@ def test_removed_members_are_gone():
     assert "q_cap" not in inspect.signature(bench._min_q_simulated).parameters
     assert not hasattr(ExperimentResult, "raw_values")
     assert not hasattr(bench, "initial_solution")
+    # sweeps run in one process: no pool to size
+    assert "workers" not in inspect.signature(bench.run_experiment).parameters
+    assert not hasattr(build_parser().parse_args(["experiment", "--id", "fig4"]), "workers")
     # the scenario decides FSL's pin (itsso._pinned_height); nothing passes it
     assert "fixed_locations" not in inspect.signature(itsso.run_itsso).parameters
     assert "locations" not in inspect.signature(itsso.initial_solution).parameters
@@ -133,11 +139,10 @@ def test_one_function_reads_fsls_rule():
     assert where == ["itsso._pinned_height"]
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_no_unused_module_level_imports(name):
-    # no linter is installed, so this stands in for pyflakes' F401; the
-    # package's __init__, which imports only to re-export, is not a module here
-    tree = ast.parse(inspect.getsource(importlib.import_module(f"uavsense.{name}")))
+def _unused_imports(source: str) -> list[str]:
+    """Module-level imports that no name in ``source`` reads: a stand-in for
+    pyflakes' F401, since no linter is installed."""
+    tree = ast.parse(source)
     imported = {}
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -147,8 +152,20 @@ def test_no_unused_module_level_imports(name):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = sorted(f"{n} (line {line})" for n, line in imported.items() if n not in used)
+    return sorted(f"{n} (line {line})" for n, line in imported.items() if n not in used)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_module_level_imports(name):
+    # the package's __init__, which imports only to re-export, is not a module here
+    unused = _unused_imports(inspect.getsource(importlib.import_module(f"uavsense.{name}")))
     assert not unused, f"uavsense.{name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda path: path.name)
+def test_no_unused_imports_in_tests(path):
+    unused = _unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, f"tests/{path.name} imports names it never uses: {unused}"
 
 
 def test_no_orphaned_private_helpers():

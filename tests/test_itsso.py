@@ -2,7 +2,6 @@
 
 import gc
 import json
-import math
 import re
 from dataclasses import replace as dc_replace
 
