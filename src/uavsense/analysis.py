@@ -42,8 +42,9 @@ class SensitivityInputs:
             raise ValueError("q must be at least 1")
         if not 0.0 < self.pr_th < 1.0:
             raise ValueError("pr_th must lie strictly between 0 and 1")
-        if self.lam <= 0 or self.v_max <= 0 or self.n_tasks_per_uav < 1:
-            raise ValueError("lam, v_max must be positive and n_tasks_per_uav >= 1")
+        if not (0 < self.lam < math.inf and 0 < self.v_max < math.inf
+                and self.n_tasks_per_uav >= 1):
+            raise ValueError("lam, v_max must be finite and positive and n_tasks_per_uav >= 1")
 
 
 def dTmax_dq(inp: SensitivityInputs) -> float:

@@ -4,11 +4,11 @@ Walks the per-slot trace rows and re-derives every protocol constraint from
 scratch: altitude floor, speed cap, zero velocity while sensing, cooperative
 sensing probability, complete data delivery between sensing slots, the
 per-slot subcarrier cap and binary grants held only in transmission slots,
-legal slot-type transitions, and agreement between the reported rates and
-the channel model.  Given the claimed completion slots, it also checks
-that each UAV's trace ends in its completion slot, which ties the objective
-to the trace.  It shares nothing with the simulator's bookkeeping except
-the channel definition itself.
+rows only of known UAVs and slot types, legal slot-type transitions, and
+agreement between the reported rates and the channel model.  Given the
+claimed completion slots, it also checks that each UAV's trace ends in its
+completion slot, which ties the objective to the trace.  It shares nothing
+with the simulator's bookkeeping except the channel definition itself.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ __all__ = ["audit_trace"]
 
 _TOL = 1e-6
 
-_LEGAL_TRANSITIONS = {
+_SLOT_TYPES = (SENSING, TRANSMISSION, EMPTY)
+# (type of the previous row, None before a UAV's first row; type of the row)
+_LEGAL_TRANSITIONS = {(None, stype) for stype in _SLOT_TYPES} | {
     (SENSING, TRANSMISSION),
     (SENSING, EMPTY),
     (TRANSMISSION, TRANSMISSION),
@@ -60,6 +62,9 @@ def audit_trace(
     by_uav: dict[int, list[TraceRow]] = defaultdict(list)
     by_slot_granted: dict[int, int] = defaultdict(int)
     for r in rows:
+        if r.uav not in initial_positions:  # reported, and checked no further
+            problems.append(f"slot {r.slot} uav {r.uav}: the scenario has no such UAV")
+            continue
         by_uav[r.uav].append(r)
         if r.granted not in (0, 1):
             problems.append(f"slot {r.slot} uav {r.uav}: grant flag {r.granted} not binary")
@@ -99,9 +104,12 @@ def audit_trace(
             step = math.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
             if step > cap:
                 problems.append(f"slot {slot} uav {uav}: speed {step:.3f} exceeds v_max")
-            if prev_type is not None and (prev_type, stype) not in _LEGAL_TRANSITIONS:
-                problems.append(
-                    f"slot {slot} uav {uav}: illegal transition {prev_type}->{stype}")
+            if (prev_type, stype) not in _LEGAL_TRANSITIONS:
+                if stype not in _SLOT_TYPES:
+                    problems.append(f"slot {slot} uav {uav}: unknown slot type {stype!r}")
+                elif prev_type in _SLOT_TYPES:  # else the previous row was reported
+                    problems.append(
+                        f"slot {slot} uav {uav}: illegal transition {prev_type}->{stype}")
 
             residual_before = prev_residual
             if stype == SENSING:

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .audit import audit_trace
-from .channel import ChannelParams, Position3
+from .channel import ChannelParams, Position3, _require_finite
 from .itsso import (
     InfeasibleScenario,
     ItssoConfig,
@@ -79,14 +79,15 @@ class ScenarioConfig:
     fsl_height: float = 50.0
 
     def __post_init__(self):
+        _require_finite(positive=True, data_size=self.data_size)
+        _require_finite(fsl_height=self.fsl_height,
+                        **dict(zip(("area.x", "area.y", "area.z"), self.area)))
         if min(self.m, self.n, self.k, self.q) < 1:
             raise ValueError("m, n, k, q must all be at least 1")
         if self.q > self.m:
             raise ValueError(f"q={self.q} workers cannot exceed m={self.m} UAVs")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.data_size <= 0:
-            raise ValueError("data_size must be positive")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be non-negative")
         if 4300.0 * math.log10(self.kinematics.h_min) - 3800.0 <= 0.0:

@@ -42,6 +42,13 @@ _CEILING_MARGIN = 1e-6  # relative headroom of a rate ceiling over float roundin
 _SCREEN_MIN_SNR_DB = -60.0  # below it the screen does not order points
 
 
+def _require_finite(positive: bool = False, **values: float) -> None:
+    """Refuse, naming it, a value that is not finite (or, with ``positive``, not above 0)."""
+    for name, v in values.items():
+        if not (0.0 < v < math.inf if positive else math.isfinite(v)):
+            raise ValueError(f"{name}={v} must be finite{' and positive' if positive else ''}")
+
+
 class ChannelDomainError(ValueError):
     """Geometry outside the model's domain (z <= 0, coincident BS, non-finite)."""
 
@@ -84,10 +91,10 @@ class ChannelParams:
     bs_position: Position3 = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.bs_height > 0 and self.carrier_freq > 0):
-            raise ValueError("bs_height and carrier_freq must be positive")
-        if not (self.subcarrier_bandwidth > 0 and self.slot_duration > 0):
-            raise ValueError("subcarrier_bandwidth and slot_duration must be positive")
+        _require_finite(
+            positive=True, bs_height=self.bs_height, carrier_freq=self.carrier_freq,
+            subcarrier_bandwidth=self.subcarrier_bandwidth, slot_duration=self.slot_duration)
+        _require_finite(noise_power=self.noise_power, tx_power=self.tx_power)
         object.__setattr__(self, "tx_mw", 10.0 ** (self.tx_power / 10.0))
         object.__setattr__(self, "noise_mw", 10.0 ** (self.noise_power / 10.0))
         object.__setattr__(self, "_fc_db", 20.0 * _LOG10(self.carrier_freq))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .channel import Position3
+from .channel import Position3, _require_finite
 
 __all__ = [
     "SensingParams",
@@ -31,10 +31,9 @@ class SensingParams:
     pr_th: float = 0.9  # success-probability threshold, in (0, 1)
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        _require_finite(positive=True, lam=self.lam)
         if not 0.0 < self.pr_th < 1.0:
-            raise ValueError("pr_th must lie strictly between 0 and 1")
+            raise ValueError(f"pr_th={self.pr_th} must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,8 @@ def required_sensing_radius(q: int, params: SensingParams) -> float:
 
 def min_cooperative_uavs(d0: float, params: SensingParams) -> int:
     """Smallest group size meeting the threshold when all members sit at d0."""
-    if d0 < 0:
-        raise ValueError("d0 must be non-negative")
+    if not 0 <= d0 < math.inf:
+        raise ValueError(f"d0={d0} must be finite and non-negative")
     single = math.exp(-params.lam * d0)
     if single >= params.pr_th:
         return 1

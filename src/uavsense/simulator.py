@@ -34,11 +34,10 @@ Only what a run reads is worked out:
   waypoints once, when the UAV enters the leg.
 - Idle UAVs sleep in untraced runs: a UAV with nothing to send on a leg
   to a sensing location skips the empty slots left on that leg and is
-  back in the slot loop to sense; a slot in which every UAV sleeps is
-  skipped whole.  A traced run steps every UAV in every slot, since each
-  slot needs a row; a traced ITSSO run is a stepped replay of the
-  untraced run's grants, and ``itsso.replay`` raises if its grants differ
-  from them.
+  back in the slot loop to sense.  A traced run steps every UAV in every
+  slot, since each slot needs a row; a traced ITSSO run is a stepped
+  replay of the untraced run's grants, and ``itsso.replay`` raises if its
+  grants differ from them.
 """
 
 from __future__ import annotations
@@ -247,10 +246,9 @@ def run(
     Without a trace, a UAV with nothing to send on a leg to a sensing
     location sleeps through the empty slots left on that leg: it would
     request nothing and be read by nobody there, so it leaves the slot loop
-    and comes back in the slot it senses.  Slots in which every unfinished
-    UAV sleeps are not stepped: ``t`` jumps to the next wake slot, and each
-    skipped slot logs empty requests and grants.  A traced run steps every
-    UAV, since every slot needs its row.
+    in the first slot it steps idle (slot 1 on a first leg) and comes back
+    in the slot it senses.  A traced run steps every UAV, since every slot
+    needs its row.
     """
     k = sched.k
     states = [_Runtime(p, record_trace) for p in plans]
@@ -264,26 +262,10 @@ def run(
     trace: list[TraceRow] | None = [] if record_trace else None
     asleep: dict[int, list[_Runtime]] = {}  # wake slot -> UAVs back then
 
-    def sleep(st: _Runtime, slot: int) -> None:
-        st.sleep(slot)
-        asleep.setdefault(st.wake, []).append(st)
-
     active = [by_id[i] for i in order if not by_id[i].done]
-    if not record_trace:
-        for st in active:
-            if not st.pending_sense:  # a first leg, with waypoints and nothing to send
-                sleep(st, 0)
-        active = [st for st in active if not st.wake]
     t = 0
     while active or asleep:
         t += 1
-        if not active:
-            # every unfinished UAV sleeps until the next wake slot: those
-            # slots have no requests and no grants
-            skip = min(min(asleep), _MAX_SLOTS + 1) - t
-            requests_log += [_NOTHING] * skip
-            grants_log += [_NOTHING] * skip
-            t += skip
         if t > _MAX_SLOTS:
             worst = max((by_id[i] for i in order if not by_id[i].done),
                         key=lambda s: s.residual)
@@ -360,7 +342,8 @@ def run(
                 elif stype != SENSING and st.w >= st.leg_slots:
                     st.pending_sense = True
                 elif trace is None:
-                    sleep(st, t)
+                    st.sleep(t)
+                    asleep.setdefault(st.wake, []).append(st)
                     left = True
         if left:
             active = [s for s in active if not s.done and s.wake <= t]

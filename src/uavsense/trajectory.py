@@ -90,6 +90,7 @@ from .channel import (
     rate_at,
     rate_gradient_at,
     segment_rate_ceiling,
+    _require_finite,
 )
 
 __all__ = [
@@ -127,8 +128,7 @@ class KinematicParams:
     h_min: float = 10.0  # minimum altitude, meters
 
     def __post_init__(self):
-        if not (self.v_max > 0 and self.h_min > 0):
-            raise ValueError("v_max and h_min must be positive")
+        _require_finite(positive=True, v_max=self.v_max, h_min=self.h_min)
 
 
 _LEG_FIELDS = ("start", "end", "residual_data", "waypoints", "rates", "turning_point",

@@ -181,3 +181,20 @@ def test_grant_in_a_sensing_slot():
 def test_grant_in_an_empty_slot():
     assert _audit(_tampered(s3u0=dict(granted=1))) == [
         "slot 3 uav 0: grant outside a transmission slot (empty)"]
+
+
+def test_unknown_slot_type():
+    # reported once: the next row's transition from it is not blamed too
+    assert _audit(_tampered(s3u0=dict(slot_type="bogus"))) == [
+        "slot 3 uav 0: unknown slot type 'bogus'"]
+
+
+def test_rows_of_a_uav_the_scenario_does_not_have():
+    # reported, not raised, and left out of every other check: its grant
+    # would be slot 2's third, over the cap of 2
+    rows = _clean_rows() + [_row(2, 99, TRANSMISSION, 0.0, 0.0, granted=1, rate=BITS),
+                            _row(3, 99, EMPTY, 0.0, 0.0)]
+    assert _audit(rows) == ["slot 2 uav 99: the scenario has no such UAV",
+                            "slot 3 uav 99: the scenario has no such UAV"]
+    assert _audit([_row(1, 99, EMPTY, 0.0, 0.0)])[0] == \
+        "slot 1 uav 99: the scenario has no such UAV"

@@ -27,6 +27,7 @@ from uavsense.bench import (
 from uavsense.cli import build_parser, main as cli_main
 from uavsense.itsso import ItssoConfig
 from uavsense.sensing import SensingParams, sensing_success_coop
+from uavsense.simulator import EMPTY, TraceRow, write_trace
 from uavsense.trajectory import KinematicParams
 
 
@@ -346,6 +347,16 @@ class TestConfigFile:
         assert want != base
         assert parse_config_text(f"{key} = {raw}\n") == want
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(key for key, (_, _, parse) in
+                                           bench._CONFIG_KEYS.items() if parse is float))
+    def test_non_finite_value_refused_by_name(self, key, raw):
+        # the refusal names the field, not a symptom downstream of it
+        part, name, _ = bench._CONFIG_KEYS[key]
+        field = f"area.{name}" if part == "area" else name
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}={raw} must "):
+            parse_config_text(f"{key} = {raw}\n")
+
     def test_every_key_has_a_case(self):
         assert sorted(case[0] for case in _KEY_CASES) == sorted(bench._CONFIG_KEYS)
 
@@ -436,6 +447,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 1 and "FAIL" in out
 
+    def test_validate_reports_a_uav_the_scenario_does_not_have(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        write_trace([TraceRow(1, 99, EMPTY, 0.0, 0.0, 10.0, 0, 0.0, 0.0)], trace)
+        rc = cli_main(["validate", "--trace", str(trace)])  # returns: no traceback
+        out = capsys.readouterr()
+        assert rc == 1 and out.err == ""
+        lines = out.out.splitlines()
+        assert lines[0].startswith("FAIL: ")
+        assert "  slot 1 uav 99: the scenario has no such UAV" in lines
+
     def test_validate_waives_the_sensing_threshold_for_fsl_only(self, tmp_path, capsys):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
@@ -479,7 +500,11 @@ class TestCli:
         ["validate", "--trace", "missing.csv"],
         ["simulate", "--seed", "-1"],
         ["simulate", "--no-such-option"],
-    ], ids=["bad-value", "no-instances", "missing-file", "negative-seed", "argparse"])
+        ["analyze", "--op", "minq", "--d0", "inf"],
+        ["analyze", "--op", "dtdq", "--lam", "nan"],
+        ["analyze", "--op", "dtdq", "--v-max", "inf"],
+    ], ids=["bad-value", "no-instances", "missing-file", "negative-seed", "argparse",
+            "infinite-d0", "nan-lam", "infinite-v-max"])
     def test_refused_input_exits_2_with_one_error_line(self, argv, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.chdir(tmp_path)

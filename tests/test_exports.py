@@ -4,7 +4,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,9 @@ import pytest
 import uavsense
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(uavsense.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH_FILES = sorted((ROOT / "perfbench").glob("*.py"))
 
 # public names deleted because nothing in the pipeline read them
 REMOVED = {
@@ -162,10 +167,27 @@ def test_no_unused_module_level_imports(name):
     assert not unused, f"uavsense.{name} imports names it never uses: {unused}"
 
 
-@pytest.mark.parametrize("path", TEST_FILES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", TEST_FILES + PERFBENCH_FILES,
+                         ids=lambda path: path.name if path in TEST_FILES
+                         else f"perfbench/{path.name}")
 def test_no_unused_imports_in_tests(path):
     unused = _unused_imports(path.read_text(encoding="utf-8"))
-    assert not unused, f"tests/{path.name} imports names it never uses: {unused}"
+    assert not unused, f"{path.parent.name}/{path.name} imports names it never uses: {unused}"
+
+
+def test_the_micro_benchmarks_run():
+    # perfbench's micro-benchmarks are skipped unless selected with -m micro;
+    # running each call once here keeps the benchmark's calls into the
+    # package working
+    src = str(Path(uavsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/test_perfbench_micro.py", "-m", "micro",
+         "--benchmark-disable", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " passed" in done.stdout and "skipped" not in done.stdout
 
 
 def test_no_orphaned_private_helpers():

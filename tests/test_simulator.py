@@ -494,7 +494,8 @@ class TestIdleUavsSleep:
                 del sleeps[:]
                 fast = run(plans, make(), sc.tasks, sc.channel, sc.kinematics,
                            record_trace=False)
-                assert sleeps and 0 in sleeps  # idle UAVs slept, from slot 0 on
+                # idle UAVs slept, the first in slot 1, the first slot stepped
+                assert sleeps and min(sleeps) == 1
                 del sleeps[:]
                 slow = run(plans, make(), sc.tasks, sc.channel, sc.kinematics)
                 assert not sleeps
@@ -548,11 +549,11 @@ class TestIdleUavsSleep:
         assert fast.completion_times == slow.completion_times
         assert fast.grants == slow.grants and fast.requests == slow.requests
 
-    def test_slots_in_which_every_uav_sleeps_are_skipped(self, monkeypatch):
-        # every UAV sleeps through its first leg from slot 0, so the slots
-        # before the first sensing slot are skipped whole, each logged as the
-        # shared empty set; the traced run steps them, a row per UAV each,
-        # to the same logs
+    def test_slots_in_which_every_uav_sleeps_log_nothing(self, monkeypatch):
+        # every UAV falls asleep in slot 1, the first it steps with nothing
+        # to send, so no UAV requests before the first sensing slot and each
+        # of those slots logs the shared empty set; the traced run steps
+        # them, a row per UAV each, to the same logs
         tasks = {0: Task(0, Position3(400, 0, 0), 20e6, (0,)),
                  1: Task(1, Position3(0, 400, 0), 20e6, (1,)),
                  2: Task(2, Position3(300, 300, 0), 20e6, (0, 1))}
@@ -568,13 +569,13 @@ class TestIdleUavsSleep:
                             lambda st, slot: sleeps.append((st.uav, slot)) or
                             real_sleep(st, slot))
         fast = run(plans, GreedyScheduler(1), tasks, CP, KIN, record_trace=False)
-        assert sleeps[:2] == [(0, 0), (1, 0)]
+        assert sleeps[:2] == [(0, 1), (1, 1)]
         slow = run(plans, GreedyScheduler(1), tasks, CP, KIN)
         first = min(p.legs[0].slots for p in plans if p.n_tasks)
         assert first >= 2
-        skipped = [t for t, req in enumerate(fast.requests, 1) if req is simulator._NOTHING]
-        assert skipped[:first] == list(range(1, first + 1))
-        assert all(fast.grants[t - 1] is simulator._NOTHING for t in skipped)
+        idle = [t for t, req in enumerate(fast.requests, 1) if req is simulator._NOTHING]
+        assert idle[:first] == list(range(1, first + 1))
+        assert all(fast.grants[t - 1] is simulator._NOTHING for t in idle)
         assert [(r.slot, r.uav) for r in slow.trace[:2 * first]] == \
             [(t, uav) for t in range(1, first + 1) for uav in (0, 1)]
         assert (fast.requests, fast.grants) == (slow.requests, slow.grants)
