@@ -79,9 +79,11 @@ class ScenarioConfig:
     fsl_height: float = 50.0
 
     def __post_init__(self):
-        _require_finite(positive=True, data_size=self.data_size)
-        _require_finite(fsl_height=self.fsl_height,
-                        **dict(zip(("area.x", "area.y", "area.z"), self.area)))
+        ax, ay, az = self.area
+        _require_finite(positive=True, data_size=self.data_size, **{"area.x": ax, "area.y": ay})
+        _require_finite(fsl_height=self.fsl_height, **{"area.z": az})
+        if az < 0:
+            raise ValueError(f"area.z={az} must be non-negative")
         if min(self.m, self.n, self.k, self.q) < 1:
             raise ValueError("m, n, k, q must all be at least 1")
         if self.q > self.m:

@@ -21,13 +21,14 @@ Only what a run reads is worked out:
   UAV's completion chain, which its projections before the drain leg
   share, is built on the first of them from the plan: each leg's planned
   slot count and the drain's all-granted slots.  The slots to drain the
-  current leg are counted by ``Leg.slots_to_deliver``, which sums the
-  leg's parts in place.  A UAV keeps that count from its last projection
-  with the leg, waypoint and residual it was made for: a UAV denied while
-  hovering at its leg end keeps all three from slot to slot, so it is
-  projected again without summing its rates again.
-- A leg's rate is read only in a granted slot of a UAV holding data
-  (``Leg.rate``) or by a projection.  A planned leg rates a route point
+  current leg are counted by ``Leg.slots_to_deliver``, which reads the
+  leg's rates slot by slot through ``Leg.rate``.  A UAV keeps that count
+  from its last projection with the leg, waypoint and residual it was
+  made for: a UAV denied while hovering at its leg end keeps all three
+  from slot to slot, so it is projected again without summing its rates
+  again.
+- A leg's rate is read only through ``Leg.rate``: in a granted slot of a
+  UAV holding data or by a projection.  A planned leg rates a route point
   on its first read (``trajectory``), so a point that planning did not
   rate is rated only where the run reads it.
 - Waypoints are read only by a traced run, which lists each leg's

@@ -46,10 +46,9 @@ on geometry; the mask and the residual only decide which rates are summed.
   share, and those lines (their rates, not their waypoints), so a line
   partly rated by one call is completed by the next that needs it.  Its
   lines share the rate of each end point, taken on the first read by any
-  of them, and a walk step held at the BS standoff keeps the last rate.
-  ``run_itsso`` makes one per call and drops it on return; a call without
-  one starts cold, through a throwaway cache (``_cache``).  There is no
-  module-level cache.
+  of them.  ``run_itsso`` makes one per call and drops it on return; a
+  call without one starts cold, through a throwaway cache (``_cache``).
+  There is no module-level cache.
 - The same ``LegCache`` keeps every leg it planned, keyed by
   ``(start, end, payload)`` for ``optimize_leg`` and ``(start, payload)``
   for ``drain_leg``, each with the grants of that leg's own slots, and
@@ -62,14 +61,14 @@ on geometry; the mask and the residual only decide which rates are summed.
   sits inside the public functions, so every call is still a call of them.
 - A leg builds nothing up front.  Every ``Leg`` stores its shape: the
   walk prefix it uses, pauses, its route ``_Line`` and pauses at the end.
-  ``Leg.rate(k)`` reads one slot's rate, and a route point is rated on
-  its first read and kept in the line; ``waypoints`` and ``rates`` build
-  fresh lists in bulk.  ``slots_to_deliver``, which the simulator's
-  completion projections count with, sums those parts in place.  Only a
-  traced simulator run and a dump read waypoints; the simulator rates the
-  points it sums in granted slots or projections, and a dump rates the
-  rest.  The stretches of one ``initial_leg`` share their end point's
-  rate.
+  ``Leg.rate(k)`` is the one reader of a slot's rate, and a route point is
+  rated on its first read and kept in the line: the simulator's granted
+  slots, its completion projections (``slots_to_deliver``) and a dump
+  (``rates``) all read through it.  ``waypoints`` builds a fresh list in
+  bulk.  Only a traced simulator run and a dump read waypoints; the
+  simulator rates the points it sums in granted slots or projections, and
+  a dump rates the rest.  The stretches of one ``initial_leg`` share
+  their end point's rate.
 Capacities are summed left to right over granted slots, exactly as a
 plain loop over every slot would, so a plan is bit-identical to the one a
 dense scan of every point gives, with or without a cache.
@@ -148,7 +147,9 @@ class Leg:
     (a gradient walk's points and rates), pauses there up to
     ``detour_slots``, a route ``_Line`` and pauses at its end; a leg made
     from given lists (a loaded dump) is all head.
-    ``waypoints`` and ``rates`` build fresh lists on every read.  A route
+    ``waypoints`` and ``rates`` build fresh lists on every read, and
+    ``rate`` is the one reader of a slot's rate: ``rates``,
+    ``slots_to_deliver`` and the simulator all read through it.  A route
     point that no capacity check summed is rated on its first read and kept
     in the line, so a ``ChannelDomainError`` for such a point surfaces
     there, not when the leg is planned.  Legs compare equal by content.
@@ -182,80 +183,38 @@ class Leg:
             d1 = self._d1
             return self._rates[k if k < d1 else d1 - 1]
         route = self._route
-        if j >= route.n:
-            j = route.n - 1
-        r = route.rates[j]
-        return route.rate(j) if r != r else r
+        return route.rate(j if j < route.n else route.n - 1)
 
     def slots_to_deliver(self, w: int, residual: float) -> int:
         """Slots after waypoint ``w`` until ``residual`` bits are delivered
-        with every slot granted, hovering at the leg end once the waypoints
-        run out.
-
-        Each part of the leg (head, pauses, route, end pauses) is summed in
-        place, left to right, as reading ``rate`` slot by slot would, so the
-        count is the same; a route point is rated on its first read.
-        """
+        with every slot granted, reading ``rate`` slot by slot and hovering
+        at the leg end once the waypoints run out."""
         if residual <= 0:
             return 0
-        n = self.slots
+        n, rate = self.slots, self.rate
         if not n:
             raise RuntimeError("a leg carrying data must have waypoints")
-        d1, r0, route = self._d1, self._r0, self._route
         total = 0.0
-        k = w  # the next leg slot summed
-        if k < d1:
-            for r in self._rates[k:d1]:
-                total += r
-                k += 1
-                if total >= residual:
-                    return k - w
-        if k < r0:
-            r = self._rates[d1 - 1]
-            while k < r0:
-                total += r
-                k += 1
-                if total >= residual:
-                    return k - w
-        if route is not None:
-            m, rates = route.n, route.rates
-            for j in range(k - r0, m):
-                r = rates[j]
-                if r != r:
-                    r = route.rate(j)
-                total += r
-                if total >= residual:
-                    return r0 + j + 1 - w
-            if k < r0 + m:
-                k = r0 + m
-            if k < n:
-                r = route.rate(m - 1)
-                while k < n:
-                    total += r
-                    k += 1
-                    if total >= residual:
-                        return k - w
-        extra = math.ceil((residual - total) / self.rate(n - 1) - 1e-12)
+        for k in range(w, n):
+            total += rate(k)
+            if total >= residual:
+                return k + 1 - w
+        extra = math.ceil((residual - total) / rate(n - 1) - 1e-12)
         return (n - w) + max(extra, 1)
-
-    def _spread(self, head: list, route: list) -> list:
-        """The leg's items from the head's and the route's."""
-        d1 = self._d1
-        items = head[:d1]
-        items += items[-1:] * (self._r0 - d1)
-        items += route
-        items += items[-1:] * (self.slots - len(items))
-        return items
 
     @property
     def waypoints(self) -> list[Position3]:
-        route = self._route
-        return self._spread(self._pts, route.points() if route else [])
+        d1, route = self._d1, self._route
+        pts = self._pts[:d1]
+        pts += pts[-1:] * (self._r0 - d1)
+        if route is not None:
+            pts += route.points()
+        pts += pts[-1:] * (self.slots - len(pts))
+        return pts
 
     @property
     def rates(self) -> list[float]:
-        route = self._route
-        return self._spread(self._rates, route.filled() if route else [])
+        return [self.rate(k) for k in range(self.slots)]
 
     def __eq__(self, other):
         if not isinstance(other, Leg):
@@ -349,7 +308,7 @@ class _Line:
 
     The one place a line point is worked out.  ``rates``, an ``array('d')``
     of n NaNs, keeps each point's rate once rated; ``points`` gives the
-    waypoints in bulk and ``filled`` every rate.  ``ends`` maps end points
+    waypoints in bulk and ``rate`` one point's rate.  ``ends`` maps end points
     to their rates; lines that share it rate each end point once.
     """
 
@@ -408,10 +367,6 @@ class _Line:
             self.rates[j] = r
         return r
 
-    def filled(self) -> list[float]:
-        """Every waypoint's rate, rating those not yet rated."""
-        return [self.rate(j) for j in range(self.n)]
-
 
 def _leg(start: Position3, end: Position3, residual_data: float, route: Optional[_Line],
          tail: int = 0, walk: Optional[_Walk] = None, d1: int = 0, hover: int = 0) -> Leg:
@@ -432,7 +387,8 @@ class _Walk:
     ``pts[k]`` is the position after k+1 steps and ``rates[k]`` its rate.
     The walk is a pure function of the start, the speed, the channel and
     the kinematics, so it only ever grows; legs read the prefix they use.
-    A step that holds its position (at the BS standoff) keeps the last rate.
+    Every step is rated with ``rate_at``, one that holds its position at the
+    BS standoff too.
     """
 
     __slots__ = ("start", "cp", "kin", "speed", "pts", "rates")
@@ -452,7 +408,7 @@ class _Walk:
         pos = pts[-1] if pts else self.start
         while len(pts) < n:
             nxt = _gradient_step(pos, speed, cp, kin)
-            rates.append(rates[-1] if nxt is pos and rates else rate_at(nxt.x, nxt.y, nxt.z, cp))
+            rates.append(rate_at(nxt.x, nxt.y, nxt.z, cp))
             pts.append(nxt)
             pos = nxt
 

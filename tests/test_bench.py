@@ -357,6 +357,20 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}={raw} must "):
             parse_config_text(f"{key} = {raw}\n")
 
+    @pytest.mark.parametrize("key, raw", [("area.x", "-500"), ("area.x", "0"),
+                                          ("area.y", "-1"), ("area.y", "0"),
+                                          ("area.z", "-0.5")])
+    def test_extent_outside_the_box_refused_by_name(self, key, raw):
+        # the generator draws from the origin to the extent: an x or y at or
+        # below 0 would mirror the box, a z below 0 is no altitude
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}={float(raw)} must "):
+            parse_config_text(f"{key} = {raw}\n")
+
+    def test_a_flat_box_starts_every_uav_on_the_floor(self):
+        cfg = parse_config_text("area.z = 0\n")
+        starts = generate_scenario(cfg).uav_starts.values()
+        assert {p.z for p in starts} == {cfg.kinematics.h_min}
+
     def test_every_key_has_a_case(self):
         assert sorted(case[0] for case in _KEY_CASES) == sorted(bench._CONFIG_KEYS)
 

@@ -101,6 +101,8 @@ def test_removed_members_are_gone():
     assert not hasattr(placement, "_first_slot")
     assert not hasattr(trajectory, "_reaches")  # trajectory._summed
     assert not hasattr(trajectory._Line, "_full")
+    # every leg rate is read through Leg.rate; Leg.waypoints spreads its own
+    assert not hasattr(trajectory._Line, "filled") and not hasattr(trajectory.Leg, "_spread")
     assert not hasattr(itsso, "default_initial_locations")  # itsso.overhead_locations
     # the budget keeps every group at its threshold: no repair move
     for member in ("_repair", "upper_bound", "_grow_location"):
@@ -190,9 +192,9 @@ def test_the_micro_benchmarks_run():
     assert " passed" in done.stdout and "skipped" not in done.stdout
 
 
-def test_no_orphaned_private_helpers():
-    # no dead-code linter is installed, so this stands in for one: every
-    # private module-level name is read somewhere in the package
+def _package_trees_and_reads() -> tuple[dict[str, ast.Module], set[str]]:
+    """Each module's syntax tree, and every name the package reads: loaded
+    names, attribute names and names imported from a module."""
     trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"uavsense.{name}")))
              for name in MODULES}
     read = set()
@@ -204,6 +206,13 @@ def test_no_orphaned_private_helpers():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return trees, read
+
+
+def test_no_orphaned_private_helpers():
+    # no dead-code linter is installed, so this stands in for one: every
+    # private module-level name is read somewhere in the package
+    trees, read = _package_trees_and_reads()
     orphans = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -217,3 +226,16 @@ def test_no_orphaned_private_helpers():
             orphans += [f"uavsense.{name}.{d} (line {node.lineno})" for d in defined
                         if d.startswith("_") and not d.startswith("__") and d not in read]
     assert not orphans, f"private names that nothing in the package reads: {orphans}"
+
+
+def test_no_unread_class_members():
+    # the same stand-in for a dead-code linter, for classes: every method or
+    # property a package class defines, dunders aside, is read somewhere in
+    # the package, public ones included
+    trees, read = _package_trees_and_reads()
+    unread = [f"uavsense.{name}.{cls.name}.{fn.name} (line {fn.lineno})"
+              for name, tree in trees.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not fn.name.startswith("__") and fn.name not in read]
+    assert not unread, f"class members that nothing in the package reads: {unread}"

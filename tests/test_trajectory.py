@@ -390,7 +390,7 @@ class TestLine:
     def test_matches_the_eager_reference_bit_for_bit(self, seg, n, even, data):
         # waypoints and rates of both pacings equal the eagerly built
         # line's, and a cached line rated in any order by single reads
-        # fills to the same rates
+        # reads the same rates at every point
         cp, a, b = seg
         assume(even or a.dist(b) > 0.0)  # a full-speed line has a direction
         ref = even_waypoints(a, b, n) if even else frontload_waypoints(a, b, KIN.v_max, n)
@@ -405,14 +405,14 @@ class TestLine:
         for j in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
             assert repr(line.rate(j)) == repr(ref_rates[j])
         assert cache.line(a, b, n, even) is line
-        assert repr(line.filled()) == repr(ref_rates)
+        assert repr([line.rate(j) for j in range(line.n)]) == repr(ref_rates)
         assert repr(line.points()) == repr(ref)
 
     def test_no_slots_is_empty(self):
         a, b = Position3(0, 0, 10), Position3(0, 0, 10)
         for even in (False, True):
             line = _Line(a, b, 0, even, KIN.v_max, CP, {})
-            assert line.points() == [] and line.filled() == []
+            assert line.points() == [] and [line.rate(j) for j in range(line.n)] == []
 
 
 def _family_legs():
@@ -933,8 +933,8 @@ class TestCapacityContract:
 
 
 def slots_to_deliver_by_reads(leg, w, residual):
-    """Reference for ``Leg.slots_to_deliver``: the per-slot loop it replaced,
-    one ``rate`` read per slot, then the hover at the leg end."""
+    """Reference for ``Leg.slots_to_deliver``: one ``rate`` read per slot,
+    then the hover at the leg end."""
     if residual <= 0:
         return 0
     n, rate = leg.slots, leg.rate
@@ -979,8 +979,8 @@ def _unrated(leg):
 
 
 class TestSlotsToDeliver:
-    """``Leg.slots_to_deliver`` sums a leg's parts in place and counts what
-    a read of ``rate`` per slot counts, rating the same route points."""
+    """``Leg.slots_to_deliver`` counts what a read of ``rate`` per slot
+    counts, rating the same route points."""
 
     @staticmethod
     def _check(make, w, residual):
@@ -1246,7 +1246,7 @@ def _counted_rates(monkeypatch) -> list[tuple[float, float, float]]:
 
 
 class TestSharedRates:
-    """A point that several lines or walk steps share is rated once."""
+    """A point that several lines share is rated once."""
 
     def test_detours_through_one_cache_rate_their_common_end_once(self, monkeypatch):
         end = Position3(350, 420, 30)
@@ -1261,16 +1261,16 @@ class TestSharedRates:
         assert points.count(end) == 1
         assert len(points) == len(set(points))
 
-    def test_a_walk_held_at_the_standoff_rates_its_held_point_once(self, monkeypatch):
+    def test_a_walk_held_at_the_standoff_keeps_its_point_and_rate(self, monkeypatch):
         # straight above the BS, the first step stops at the standoff and
-        # every later step holds there
+        # every later step holds there, rated at that point
         walk = LegCache(CP, KIN).walk(Position3(0.0, 0.0, 75.5))
         points = _counted_rates(monkeypatch)
         walk.extend(12)
         held = walk.pts[0]
         assert held.dist(CP.bs_position) < _BS_STANDOFF + 1e-9
         assert walk.pts == [held] * 12 and walk.rates == [rate_at(*held, CP)] * 12
-        assert points == [held]
+        assert set(points) == {held}
 
 
 class TestSpeedOptimality:
